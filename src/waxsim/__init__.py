@@ -5,6 +5,10 @@ under standard decoherence (gas collisions, thermal photons) and collapse
 models, simulates the release-expand-measure protocol as seeded Monte-Carlo
 campaigns, and computes the minimum collapse rate detectable for a given
 measurement budget.
+
+Importing the package loads numpy only; scipy is imported by the functions
+that use it (campaign sampling, chi-square thresholds, the quadrature
+oracle).
 """
 from .constants import CONSTANTS, LAMBDA_GRW, Constants, amu, c, g, hbar, kB
 from .decoherence import (
@@ -67,9 +71,18 @@ from .protocol import (
     run_campaign,
     sampling_sigma,
 )
-from .validation import csl_sphere_factor_bruteforce
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The quadrature oracle loads scipy.interpolate, so it is imported on
+    # first use rather than with the package (PEP 562).
+    if name == "csl_sphere_factor_bruteforce":
+        from .validation import csl_sphere_factor_bruteforce
+
+        return csl_sphere_factor_bruteforce
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BlackbodyRates",

@@ -11,8 +11,9 @@ One binary with five subcommands, all driven by the same configuration:
 Configuration comes from an optional file (``--config`` or the
 ``WAXSIM_CONFIG`` environment variable) plus flag overrides; flags win.
 Every config key is addressable as ``--section.key value``. Exit codes:
-0 success, 2 usage or config error, 3 numerical failure. Model-validity
-warnings go to stderr and do not change the exit code.
+0 success, 2 usage or config error (including a run too large to allocate),
+3 numerical failure. Model-validity warnings go to stderr and do not change
+the exit code.
 """
 from __future__ import annotations
 
@@ -125,6 +126,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return builder.finalize()
 
 
+def _budget_warnings(config: RunConfig) -> list[str]:
+    """Validity warnings of the configured budget, as ``expand`` reports them."""
+    budget = total_budget(
+        config.particle(), config.environment(), config.csl(), config.toggles()
+    )
+    return list(budget.warnings)
+
+
 def _cmd_rates(config: RunConfig, args) -> tuple[str, list[str]]:
     budget = total_budget(
         config.particle(), config.environment(), config.csl(), config.toggles()
@@ -166,7 +175,7 @@ def _cmd_campaign(config: RunConfig, args) -> tuple[str, list[str]]:
             config.trap_frequency(),
             workers=args.workers,
         )
-        return data.to_csv(), []
+        return data.to_csv(), _budget_warnings(config)
     estimates = campaign_curve(
         config.campaign(),
         config.particle(),
@@ -176,7 +185,7 @@ def _cmd_campaign(config: RunConfig, args) -> tuple[str, list[str]]:
         config.trap_frequency(),
         workers=args.workers,
     )
-    return campaign_to_csv(estimates), []
+    return campaign_to_csv(estimates), _budget_warnings(config)
 
 
 def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
@@ -205,7 +214,7 @@ def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
     else:
         results = [row(n) for n in n_sweep]
 
-    warnings: list[str] = []
+    warnings = _budget_warnings(config)
     if args.oracle_check:
         seeds = list(range(1, args.oracle_seeds + 1))
         for n, res in zip(n_sweep, results):
@@ -273,6 +282,10 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, WaxsimError) as exc:
         print(f"waxsim: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        reason = str(exc) or "allocation failed"
+        print(f"waxsim: error: run too large for memory: {reason}", file=sys.stderr)
+        return 2
     _emit(text, args.output)
     for message in warnings:
         print(f"waxsim: warning: {message}", file=sys.stderr)

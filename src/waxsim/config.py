@@ -18,7 +18,8 @@ import numpy as np
 
 from .constants import amu
 from .decoherence import ChannelToggles, CSLParams
-from .errors import ConfigError
+from .dynamics import check_time_grid
+from .errors import ConfigError, DomainError
 from .inference import DetectionConfig
 from .materials import (
     AIR_MOLECULE_MASS,
@@ -201,6 +202,10 @@ class ConfigBuilder:
         for key, value in _PRESET_VALUES.get(preset, {}).items():
             if key not in self.explicit:
                 values[key] = value
+        try:
+            check_time_grid(values["campaign.time_grid_s"])
+        except DomainError as exc:
+            raise ConfigError(f"campaign.time_grid_s: {exc}") from exc
         return RunConfig(values)
 
 

@@ -275,6 +275,23 @@ def _x_var_free(
     )
 
 
+def check_time_grid(time_grid: Sequence[float]) -> np.ndarray:
+    """The grid as a float array, if it is a valid grid of expansion times.
+
+    The one grid rule shared by the models and the config: non-empty,
+    finite, non-negative and strictly increasing. Raises DomainError
+    otherwise.
+    """
+    times = np.asarray(list(time_grid), dtype=float)
+    if times.size == 0:
+        raise DomainError("time_grid must be non-empty")
+    if not np.all(np.isfinite(times) & (times >= 0.0)):
+        raise DomainError("time_grid must be finite and non-negative")
+    if np.any(np.diff(times) <= 0.0):
+        raise DomainError("time_grid must be strictly increasing")
+    return times
+
+
 def expansion_curve(
     particle: Particle,
     env: Environment,
@@ -291,13 +308,7 @@ def expansion_curve(
     active, an additional flag is raised once sigma exceeds a/3, where the
     small-separation quadratic form stops being quantitatively reliable.
     """
-    times = np.asarray(list(time_grid), dtype=float)
-    if times.size == 0:
-        raise DomainError("time_grid must be non-empty")
-    if np.any(times < 0.0):
-        raise DomainError("time_grid must be non-negative")
-    if times.size > 1 and not np.all(np.diff(times) > 0.0):
-        raise DomainError("time_grid must be strictly increasing")
+    times = check_time_grid(time_grid)
 
     budget = total_budget(particle, env, csl, toggles)
     state0 = initial_state(particle, trap_frequency, occupancy)

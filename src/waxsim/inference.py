@@ -16,9 +16,11 @@ errors:
     lambda_min = min over t of  z * SE_var(t) / (d excess / d lambda)(t)
 
 ``chi-square-sum`` aggregation
-    all grid times pooled,  sum_t (lambda s_t / SE_t)^2 = q  where q is the
-    chi-square quantile with len(grid) degrees of freedom at the one-sided
-    tail probability matching ``confidence_z``.
+    all grid times pooled,  sum_t (lambda s_t / SE_t)^2 = q  where
+    q = chdtri(len(grid), Phi(-confidence_z)) is the chi-square quantile
+    whose upper tail mass equals the one-sided normal tail at
+    ``confidence_z``. Above z of about 37.6, Phi(-z) underflows to 0 and
+    the threshold is rejected.
 
 Both are closed-form because the excess is linear in lambda.
 ``bisect_lambda_mc`` validates the closed form end to end: it simulates
@@ -27,15 +29,15 @@ detection power at the same threshold.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .constants import LAMBDA_GRW, hbar
 from .decoherence import ChannelToggles, CSLParams, lambda_csl, total_budget
-from .dynamics import _x_var_free, initial_state
+from .dynamics import _x_var_free, check_time_grid, initial_state
 from .errors import BracketingError, DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
 from .protocol import CampaignConfig, run_campaign
@@ -68,8 +70,10 @@ class DetectionResult:
     n_per_time: int
 
     def __post_init__(self) -> None:
-        if self.lambda_min <= 0.0:
-            raise DomainError("lambda_min must be > 0")
+        if not 0.0 < self.lambda_min < math.inf:
+            raise DomainError(
+                f"lambda_min must be finite and > 0, got {self.lambda_min}"
+            )
 
     @property
     def lambda_min_grw(self) -> float:
@@ -136,9 +140,21 @@ def standard_variance(
 
 
 def _chi_square_quantile(confidence_z: float, dof: int) -> float:
-    """Chi-square threshold matching the one-sided z threshold's tail mass."""
-    alpha = stats.norm.sf(confidence_z)
-    return float(stats.chi2.ppf(1.0 - alpha, dof))
+    """Chi-square threshold matching the one-sided z threshold's tail mass.
+
+    ``chdtri`` inverts the upper tail directly, so the quantile stays exact
+    where ``1 - alpha`` would round to 1. scipy is imported here so that
+    importing waxsim does not load it.
+    """
+    from scipy.special import chdtri, ndtr
+
+    alpha = ndtr(-confidence_z)
+    if alpha <= 0.0:
+        raise DomainError(
+            f"confidence_z = {confidence_z!r} is too large for chi-square-sum "
+            "aggregation: its tail probability underflows (limit about 37.6)"
+        )
+    return float(chdtri(dof, alpha))
 
 
 def min_detectable_lambda(
@@ -161,7 +177,8 @@ def min_detectable_lambda(
     n_per_time : int
         Campaign repetitions N per grid time, >= 2.
     time_grid : sequence of float
-        Expansion times [s]; must contain at least one t > 0.
+        Expansion times [s]; non-empty, non-negative, strictly increasing
+        and containing at least one t > 0.
     csl_geometry : CSLParams
         Correlation length and reference mass of the collapse model under
         test (its rate field is unused).
@@ -179,11 +196,7 @@ def min_detectable_lambda(
     """
     if n_per_time < 2:
         raise DomainError(f"n_per_time must be >= 2, got {n_per_time}")
-    times = np.asarray(list(time_grid), dtype=float)
-    if times.size == 0:
-        raise DomainError("time_grid must be non-empty")
-    if np.any(times < 0.0):
-        raise DomainError("time_grid must be non-negative")
+    times = check_time_grid(time_grid)
 
     sens = np.array(
         [csl_sensitivity(t, particle, csl_geometry) for t in times]
@@ -263,7 +276,8 @@ def detection_power_mc(
     run_toggles = ChannelToggles(
         gas=toggles.gas, blackbody=toggles.blackbody, csl=True
     )
-    q = _chi_square_quantile(detection.confidence_z, len(times))
+    if detection.aggregation == "chi-square-sum":
+        q = _chi_square_quantile(detection.confidence_z, len(times))
 
     detected = 0
     for seed in seeds:

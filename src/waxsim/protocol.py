@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .decoherence import ChannelToggles, CSLParams, total_budget
-from .dynamics import _x_var_free, initial_state
+from .dynamics import _x_var_free, check_time_grid, initial_state
 from .errors import DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
 
@@ -62,13 +61,7 @@ class CampaignConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "time_grid", tuple(float(t) for t in self.time_grid))
-        grid = np.asarray(self.time_grid)
-        if grid.size == 0:
-            raise DomainError("time_grid must be non-empty")
-        if np.any(grid < 0.0):
-            raise DomainError("time_grid must be non-negative")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
-            raise DomainError("time_grid must be strictly increasing")
+        check_time_grid(self.time_grid)
         if self.runs_per_time < 2:
             raise DomainError(
                 f"runs_per_time must be >= 2, got {self.runs_per_time}"
@@ -171,6 +164,10 @@ def run_campaign(
     -------
     PositionSamples
     """
+    # imported here, before any worker starts, so that importing waxsim
+    # does not load scipy
+    from scipy.special import ndtri
+
     times = np.asarray(config.time_grid)
     sigmas = sampling_sigma(config, particle, env, csl, toggles, trap_frequency)
     n = config.runs_per_time

@@ -87,6 +87,11 @@ class TestConfigParsing:
         with pytest.raises(Exception):
             cfg.environment()
 
+    @pytest.mark.parametrize("grid", ["", "5,5,10", "10,5", "-1,5", "0:0:3"])
+    def test_bad_time_grid_rejected(self, grid):
+        with pytest.raises(ConfigError, match="time_grid_s"):
+            load_config(f"campaign.time_grid_s = {grid}\n")
+
     def test_round_trip(self):
         builder = ConfigBuilder()
         builder.set_raw("environment.preset", "space")
@@ -271,3 +276,56 @@ class TestCli:
         assert code == 0
         assert "warning" in err
         assert out.startswith("channel,")
+
+    @pytest.mark.parametrize("command", ["rates", "expand", "campaign", "bound", "feasibility"])
+    @pytest.mark.parametrize("grid", ["", "5,5,10", "10,5", "-1,5"])
+    def test_bad_time_grid_exits_2_on_every_command(self, capsys, command, grid):
+        code, out, err = run_cli(capsys, command, f"--campaign.time_grid_s={grid}")
+        assert code == 2
+        assert out == ""
+        assert "campaign.time_grid_s" in err
+
+    def test_chi_square_underflowing_z_exits_cleanly(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "bound",
+            "--detection.aggregation", "chi-square-sum",
+            "--detection.confidence_z", "40",
+        )
+        assert code in (2, 3)
+        assert out == ""
+        assert "Traceback" not in err
+        assert "inf" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_campaign_too_large_for_memory_exits_2(self, capsys):
+        # 21 x 1e15 doubles exceed any 64-bit address space, so the
+        # allocation is refused at once whatever the overcommit policy
+        code, out, err = run_cli(
+            capsys, "campaign", "--campaign.runs_per_time", str(10**15)
+        )
+        assert code == 2
+        assert out == ""
+        assert "memory" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_budget_warnings_on_every_model_command(self, capsys):
+        big = ("--particle.radius_m", "5e-5")
+        _, _, expand_err = run_cli(capsys, "expand", *big)
+        expected = expand_err.splitlines()
+        assert len(expected) == 2
+        for argv in (
+            ("campaign", "--campaign.runs_per_time", "10"),
+            ("campaign", "--campaign.runs_per_time", "10", "--dump-samples"),
+            ("bound",),
+            ("rates",),
+        ):
+            code, _, err = run_cli(capsys, *argv, *big)
+            assert code == 0
+            assert err.splitlines() == expected
+
+    def test_default_config_fires_no_budget_warning(self, capsys):
+        for command in ("campaign", "bound"):
+            code, _, err = run_cli(capsys, command, "--campaign.runs_per_time", "10")
+            assert code == 0
+            assert err == ""

@@ -8,6 +8,7 @@ from waxsim import (
     ChannelToggles,
     CSLParams,
     DetectionConfig,
+    DetectionResult,
     DomainError,
     bisect_lambda_mc,
     detection_power_mc,
@@ -17,6 +18,7 @@ from waxsim import (
     variance_excess,
 )
 from waxsim.constants import LAMBDA_GRW
+from waxsim.inference import _chi_square_quantile
 
 GEOMETRY = CSLParams(collapse_rate=0.0, correlation_length=100e-9)
 # composition of the collapse-rate and moment-evolution goldens at
@@ -155,6 +157,42 @@ class TestClosedForm:
             DetectionConfig(confidence_z=0.0)
         with pytest.raises(DomainError):
             DetectionConfig(aggregation="median")
+
+
+class TestChiSquareThreshold:
+    @pytest.mark.parametrize("z", [8.0, 9.0, 20.0])
+    def test_matches_inverse_survival_function(self, z):
+        # independent route: chi2.isf of the normal tail, both from
+        # scipy.stats; chi2.ppf(1 - alpha) gave 83.53 for 83.67 at z = 8 and
+        # inf from z = 9, as 1 - alpha rounds towards 1
+        from scipy.stats import chi2, norm
+
+        q = _chi_square_quantile(z, 6)
+        assert np.isfinite(q)
+        assert_allclose(q, chi2.isf(norm.sf(z), 6), rtol=1e-12)
+
+    def test_underflowing_tail_rejected(self):
+        with pytest.raises(DomainError, match="too large"):
+            _chi_square_quantile(40.0, 6)
+
+    def test_bound_finite_at_high_z(self, silica, space):
+        detection = DetectionConfig(confidence_z=20.0, aggregation="chi-square-sum")
+        res = min_detectable_lambda(200, GRID, silica, space, GEOMETRY, detection=detection)
+        assert np.isfinite(res.lambda_min) and res.lambda_min > 0.0
+        with pytest.raises(DomainError):
+            min_detectable_lambda(
+                200,
+                GRID,
+                silica,
+                space,
+                GEOMETRY,
+                detection=DetectionConfig(confidence_z=40.0, aggregation="chi-square-sum"),
+            )
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_result_rejects_non_finite_rate(self, bad):
+        with pytest.raises(DomainError):
+            DetectionResult(lambda_min=bad, best_time=1.0, n_per_time=100)
 
 
 class TestMonteCarloOracle:

@@ -6,8 +6,8 @@ statistical error: more runs per grid time means a smaller detectable
 lambda, scaling as 1/sqrt(N). This script sweeps N in the space
 environment, reports lambda_min in Hz and in units of the historical
 reference rate 1e-16 Hz, and cross-checks one sweep point against the
-Monte-Carlo power oracle (bisecting lambda for 50% detection probability
-over simulated campaigns).
+Monte-Carlo power oracle (the rate at which half of the simulated
+campaigns detect the collapse channel).
 """
 import numpy as np
 

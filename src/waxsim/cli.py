@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import SCHEMA, ConfigBuilder, RunConfig
 from .decoherence import total_budget
@@ -35,6 +35,36 @@ _TOGGLE_WORDS = {
     "standard": {"toggles.gas": True, "toggles.blackbody": True, "toggles.csl": False},
     "all": {"toggles.gas": True, "toggles.blackbody": True, "toggles.csl": True},
 }
+
+
+# options that take a value. argparse reads a following token that starts
+# with "-" and is not a plain number (-1e-9, -1,5) as an option of its own.
+_VALUE_OPTIONS = frozenset(
+    ["--config", "-o", "--output", "--preset", "--toggles", "--workers"]
+    + ["--oracle-seeds", "--csl.lambda"]
+    + [f"--{key}" for key in SCHEMA]
+)
+_OPTION_LIKE = re.compile(r"--|-[A-Za-z]$")
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Spell ``--key -value`` as ``--key=-value`` so argparse keeps the value.
+
+    A following ``--name`` or ``-x`` is left alone: it is an option, and
+    argparse reports the missing value.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        if (
+            joined
+            and joined[-1] in _VALUE_OPTIONS
+            and arg.startswith("-")
+            and not _OPTION_LIKE.match(arg)
+        ):
+            joined[-1] = f"{joined[-1]}={arg}"
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,6 +219,8 @@ def _cmd_campaign(config: RunConfig, args) -> tuple[str, list[str]]:
 
 
 def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
+    if args.oracle_seeds < 1:
+        raise ConfigError(f"--oracle-seeds must be >= 1, got {args.oracle_seeds}")
     n_sweep = config.get("bound.n_sweep")
     if not n_sweep:
         raise ConfigError("bound.n_sweep must be non-empty")
@@ -205,14 +237,7 @@ def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
         drift_velocity_std=config.get("campaign.drift_velocity_std_m_s"),
     )
 
-    def row(n: int):
-        return min_detectable_lambda(n, grid, **kwargs)
-
-    if args.workers and args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(row, n_sweep))
-    else:
-        results = [row(n) for n in n_sweep]
+    results = [min_detectable_lambda(n, grid, **kwargs) for n in n_sweep]
 
     warnings = _budget_warnings(config)
     if args.oracle_check:
@@ -269,7 +294,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser().parse_args(_join_dash_values(argv))
     try:
         config = _resolve_config(args)
         if args.print_config:

@@ -24,14 +24,15 @@ errors:
 
 Both are closed-form because the excess is linear in lambda.
 ``bisect_lambda_mc`` validates the closed form end to end: it simulates
-campaigns through :mod:`waxsim.protocol` and bisects lambda for 50 percent
-detection power at the same threshold.
+one campaign per seed through :mod:`waxsim.protocol`, finds the exact rate
+at which each seed is detected at the same threshold, and returns the rate
+with 50 percent detection power, an order statistic of those rates.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .decoherence import ChannelToggles, CSLParams, lambda_csl, total_budget
 from .dynamics import _x_var_free, check_time_grid, initial_state
 from .errors import BracketingError, DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
-from .protocol import CampaignConfig, run_campaign
+from .protocol import CampaignConfig, PositionSamples, run_campaign
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,67 @@ def min_detectable_lambda(
     )
 
 
+def _seed_campaigns(
+    collapse_rate: float,
+    n_per_time: int,
+    time_grid: Sequence[float],
+    particle: Particle,
+    env: Environment,
+    csl_geometry: CSLParams,
+    toggles: ChannelToggles,
+    seeds: Sequence[int],
+    trap_frequency: float,
+    occupancy: float,
+    measurement_noise: float,
+    drift_velocity_std: float,
+) -> tuple[np.ndarray, np.ndarray, Iterator[PositionSamples]]:
+    """Standard-physics prediction and one simulated campaign per seed.
+
+    Returns ``(var_std, se_var, campaigns)``: the per-time variance under
+    standard physics, its standard error for N runs, and a generator of
+    :class:`waxsim.protocol.PositionSamples` drawn with the collapse channel
+    on at ``collapse_rate``, seed by seed.
+    """
+    if not seeds:
+        raise DomainError("seeds must be non-empty")
+    times = tuple(time_grid)
+    var_std = standard_variance(
+        times,
+        particle,
+        env,
+        toggles,
+        trap_frequency,
+        occupancy,
+        measurement_noise,
+        drift_velocity_std,
+    )
+    se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
+    csl = CSLParams(
+        collapse_rate=collapse_rate,
+        correlation_length=csl_geometry.correlation_length,
+        reference_mass=csl_geometry.reference_mass,
+    )
+    run_toggles = ChannelToggles(
+        gas=toggles.gas, blackbody=toggles.blackbody, csl=True
+    )
+
+    def campaigns():
+        for seed in seeds:
+            config = CampaignConfig(
+                time_grid=times,
+                runs_per_time=n_per_time,
+                measurement_noise=measurement_noise,
+                drift_velocity_std=drift_velocity_std,
+                occupancy=occupancy,
+                rng_seed=int(seed),
+            )
+            yield run_campaign(
+                config, particle, env, csl, run_toggles, trap_frequency
+            )
+
+    return var_std, se_var, campaigns()
+
+
 def detection_power_mc(
     collapse_rate: float,
     n_per_time: int,
@@ -254,44 +316,25 @@ def detection_power_mc(
     standard-physics prediction, and applies the configured aggregation at
     threshold ``confidence_z``. Returns the detected fraction.
     """
-    if not seeds:
-        raise DomainError("seeds must be non-empty")
-    times = list(time_grid)
-    var_std = standard_variance(
-        times,
+    var_std, se_var, campaigns = _seed_campaigns(
+        collapse_rate,
+        n_per_time,
+        time_grid,
         particle,
         env,
+        csl_geometry,
         toggles,
+        seeds,
         trap_frequency,
         occupancy,
         measurement_noise,
         drift_velocity_std,
     )
-    se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
-    csl = CSLParams(
-        collapse_rate=collapse_rate,
-        correlation_length=csl_geometry.correlation_length,
-        reference_mass=csl_geometry.reference_mass,
-    )
-    run_toggles = ChannelToggles(
-        gas=toggles.gas, blackbody=toggles.blackbody, csl=True
-    )
     if detection.aggregation == "chi-square-sum":
-        q = _chi_square_quantile(detection.confidence_z, len(times))
+        q = _chi_square_quantile(detection.confidence_z, var_std.size)
 
     detected = 0
-    for seed in seeds:
-        config = CampaignConfig(
-            time_grid=tuple(times),
-            runs_per_time=n_per_time,
-            measurement_noise=measurement_noise,
-            drift_velocity_std=drift_velocity_std,
-            occupancy=occupancy,
-            rng_seed=int(seed),
-        )
-        data = run_campaign(
-            config, particle, env, csl, run_toggles, trap_frequency
-        )
+    for data in campaigns:
         var_hat = np.var(data.samples, axis=1, ddof=1)
         z = (var_hat - var_std) / se_var
         if detection.aggregation == "best-time":
@@ -300,6 +343,49 @@ def detection_power_mc(
             hit = bool(np.sum(z**2) >= q)
         detected += hit
     return detected / len(seeds)
+
+
+def _critical_rate(
+    var_hat: np.ndarray,
+    v0: np.ndarray,
+    sens: np.ndarray,
+    var_std: np.ndarray,
+    se_var: np.ndarray,
+    detection: DetectionConfig,
+    q: float | None,
+) -> float:
+    """Smallest rate at which one seed's campaign is detected.
+
+    ``var_hat`` is the seed's sample variance at rate 0 and ``v0`` the true
+    variance it was drawn with. With common random numbers the sample
+    variance at rate lambda is ``w * (v0 + lambda * sens)``, ``w = var_hat /
+    v0``, so the z-score at each time is linear in lambda:
+    ``(a + lambda * b) / se_var`` with ``a = var_hat - var_std`` and
+    ``b = w * sens``.
+    """
+    a = var_hat - var_std
+    b = var_hat / v0 * sens
+    if detection.aggregation == "best-time":
+        # a time with no sensitivity detects at every rate or at none
+        gap = detection.confidence_z * se_var - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per_time = np.where(
+                b > 0.0, gap / b, np.where(gap <= 0.0, 0.0, np.inf)
+            )
+        return max(float(np.min(per_time)), 0.0)
+    # upper root of sum_t ((a + lambda b) / se)^2 = q, written
+    # A lambda^2 + 2 B lambda + C = 0 and solved without cancellation
+    a, b = a / se_var, b / se_var
+    quad, half_lin, const = np.sum(b * b), np.sum(a * b), np.sum(a * a) - q
+    disc = half_lin * half_lin - quad * const
+    if disc < 0.0:
+        return 0.0
+    root = math.sqrt(disc)
+    if half_lin <= 0.0:
+        upper = (root - half_lin) / quad
+    else:
+        upper = -const / (half_lin + root)
+    return max(upper, 0.0)
 
 
 def bisect_lambda_mc(
@@ -318,68 +404,84 @@ def bisect_lambda_mc(
     lambda_lo: float = 1e-22,
     lambda_hi: float = 1e-6,
     power_target: float = 0.5,
-    rel_tol: float = 0.05,
 ) -> float:
     """Smallest collapse rate with Monte-Carlo detection power >= ``power_target``.
 
-    Bisects in log(lambda) between ``lambda_lo`` and ``lambda_hi`` using the
-    same seed list at every rate (common random numbers, so the estimated
-    power is monotone for best-time aggregation and the bisection is
-    well posed). Raises :class:`waxsim.errors.BracketingError` with the
-    evaluated power curve attached if the bracket does not straddle the
-    target.
+    Simulates each seed's campaign once, at collapse rate 0 with the
+    collapse channel on. Under common random numbers a seed's sample
+    variance at rate lambda is ``w_t * (v0_t + lambda * sens_t)``, where
+    ``w_t = var_hat_t / true_sigma_t**2`` does not depend on lambda, ``v0_t``
+    is the true variance at rate 0 and ``sens_t`` is :func:`csl_sensitivity`.
+    Each seed therefore has an exact critical rate, the smallest lambda it
+    detects:
+
+    ``best-time``
+        min over t of ``(z se_t + var_std_t - w_t v0_t) / (w_t sens_t)``,
+        clipped at 0.
+    ``chi-square-sum``
+        the upper root of ``sum_t ((w_t v0_t - var_std_t + lambda w_t
+        sens_t) / se_t)^2 = q``, or 0 when there is no real root.
+
+    The power at lambda is the share of seeds whose critical rate is
+    <= lambda, and the result is the smallest critical rate at which that
+    share reaches ``power_target``: an order statistic of the per-seed rates.
+    The campaigns are simulated, not modelled, so the result stays an
+    independent check of :func:`min_detectable_lambda`.
+
+    Raises :class:`waxsim.errors.BracketingError`, with the power at both
+    ends attached, if the power at ``lambda_lo`` already reaches the target
+    or the power at ``lambda_hi`` falls short of it.
 
     Returns
     -------
     float
-        The bracketed rate [Hz], converged to ``rel_tol`` relative width.
+        The rate [Hz], in ``(lambda_lo, lambda_hi]``.
     """
-    if not seeds:
-        raise DomainError("seeds must be non-empty")
-    times = [t for t in time_grid]
+    times = tuple(time_grid)
     if not any(t > 0.0 for t in times):
         raise DomainError(
             "no sensitivity to the collapse rate: grid has no positive times"
         )
     if not (0.0 < lambda_lo < lambda_hi):
         raise DomainError("need 0 < lambda_lo < lambda_hi")
+    var_std, se_var, campaigns = _seed_campaigns(
+        0.0,
+        n_per_time,
+        times,
+        particle,
+        env,
+        csl_geometry,
+        toggles,
+        seeds,
+        trap_frequency,
+        occupancy,
+        measurement_noise,
+        drift_velocity_std,
+    )
+    sens = np.array([csl_sensitivity(t, particle, csl_geometry) for t in times])
+    q = None
+    if detection.aggregation == "chi-square-sum":
+        q = _chi_square_quantile(detection.confidence_z, len(times))
 
-    def power(rate: float) -> float:
-        return detection_power_mc(
-            rate,
-            n_per_time,
-            times,
-            particle,
-            env,
-            csl_geometry,
-            toggles,
-            detection,
-            seeds,
-            trap_frequency,
-            occupancy,
-            measurement_noise,
-            drift_velocity_std,
+    rates = []
+    for data in campaigns:
+        var_hat = np.var(data.samples, axis=1, ddof=1)
+        rates.append(
+            _critical_rate(
+                var_hat, data.true_sigmas**2, sens, var_std, se_var, detection, q
+            )
         )
+    rates = np.sort(rates)
 
-    curve = []
-    p_lo = power(lambda_lo)
-    curve.append((lambda_lo, p_lo))
-    p_hi = power(lambda_hi)
-    curve.append((lambda_hi, p_hi))
-    if p_lo >= power_target or p_hi < power_target:
+    # the power at a rate is the share of seeds detected there
+    p_lo = float(np.mean(rates <= lambda_lo))
+    p_hi = float(np.mean(rates <= lambda_hi))
+    if not p_lo < power_target <= p_hi:
         raise BracketingError(
             f"power bracket invalid: power({lambda_lo:.3e}) = {p_lo:.3f}, "
             f"power({lambda_hi:.3e}) = {p_hi:.3f}, target {power_target}",
-            power_curve=curve,
+            power_curve=[(lambda_lo, p_lo), (lambda_hi, p_hi)],
         )
-
-    lo, hi = lambda_lo, lambda_hi
-    while hi / lo > 1.0 + rel_tol:
-        mid = float(np.sqrt(lo * hi))
-        p_mid = power(mid)
-        curve.append((mid, p_mid))
-        if p_mid >= power_target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # the first order statistic whose share of seeds reaches the target
+    shares = np.arange(1, rates.size + 1) / rates.size
+    return float(rates[np.searchsorted(shares, power_target)])

@@ -329,3 +329,37 @@ class TestCli:
             code, _, err = run_cli(capsys, command, "--campaign.runs_per_time", "10")
             assert code == 0
             assert err == ""
+
+
+class TestDashValues:
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("--csl.lambda_hz", "-1e-9", "collapse_rate must be >= 0, got -1e-09"),
+            ("--campaign.time_grid_s", "-1,5", "campaign.time_grid_s:"),
+        ],
+    )
+    def test_spaced_and_joined_spellings_agree(self, capsys, key, value, reason):
+        spaced = run_cli(capsys, "bound", key, value)
+        joined = run_cli(capsys, "bound", f"{key}={value}")
+        assert spaced == joined
+        code, out, err = spaced
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert reason in err
+
+    def test_missing_value_before_an_option_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", "--csl.lambda_hz", "--csl"])
+        assert exc.value.code == 2
+
+
+class TestBoundCommand:
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_oracle_seeds_below_one_exits_2(self, capsys, seeds):
+        code, out, err = run_cli(capsys, "bound", "--oracle-check", "--oracle-seeds", seeds)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "--oracle-seeds" in err

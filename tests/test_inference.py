@@ -17,6 +17,8 @@ from waxsim import (
     space_environment,
     variance_excess,
 )
+import waxsim.inference as inference
+from waxsim.config import default_config
 from waxsim.constants import LAMBDA_GRW
 from waxsim.inference import _chi_square_quantile
 
@@ -247,3 +249,44 @@ class TestMonteCarloOracle:
             bisect_lambda_mc(
                 60, (0.0,), silica, space, GEOMETRY, seeds=range(4)
             )
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
+    def test_result_is_where_simulated_power_reaches_half(self, aggregation):
+        # the oracle works from one campaign per seed at rate 0; the power is
+        # re-simulated at each rate here, as an independent reference
+        config = default_config()
+        model = dict(
+            time_grid=config.get("campaign.time_grid_s"),
+            particle=config.particle(),
+            env=config.environment(),
+            csl_geometry=config.csl(),
+            toggles=config.toggles(),
+            detection=DetectionConfig(aggregation=aggregation),
+            trap_frequency=config.trap_frequency(),
+        )
+        n, seeds = 400, range(1, 17)
+        closed = min_detectable_lambda(n, **model).lambda_min
+        rate = bisect_lambda_mc(
+            n, seeds=seeds, lambda_lo=closed / 32.0, lambda_hi=closed * 32.0, **model
+        )
+        above = detection_power_mc(rate * (1.0 + 1e-9), n, seeds=seeds, **model)
+        below = detection_power_mc(rate * (1.0 - 1e-9), n, seeds=seeds, **model)
+        assert above >= 0.5 > below
+
+    def test_one_campaign_per_seed(self, silica, space, monkeypatch):
+        calls = []
+        real = inference.run_campaign
+
+        def counting(config, *args, **kwargs):
+            calls.append(config.rng_seed)
+            return real(config, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "run_campaign", counting)
+        seeds = range(1, 41)
+        bisect_lambda_mc(
+            120, GRID, silica, space, GEOMETRY, seeds=seeds,
+            lambda_lo=1e-18, lambda_hi=1e-8,
+        )
+        assert calls == list(seeds)

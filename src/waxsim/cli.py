@@ -28,7 +28,7 @@ from .dynamics import expansion_curve
 from .errors import ConfigError, DomainError, NumericalError, WaxsimError
 from .inference import bisect_lambda_mc, min_detectable_lambda
 from .materials import drop_distance
-from .protocol import campaign_curve, campaign_to_csv, run_campaign
+from .protocol import campaign_curve, campaign_to_csv, check_workers, run_campaign
 
 _TOGGLE_WORDS = {
     "none": {"toggles.gas": False, "toggles.blackbody": False, "toggles.csl": False},
@@ -89,7 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-gas", action="store_true", help="disable gas collisions")
     common.add_argument("--no-blackbody", action="store_true", help="disable thermal-photon channels")
     common.add_argument("--csl", action="store_true", help="enable the collapse channel")
-    common.add_argument("--workers", type=int, metavar="N", help="worker threads (output is identical)")
+    common.add_argument(
+        "--workers",
+        type=int,
+        metavar="N",
+        help="worker threads (default: available CPUs for large campaigns; output is identical)",
+    )
     for key, (kind, default, unit, help_text) in SCHEMA.items():
         names = [f"--{key}"]
         if key == "csl.lambda_hz":
@@ -107,15 +112,20 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("rates", parents=[common], help="per-channel localization budget CSV")
-    sub.add_parser("expand", parents=[common], help="wave-packet width curve CSV")
-    p_campaign = sub.add_parser("campaign", parents=[common], help="seeded measurement campaign CSV")
+
+    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
+        # no abbreviations: --csl.lambda_h must not run as --csl.lambda_hz
+        return sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
+
+    add_command("rates", "per-channel localization budget CSV")
+    add_command("expand", "wave-packet width curve CSV")
+    p_campaign = add_command("campaign", "seeded measurement campaign CSV")
     p_campaign.add_argument(
         "--dump-samples",
         action="store_true",
         help="emit raw positions (t_s,run_index,x_m) instead of width estimates",
     )
-    p_bound = sub.add_parser("bound", parents=[common], help="minimum detectable collapse rate CSV")
+    p_bound = add_command("bound", "minimum detectable collapse rate CSV")
     p_bound.add_argument(
         "--oracle-check",
         action="store_true",
@@ -124,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument(
         "--oracle-seeds", type=int, default=64, metavar="N", help="seeds per oracle power estimate"
     )
-    sub.add_parser("feasibility", parents=[common], help="drop-distance report")
+    add_command("feasibility", "drop-distance report")
     return parser
 
 
@@ -298,6 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_join_dash_values(argv))
     try:
+        check_workers(args.workers, "--workers")
         config = _resolve_config(args)
         if args.print_config:
             _emit(config.canonical_text(), args.output)

@@ -13,13 +13,22 @@ are independent (fresh preparation each cycle).
 
 Randomness contract: the stream for grid index i is a Philox counter-based
 generator keyed by (seed, i); run r consumes the r-th uniform of that stream,
-mapped through the inverse normal CDF. Results are therefore reproducible
-bit-for-bit for a given seed and independent of how work is scheduled across
-grid times (``workers`` only changes wall time, never output).
+mapped through the inverse normal CDF. Sampling works on fixed tiles: one
+grid index and a block of ``TILE_RUNS`` runs starting at a multiple of
+``TILE_RUNS``. A tile builds the (seed, i) stream itself and skips to its
+first run with ``Philox.advance(a // 4)``, which is exact because Philox
+yields four 64-bit words per counter step and each uniform takes one word.
+Tile boundaries depend on neither the thread count nor the machine, so results
+are reproducible bit-for-bit for a given seed however the tiles are scheduled.
+Campaigns of at least ``PARALLEL_MIN_DRAWS`` draws run their tiles on a
+thread pool of ``min(workers, tiles, available CPUs)`` threads, ``workers``
+defaulting to the available CPUs; smaller campaigns run serially.
+``workers`` only changes wall time, never output.
 """
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -112,12 +121,23 @@ class WidthEstimate:
             raise DomainError("sigma_hat and standard_error must be >= 0")
 
 
-def _stream_uniforms(seed: int, grid_index: int, count: int) -> np.ndarray:
-    """Uniforms (0,1] for one grid time; run r is the r-th value of the stream."""
-    key = np.random.SeedSequence(entropy=seed, spawn_key=(grid_index,))
-    u = np.random.Generator(np.random.Philox(key)).random(count)
-    # random() is [0, 1); shift the measure-zero 0.0 away from ndtri's pole
-    return np.maximum(u, 2.0**-54)
+# runs per tile; a multiple of 4, so a tile starts on a Philox counter step
+TILE_RUNS = 2**16
+# campaigns with fewer draws (T x N) than this run their tiles serially
+PARALLEL_MIN_DRAWS = 2**20
+
+
+def check_workers(workers: int | None, name: str = "workers") -> None:
+    """Reject a thread count below 1; ``None`` means the default."""
+    if workers is not None and workers < 1:
+        raise DomainError(f"{name} must be >= 1, got {workers}")
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def sampling_sigma(
@@ -157,8 +177,9 @@ def run_campaign(
     particle, env, csl, toggles, trap_frequency
         Model inputs, as for :func:`waxsim.dynamics.expansion_curve`.
     workers : int, optional
-        Thread count for generating grid times concurrently; output is
-        byte-identical to the serial path.
+        Thread cap for campaigns of at least ``PARALLEL_MIN_DRAWS`` draws
+        (default: the available CPUs); output is byte-identical to the
+        serial path.
 
     Returns
     -------
@@ -168,21 +189,37 @@ def run_campaign(
     # does not load scipy
     from scipy.special import ndtri
 
+    check_workers(workers)
     times = np.asarray(config.time_grid)
     sigmas = sampling_sigma(config, particle, env, csl, toggles, trap_frequency)
     n = config.runs_per_time
     samples = np.empty((times.size, n))
+    tiles = ((i, a) for i in range(times.size) for a in range(0, n, TILE_RUNS))
 
-    def fill(i: int) -> None:
-        u = _stream_uniforms(config.rng_seed, i, n)
-        samples[i] = ndtri(u) * sigmas[i]
+    def fill(tile: tuple[int, int]) -> None:
+        i, a = tile
+        key = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(i,))
+        bitgen = np.random.Philox(key)
+        if a:
+            bitgen.advance(a // 4)
+        out = samples[i, a : a + TILE_RUNS]
+        np.random.Generator(bitgen).random(out=out)
+        # random() is [0, 1); shift the measure-zero 0.0 away from ndtri's pole
+        np.maximum(out, 2.0**-54, out=out)
+        ndtri(out, out=out)
+        out *= sigmas[i]
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(times.size)))
+    threads = 1
+    if samples.size >= PARALLEL_MIN_DRAWS:
+        cpus = _available_cpus()
+        tile_count = times.size * -(-n // TILE_RUNS)
+        threads = min(workers or cpus, tile_count, cpus)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, tiles))
     else:
-        for i in range(times.size):
-            fill(i)
+        for tile in tiles:
+            fill(tile)
     return PositionSamples(times, samples, sigmas)
 
 

@@ -1,4 +1,6 @@
 """Config parsing, canonical echo, CLI subcommands and exit codes."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -363,3 +365,61 @@ class TestBoundCommand:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "--oracle-seeds" in err
+
+
+class TestOptionSpelling:
+    def test_abbreviated_option_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rates", "--csl.lambda_h", "1e-13"])
+        assert exc.value.code == 2
+
+    def test_explicit_alias_still_works(self, capsys):
+        alias = run_cli(capsys, "rates", "--csl.lambda", "1e-13")
+        full = run_cli(capsys, "rates", "--csl.lambda_hz", "1e-13")
+        assert alias == full
+        assert alias[0] == 0
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["campaign", "bound"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, capsys, command, workers):
+        code, out, err = run_cli(capsys, command, "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "--workers" in err
+
+
+class TestCampaignBytes:
+    """SHA-256 of seeded campaign CSVs, pinned before sampling was tiled.
+
+    N = 2**16 + 3 and 2 * 2**16 + 1 end in ragged tiles of 3 and 1 runs.
+    """
+
+    BASE = ("campaign", "--campaign.time_grid_s", "0.5,2", "--campaign.seed", "7")
+    PINNED = {
+        (65539, False): "312a2e02ef75c2ca55751623be9594a55980497ee9a890a3a36caf1528a03b01",
+        (65539, True): "f170cb3d9393af82bea2f36f24c7e2bc054d0dd3e4c91e94dffc2e68b8f6bd02",
+        (131073, False): "680fc6b3f8fc4c5ff78a117c871a6bd72ff844968a430b1da2a9939dec4ad707",
+        (131073, True): "ab53237dcd6512761e783ee775bc6810f49368e3e18118f81c1ca6a301df449a",
+    }
+
+    def digest(self, tmp_path, *extra):
+        target = tmp_path / "out.csv"
+        assert cli.main([*self.BASE, *extra, "-o", str(target)]) == 0
+        return hashlib.sha256(target.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("n, dump", sorted(PINNED))
+    def test_pinned_digest(self, tmp_path, n, dump):
+        extra = ["--campaign.runs_per_time", str(n)] + ["--dump-samples"] * dump
+        assert self.digest(tmp_path, *extra) == self.PINNED[n, dump]
+
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
+        # 2 x (2**19 + 1) draws: above the parallel threshold, 9 tiles per time
+        size = ["--campaign.runs_per_time", str(2**19 + 1)]
+        digests = {
+            self.digest(tmp_path, *size, *workers)
+            for workers in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "3"])
+        }
+        assert digests == {"7b8fb8bbb4dfdee2cc54737f07d5e3bf83b5a8399f43d7ee3e52ceba473fe5b8"}

@@ -1,5 +1,6 @@
 """Campaign simulation: determinism, statistics, width estimation."""
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from waxsim import (
     ChannelToggles,
     CSLParams,
     DomainError,
+    bisect_lambda_mc,
     campaign_curve,
     campaign_to_csv,
     estimate_width,
     run_campaign,
     sampling_sigma,
 )
+from waxsim import protocol
 
 SIGMA0 = 2.2956497833141595e-12  # ground-state width of the default sphere
 
@@ -197,3 +200,61 @@ class TestSerialization:
         )
         assert len(estimates) == 1
         assert estimates[0].t == 5.0
+
+
+class TestTiledSampling:
+    def test_tile_size_does_not_change_samples(self, silica, ground, monkeypatch):
+        # 4-run tiles give ragged last tiles and many advance() calls
+        config = make_config(runs_per_time=1001)
+        whole = run_campaign(config, silica, ground)
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        tiled = run_campaign(config, silica, ground)
+        assert np.array_equal(whole.samples, tiled.samples)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, silica, ground, workers):
+        with pytest.raises(DomainError, match="workers"):
+            run_campaign(make_config(), silica, ground, workers=workers)
+
+    def test_small_campaigns_start_no_thread(self, silica, space, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", refuse)
+        config = make_config(runs_per_time=protocol.PARALLEL_MIN_DRAWS // 3 - 1)
+        data = run_campaign(config, silica, space, workers=4)
+        assert data.samples.shape == (3, config.runs_per_time)
+        rate = bisect_lambda_mc(
+            400, (1.0, 10.0, 100.0), silica, space, CSLParams(0.0, 100e-9),
+            seeds=range(1, 9), lambda_lo=1e-18, lambda_hi=1e-6,
+        )
+        assert rate > 0.0
+
+    @staticmethod
+    def record_pools(monkeypatch, cpus):
+        """Pool on every campaign, ``cpus`` CPUs; list each requested size."""
+        requested = []
+
+        def recording_pool(max_workers):
+            requested.append(max_workers)
+            return ThreadPoolExecutor(max_workers=1)
+
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", 0)
+        monkeypatch.setattr(protocol, "_available_cpus", lambda: cpus)
+        return requested
+
+    def test_pool_is_capped_at_the_tile_count(self, silica, ground, monkeypatch):
+        config = make_config()  # 3 grid times x 100 runs: 3 tiles
+        serial = run_campaign(config, silica, ground)
+        requested = self.record_pools(monkeypatch, cpus=64)
+        pooled = run_campaign(config, silica, ground, workers=64)
+        assert requested == [3]
+        assert np.array_equal(serial.samples, pooled.samples)
+
+    def test_default_pool_uses_the_available_cpus(self, silica, ground, monkeypatch):
+        requested = self.record_pools(monkeypatch, cpus=5)
+        config = make_config(runs_per_time=protocol.TILE_RUNS + 1)  # 6 tiles
+        run_campaign(config, silica, ground)
+        run_campaign(config, silica, ground, workers=1)
+        assert requested == [5]

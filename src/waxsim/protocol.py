@@ -20,9 +20,9 @@ first run with ``Philox.advance(a // 4)``, which is exact because Philox
 yields four 64-bit words per counter step and each uniform takes one word.
 Tile boundaries depend on neither the thread count nor the machine, so results
 are reproducible bit-for-bit for a given seed however the tiles are scheduled.
-Campaigns of at least ``PARALLEL_MIN_DRAWS`` draws run their tiles on a
-thread pool of ``min(workers, tiles, available CPUs)`` threads, ``workers``
-defaulting to the available CPUs; smaller campaigns run serially.
+An explicit ``workers`` above 1 runs the tiles on a pool of that many
+threads. By default, campaigns of at least ``PARALLEL_MIN_DRAWS`` draws use
+one thread per available CPU and smaller campaigns run serially.
 ``workers`` only changes wall time, never output.
 """
 from __future__ import annotations
@@ -123,8 +123,10 @@ class WidthEstimate:
 
 # runs per tile; a multiple of 4, so a tile starts on a Philox counter step
 TILE_RUNS = 2**16
-# campaigns with fewer draws (T x N) than this run their tiles serially
-PARALLEL_MIN_DRAWS = 2**20
+# by default, campaigns with fewer draws (T x N) than this run their tiles
+# serially: on a 2-core host two threads were slower than one up to 168 k
+# draws (21 x 8000) and faster from 210 k (21 x 10000) on
+PARALLEL_MIN_DRAWS = 2**18
 
 
 def check_workers(workers: int | None, name: str = "workers") -> None:
@@ -177,9 +179,10 @@ def run_campaign(
     particle, env, csl, toggles, trap_frequency
         Model inputs, as for :func:`waxsim.dynamics.expansion_curve`.
     workers : int, optional
-        Thread cap for campaigns of at least ``PARALLEL_MIN_DRAWS`` draws
-        (default: the available CPUs); output is byte-identical to the
-        serial path.
+        Thread count; more than 1 always samples on a pool of that many
+        threads. The default is the available CPUs for campaigns of at
+        least ``PARALLEL_MIN_DRAWS`` draws and 1 below. Output is
+        byte-identical to the serial path.
 
     Returns
     -------
@@ -209,13 +212,10 @@ def run_campaign(
         ndtri(out, out=out)
         out *= sigmas[i]
 
-    threads = 1
-    if samples.size >= PARALLEL_MIN_DRAWS:
-        cpus = _available_cpus()
-        tile_count = times.size * -(-n // TILE_RUNS)
-        threads = min(workers or cpus, tile_count, cpus)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers is None:
+        workers = _available_cpus() if samples.size >= PARALLEL_MIN_DRAWS else 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, tiles))
     else:
         for tile in tiles:

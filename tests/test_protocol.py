@@ -222,7 +222,7 @@ class TestTiledSampling:
 
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", refuse)
         config = make_config(runs_per_time=protocol.PARALLEL_MIN_DRAWS // 3 - 1)
-        data = run_campaign(config, silica, space, workers=4)
+        data = run_campaign(config, silica, space)
         assert data.samples.shape == (3, config.runs_per_time)
         rate = bisect_lambda_mc(
             400, (1.0, 10.0, 100.0), silica, space, CSLParams(0.0, 100e-9),
@@ -232,7 +232,7 @@ class TestTiledSampling:
 
     @staticmethod
     def record_pools(monkeypatch, cpus):
-        """Pool on every campaign, ``cpus`` CPUs; list each requested size."""
+        """``cpus`` CPUs; list the size of every pool requested."""
         requested = []
 
         def recording_pool(max_workers):
@@ -240,20 +240,21 @@ class TestTiledSampling:
             return ThreadPoolExecutor(max_workers=1)
 
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", recording_pool)
-        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", 0)
         monkeypatch.setattr(protocol, "_available_cpus", lambda: cpus)
         return requested
 
-    def test_pool_is_capped_at_the_tile_count(self, silica, ground, monkeypatch):
-        config = make_config()  # 3 grid times x 100 runs: 3 tiles
+    def test_explicit_workers_always_pool(self, silica, ground, monkeypatch):
+        # below the threshold and above the CPU count
+        config = make_config()
         serial = run_campaign(config, silica, ground)
-        requested = self.record_pools(monkeypatch, cpus=64)
-        pooled = run_campaign(config, silica, ground, workers=64)
-        assert requested == [3]
+        requested = self.record_pools(monkeypatch, cpus=1)
+        pooled = run_campaign(config, silica, ground, workers=4)
+        assert requested == [4]
         assert np.array_equal(serial.samples, pooled.samples)
 
     def test_default_pool_uses_the_available_cpus(self, silica, ground, monkeypatch):
         requested = self.record_pools(monkeypatch, cpus=5)
+        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", 0)
         config = make_config(runs_per_time=protocol.TILE_RUNS + 1)  # 6 tiles
         run_campaign(config, silica, ground)
         run_campaign(config, silica, ground, workers=1)

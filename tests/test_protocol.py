@@ -1,5 +1,6 @@
 """Campaign simulation: determinism, statistics, width estimation."""
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -251,6 +252,22 @@ class TestTiledSampling:
         pooled = run_campaign(config, silica, ground, workers=4)
         assert requested == [4]
         assert np.array_equal(serial.samples, pooled.samples)
+
+    def test_pool_starts_no_more_threads_than_tiles(self, silica, ground, monkeypatch):
+        import scipy.special
+
+        ndtri = scipy.special.ndtri
+        counts = []
+
+        def counting_ndtri(*args, **kwargs):
+            counts.append(threading.active_count())
+            return ndtri(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.special, "ndtri", counting_ndtri)
+        before = threading.active_count()
+        run_campaign(make_config(), silica, ground, workers=64)  # 3 tiles
+        assert len(counts) == 3
+        assert max(counts) <= before + 3
 
     def test_default_pool_uses_the_available_cpus(self, silica, ground, monkeypatch):
         requested = self.record_pools(monkeypatch, cpus=5)

@@ -11,9 +11,11 @@ One binary with five subcommands, all driven by the same configuration:
 Configuration comes from an optional file (``--config`` or the
 ``WAXSIM_CONFIG`` environment variable) plus flag overrides; flags win.
 Every config key is addressable as ``--section.key value``. Exit codes:
-0 success, 2 usage or config error (including a run too large to allocate),
-3 numerical failure. Model-validity warnings go to stderr and do not change
-the exit code.
+0 success, 2 usage or config error (including a run too large for memory and
+an output that cannot be written), 3 numerical failure. A reader closing
+stdout early (``waxsim campaign --dump-samples | head``) ends the run with
+exit 0. Model-validity warnings go to stderr and do not change the exit
+code.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import argparse
 import os
 import re
 import sys
+from typing import Iterable
 
 from .config import SCHEMA, ConfigBuilder, RunConfig
 from .decoherence import total_budget
@@ -89,12 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-gas", action="store_true", help="disable gas collisions")
     common.add_argument("--no-blackbody", action="store_true", help="disable thermal-photon channels")
     common.add_argument("--csl", action="store_true", help="enable the collapse channel")
-    common.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="worker threads (default: available CPUs for large campaigns; output is identical)",
-    )
     for key, (kind, default, unit, help_text) in SCHEMA.items():
         names = [f"--{key}"]
         if key == "csl.lambda_hz":
@@ -113,19 +110,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add_command(name: str, help_text: str, workers: bool = False) -> argparse.ArgumentParser:
         # no abbreviations: --csl.lambda_h must not run as --csl.lambda_hz
-        return sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
+        p = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
+        if workers:
+            p.add_argument(
+                "--workers",
+                type=int,
+                metavar="N",
+                help="worker threads (default: available CPUs for large campaigns; "
+                "output is identical)",
+            )
+        return p
 
     add_command("rates", "per-channel localization budget CSV")
     add_command("expand", "wave-packet width curve CSV")
-    p_campaign = add_command("campaign", "seeded measurement campaign CSV")
+    p_campaign = add_command("campaign", "seeded measurement campaign CSV", workers=True)
     p_campaign.add_argument(
         "--dump-samples",
         action="store_true",
         help="emit raw positions (t_s,run_index,x_m) instead of width estimates",
     )
-    p_bound = add_command("bound", "minimum detectable collapse rate CSV")
+    p_bound = add_command("bound", "minimum detectable collapse rate CSV", workers=True)
     p_bound.add_argument(
         "--oracle-check",
         action="store_true",
@@ -204,7 +210,7 @@ def _cmd_expand(config: RunConfig, args) -> tuple[str, list[str]]:
     return curve.to_csv(), list(curve.warnings)
 
 
-def _cmd_campaign(config: RunConfig, args) -> tuple[str, list[str]]:
+def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[str]]:
     if args.dump_samples:
         data = run_campaign(
             config.campaign(),
@@ -215,7 +221,7 @@ def _cmd_campaign(config: RunConfig, args) -> tuple[str, list[str]]:
             config.trap_frequency(),
             workers=args.workers,
         )
-        return data.to_csv(), _budget_warnings(config)
+        return data.csv_chunks(), _budget_warnings(config)
     estimates = campaign_curve(
         config.campaign(),
         config.particle(),
@@ -295,12 +301,31 @@ _COMMANDS = {
 }
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(chunks: str | Iterable[str], output: str | None) -> None:
+    """Write one string, or each string of an iterable, to ``output`` or stdout."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {output}: {exc.strerror or exc}") from exc
+        return
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        raise ConfigError("cannot write output <stdout>: stdout is closed")
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # the final flush cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        # a reader that closed the pipe early (``waxsim ... | head``) is no error
+        if not isinstance(exc, BrokenPipeError):
+            raise ConfigError(f"cannot write output <stdout>: {exc.strerror or exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -308,12 +333,13 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_join_dash_values(argv))
     try:
-        check_workers(args.workers, "--workers")
+        check_workers(getattr(args, "workers", None), "--workers")
         config = _resolve_config(args)
         if args.print_config:
             _emit(config.canonical_text(), args.output)
             return 0
         text, warnings = _COMMANDS[args.command](config, args)
+        _emit(text, args.output)
     except (ConfigError, DomainError) as exc:
         print(f"waxsim: error: {exc}", file=sys.stderr)
         return 2
@@ -324,7 +350,6 @@ def main(argv: list[str] | None = None) -> int:
         reason = str(exc) or "allocation failed"
         print(f"waxsim: error: run too large for memory: {reason}", file=sys.stderr)
         return 2
-    _emit(text, args.output)
     for message in warnings:
         print(f"waxsim: warning: {message}", file=sys.stderr)
     return 0

@@ -24,6 +24,13 @@ An explicit ``workers`` above 1 runs the tiles on a pool of that many
 threads. By default, campaigns of at least ``PARALLEL_MIN_DRAWS`` draws use
 one thread per available CPU and smaller campaigns run serially.
 ``workers`` only changes wall time, never output.
+
+The raw-sample CSV is produced by ``PositionSamples.csv_chunks`` on the same
+tiles: the header, then one string per tile, so a caller that writes each
+chunk as it comes (``waxsim campaign --dump-samples``) holds O(tile) CSV
+text, whatever the campaign size. ``PositionSamples.to_csv`` joins the
+chunks. ``run_campaign`` refuses, with ``DomainError``, a sample array
+larger than the host's physical memory.
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -95,14 +102,23 @@ class PositionSamples:
     samples: np.ndarray  # shape (len(times), runs_per_time)
     true_sigmas: np.ndarray
 
-    def to_csv(self) -> str:
-        """Raw-sample CSV: header ``t_s,run_index,x_m``."""
-        lines = ["t_s,run_index,x_m"]
+    def csv_chunks(self) -> Iterator[str]:
+        """Raw-sample CSV in pieces: the header, then one string per tile.
+
+        A tile is one grid time and runs ``[a, a + TILE_RUNS)``, as in
+        :func:`run_campaign`, so a chunk holds at most ``TILE_RUNS`` lines
+        and writing the chunks one by one needs O(tile) memory.
+        """
+        yield "t_s,run_index,x_m\n"
         for t, row in zip(self.times, self.samples):
             t_repr = repr(float(t))
-            for r, x in enumerate(row):
-                lines.append(f"{t_repr},{r},{float(x)!r}")
-        return "\n".join(lines) + "\n"
+            for a in range(0, row.size, TILE_RUNS):
+                xs = row[a : a + TILE_RUNS].tolist()
+                yield "".join([f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs, a)])
+
+    def to_csv(self) -> str:
+        """Raw-sample CSV: header ``t_s,run_index,x_m``."""
+        return "".join(self.csv_chunks())
 
 
 @dataclass(frozen=True)
@@ -133,6 +149,14 @@ def check_workers(workers: int | None, name: str = "workers") -> None:
     """Reject a thread count below 1; ``None`` means the default."""
     if workers is not None and workers < 1:
         raise DomainError(f"{name} must be >= 1, got {workers}")
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
 
 
 def _available_cpus() -> int:
@@ -187,6 +211,12 @@ def run_campaign(
     Returns
     -------
     PositionSamples
+
+    Raises
+    ------
+    DomainError
+        If ``workers`` is below 1, or the ``T x N`` sample array would not
+        fit in the host's physical memory.
     """
     # imported here, before any worker starts, so that importing waxsim
     # does not load scipy
@@ -196,6 +226,14 @@ def run_campaign(
     times = np.asarray(config.time_grid)
     sigmas = sampling_sigma(config, particle, env, csl, toggles, trap_frequency)
     n = config.runs_per_time
+    # refuse what would only fit in swap or overcommitted virtual memory
+    needed = 8 * times.size * n
+    physical = _physical_memory()
+    if physical is not None and needed > physical:
+        raise DomainError(
+            f"campaign needs {needed / 1e9:.3g} GB of samples ({times.size} x {n} "
+            f"doubles), more than the {physical / 1e9:.3g} GB of physical memory"
+        )
     samples = np.empty((times.size, n))
     tiles = ((i, a) for i in range(times.size) for a in range(0, n, TILE_RUNS))
 

@@ -1,18 +1,43 @@
 """Config parsing, canonical echo, CLI subcommands and exit codes."""
 import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import waxsim.cli as cli
+from waxsim import protocol
 from waxsim.config import ConfigBuilder, default_config, load_config
 from waxsim.errors import ConfigError, NumericalError
+from waxsim.protocol import CampaignConfig, run_campaign
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def waxsim_env():
+    """The environment, with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def waxsim_process(*argv, stdout=subprocess.PIPE):
+    """Start ``python -m waxsim argv`` with stderr (and by default stdout) piped."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "waxsim", *argv],
+        env=waxsim_env(),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+    )
 
 
 def csv_column(text, name):
@@ -390,6 +415,13 @@ class TestWorkers:
         assert len(err.strip().splitlines()) == 1
         assert "--workers" in err
 
+    @pytest.mark.parametrize("command", ["rates", "expand", "feasibility"])
+    def test_commands_that_sample_nothing_reject_workers(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestCampaignBytes:
     """SHA-256 of seeded campaign CSVs, pinned before sampling was tiled.
@@ -423,3 +455,69 @@ class TestCampaignBytes:
             for workers in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "3"])
         }
         assert digests == {"7b8fb8bbb4dfdee2cc54737f07d5e3bf83b5a8399f43d7ee3e52ceba473fe5b8"}
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [("rates",), ("campaign", "--dump-samples", "--campaign.runs_per_time", "10")],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir/out.csv", "."])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, argv, target):
+        path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, *argv, "-o", path)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"waxsim: error: cannot write output {path}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_stdout_write_exits_2(self):
+        with open("/dev/full", "w") as full:
+            proc = waxsim_process("rates", stdout=full)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err == b"waxsim: error: cannot write output <stdout>: No space left on device\n"
+
+    def test_closed_stdout_descriptor_exits_2(self):
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m waxsim rates >&-', sys.executable],
+            env=waxsim_env(), capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == b"waxsim: error: cannot write output <stdout>: stdout is closed\n"
+
+
+class TestStreamedDump:
+    def test_closed_stdout_exits_0_quietly(self):
+        # 420,001 lines: the writer blocks on the full pipe, then meets EPIPE
+        proc = waxsim_process("campaign", "--dump-samples", "--campaign.runs_per_time", "20000")
+        assert proc.stdout.readline() == b"t_s,run_index,x_m\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+
+    def test_stdout_bytes_equal_output_file_bytes(self, tmp_path):
+        argv = [*TestCampaignBytes.BASE, "--dump-samples"]
+        argv += ["--campaign.runs_per_time", str(2**16 + 3)]  # ragged last tiles
+        target = tmp_path / "out.csv"
+        assert cli.main([*argv, "-o", str(target)]) == 0
+        proc = waxsim_process(*argv)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        assert out == target.read_bytes()
+
+    def test_dump_memory_is_one_tile(self, silica, ground, tmp_path):
+        def emit_peak(tiles):
+            config = CampaignConfig((0.5,), tiles * protocol.TILE_RUNS, rng_seed=7)
+            data = run_campaign(config, silica, ground)
+            tracemalloc.start()
+            try:
+                cli._emit(data.csv_chunks(), str(tmp_path / "dump.csv"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert emit_peak(6) <= 1.25 * emit_peak(2)

@@ -276,3 +276,31 @@ class TestTiledSampling:
         run_campaign(config, silica, ground)
         run_campaign(config, silica, ground, workers=1)
         assert requested == [5]
+
+
+class TestStreamingSerialization:
+    def test_to_csv_joins_the_chunks(self, silica, ground):
+        data = run_campaign(make_config(runs_per_time=1001), silica, ground)
+        assert data.to_csv() == "".join(data.csv_chunks())
+
+    def test_one_chunk_per_tile(self, silica, ground, monkeypatch):
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        data = run_campaign(make_config(runs_per_time=10), silica, ground)
+        chunks = list(data.csv_chunks())
+        assert len(chunks) == 1 + 3 * math.ceil(10 / 4)
+        assert chunks[0] == "t_s,run_index,x_m\n"
+        assert max(chunk.count("\n") for chunk in chunks[1:]) == 4
+        assert [chunk.count("\n") for chunk in chunks[1:4]] == [4, 4, 2]
+        assert chunks[2].startswith("0.0,4,")
+
+    def test_memory_beyond_physical_is_refused(self, silica, ground, monkeypatch):
+        # 3 x 100 doubles need 2400 bytes; nothing is allocated
+        monkeypatch.setattr(protocol, "_physical_memory", lambda: 2399)
+        with pytest.raises(DomainError, match="physical memory"):
+            run_campaign(make_config(), silica, ground)
+        monkeypatch.setattr(protocol, "_physical_memory", lambda: 2400)
+        assert run_campaign(make_config(), silica, ground).samples.shape == (3, 100)
+
+    def test_unknown_physical_memory_skips_the_check(self, silica, ground, monkeypatch):
+        monkeypatch.setattr(protocol, "_physical_memory", lambda: None)
+        assert run_campaign(make_config(), silica, ground).samples.shape == (3, 100)

@@ -43,14 +43,7 @@ for prev, curr in zip(results, results[1:]):
 n_check = 400
 closed = results[1].lambda_min
 mc = bisect_lambda_mc(
-    n_check,
-    grid,
-    particle,
-    environment,
-    geometry,
-    seeds=range(1, 101),
-    lambda_lo=closed / 100.0,
-    lambda_hi=closed * 100.0,
+    n_check, grid, particle, environment, geometry, seeds=range(1, 101)
 )
 print()
 print(f"Monte-Carlo oracle at N = {n_check}: {mc:.3e} Hz "

@@ -10,7 +10,7 @@ Importing the package loads numpy only; scipy is imported by the functions
 that use it (campaign sampling, chi-square thresholds, the quadrature
 oracle).
 """
-from .constants import CONSTANTS, LAMBDA_GRW, Constants, amu, c, g, hbar, kB
+from .constants import LAMBDA_GRW, amu, c, g, hbar, kB
 from .decoherence import (
     BlackbodyRates,
     ChannelToggles,
@@ -33,7 +33,6 @@ from .dynamics import (
     rk4_integrate,
 )
 from .errors import (
-    BracketingError,
     ConfigError,
     DomainError,
     NumericalError,
@@ -46,7 +45,6 @@ from .inference import (
     csl_sensitivity,
     detection_power_mc,
     min_detectable_lambda,
-    standard_variance,
     variance_excess,
 )
 from .materials import (
@@ -86,13 +84,10 @@ def __getattr__(name: str):
 
 __all__ = [
     "BlackbodyRates",
-    "BracketingError",
-    "CONSTANTS",
     "CSLParams",
     "CampaignConfig",
     "ChannelToggles",
     "ConfigError",
-    "Constants",
     "DEFAULT_TRAP_FREQUENCY",
     "DecoherenceBudget",
     "DetectionConfig",
@@ -138,7 +133,6 @@ __all__ = [
     "space_environment",
     "sphere_geometry_factor",
     "sphere_mass",
-    "standard_variance",
     "thermal_wavelength",
     "total_budget",
     "variance_excess",

@@ -259,14 +259,7 @@ def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
     if args.oracle_check:
         seeds = list(range(1, args.oracle_seeds + 1))
         for n, res in zip(n_sweep, results):
-            mc = bisect_lambda_mc(
-                n,
-                grid,
-                seeds=seeds,
-                lambda_lo=res.lambda_min / 32.0,
-                lambda_hi=res.lambda_min * 32.0,
-                **kwargs,
-            )
+            mc = bisect_lambda_mc(n, grid, seeds=seeds, workers=args.workers, **kwargs)
             if not (0.5 <= mc / res.lambda_min <= 2.0):
                 warnings.append(
                     f"oracle check failed at N={n}: closed form "

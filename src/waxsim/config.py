@@ -33,8 +33,6 @@ from .protocol import CampaignConfig
 SCHEMA: dict[str, tuple[str, object, str, str]] = {
     "particle.radius_m": ("float", 120e-9, "m", "sphere radius"),
     "particle.density_kg_m3": ("float", 2200.0, "kg/m^3", "material density"),
-    "particle.optical_permittivity_re": ("float", 2.1, "-", "Re eps at the trap wavelength"),
-    "particle.optical_permittivity_im": ("float", 0.0, "-", "Im eps at the trap wavelength"),
     "particle.thermal_permittivity_re": ("float", 2.1, "-", "Re eps over the thermal band"),
     "particle.thermal_permittivity_im": ("float", 0.25, "-", "Im eps over the thermal band"),
     "particle.internal_temperature_k": ("float", 400.0, "K", "bulk temperature of the sphere"),
@@ -257,10 +255,6 @@ class RunConfig:
         return Particle(
             radius=self.get("particle.radius_m"),
             mass_density=self.get("particle.density_kg_m3"),
-            optical_permittivity=complex(
-                self.get("particle.optical_permittivity_re"),
-                self.get("particle.optical_permittivity_im"),
-            ),
             thermal_permittivity=complex(
                 self.get("particle.thermal_permittivity_re"),
                 self.get("particle.thermal_permittivity_im"),

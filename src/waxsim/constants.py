@@ -8,54 +8,16 @@ per nucleon.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Final
 
-from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Bundle of the fundamental constants the models depend on.
-
-    Attributes
-    ----------
-    hbar : float
-        Reduced Planck constant [J s].
-    kB : float
-        Boltzmann constant [J/K].
-    c : float
-        Speed of light in vacuum [m/s].
-    g : float
-        Surface gravitational acceleration [m/s^2].
-    m0 : float
-        Reference mass for per-nucleon collapse rates, one atomic mass
-        unit [kg].
-    """
-
-    hbar: float = 1.054571817e-34
-    kB: float = 1.380649e-23
-    c: float = 299792458.0
-    g: float = 9.81
-    m0: float = 1.66053906660e-27
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "kB", "c", "g", "m0"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"constant {name} must be strictly positive")
-
-
-#: Default constant set; the rest of the package reads these module floats.
-CONSTANTS: Final[Constants] = Constants()
-
-hbar: Final[float] = CONSTANTS.hbar
-kB: Final[float] = CONSTANTS.kB
-c: Final[float] = CONSTANTS.c
-g: Final[float] = CONSTANTS.g
-amu: Final[float] = CONSTANTS.m0
+hbar: Final[float] = 1.054571817e-34  # J s
+kB: Final[float] = 1.380649e-23  # J/K
+c: Final[float] = 299792458.0  # m/s
+g: Final[float] = 9.81  # m/s^2
+amu: Final[float] = 1.66053906660e-27  # kg
 
 #: Historical reference collapse rate [Hz]; detectable rates are also
 #: reported in units of this value.
 LAMBDA_GRW: Final[float] = 1e-16
 
-__all__ = ["Constants", "CONSTANTS", "hbar", "kB", "c", "g", "amu", "LAMBDA_GRW"]
+__all__ = ["hbar", "kB", "c", "g", "amu", "LAMBDA_GRW"]

@@ -153,10 +153,7 @@ def evolve_free(
         raise DomainError(f"t must be >= 0, got {t}")
     h2L = hbar * hbar * localization_rate
     return GaussianState(
-        x_var=state.x_var
-        + 2.0 * state.xp_cov * t / mass
-        + state.p_var * t * t / (mass * mass)
-        + (2.0 / 3.0) * h2L * t**3 / (mass * mass),
+        x_var=_x_var_free(state, mass, localization_rate, t),
         xp_cov=state.xp_cov + state.p_var * t / mass + h2L * t * t / mass,
         p_var=state.p_var + 2.0 * h2L * t,
     )
@@ -263,9 +260,9 @@ class ExpansionCurve:
 
 
 def _x_var_free(
-    state: GaussianState, mass: float, localization_rate: float, times: np.ndarray
-) -> np.ndarray:
-    """Vectorized closed-form x_var(t) over a time array."""
+    state: GaussianState, mass: float, localization_rate: float, times: float | np.ndarray
+) -> float | np.ndarray:
+    """Closed-form x_var(t), for one time or elementwise over a time array."""
     h2L = hbar * hbar * localization_rate
     return (
         state.x_var

@@ -15,15 +15,3 @@ class ConfigError(WaxsimError):
 
 class NumericalError(WaxsimError, RuntimeError):
     """A numerical routine failed to converge or produced an unusable result."""
-
-
-class BracketingError(NumericalError):
-    """A bisection bracket did not straddle the target.
-
-    Carries the evaluated (value, power) pairs so the caller can inspect
-    the power curve that led to the failure.
-    """
-
-    def __init__(self, message, power_curve=None):
-        super().__init__(message)
-        self.power_curve = tuple(power_curve or ())

@@ -37,11 +37,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constants import LAMBDA_GRW, hbar
-from .decoherence import ChannelToggles, CSLParams, lambda_csl, total_budget
-from .dynamics import _x_var_free, check_time_grid, initial_state
-from .errors import BracketingError, DomainError
+from .decoherence import ChannelToggles, CSLParams, lambda_csl
+from .dynamics import check_time_grid
+from .errors import DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
-from .protocol import CampaignConfig, PositionSamples, run_campaign
+from .protocol import CampaignConfig, PositionSamples, _total_variance, run_campaign
 
 
 @dataclass(frozen=True)
@@ -115,31 +115,6 @@ def csl_sensitivity(
     return (2.0 / 3.0) * hbar * hbar * rate_per_hz * t**3 / particle.mass**2
 
 
-def standard_variance(
-    time_grid: Sequence[float],
-    particle: Particle,
-    env: Environment,
-    toggles: ChannelToggles = ChannelToggles.standard(),
-    trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
-    occupancy: float = 0.0,
-    measurement_noise: float = 0.0,
-    drift_velocity_std: float = 0.0,
-) -> np.ndarray:
-    """Per-draw variance under standard physics only, at each grid time [m^2].
-
-    The collapse channel is always excluded here regardless of ``toggles``;
-    drift and readout contributions are included.
-    """
-    times = np.asarray(list(time_grid), dtype=float)
-    std_toggles = ChannelToggles(
-        gas=toggles.gas, blackbody=toggles.blackbody, csl=False
-    )
-    budget = total_budget(particle, env, None, std_toggles)
-    state0 = initial_state(particle, trap_frequency, occupancy)
-    x_var = _x_var_free(state0, particle.mass, budget.total, times)
-    return x_var + (drift_velocity_std * times) ** 2 + measurement_noise**2
-
-
 def _chi_square_quantile(confidence_z: float, dof: int) -> float:
     """Chi-square threshold matching the one-sided z threshold's tail mass.
 
@@ -156,6 +131,53 @@ def _chi_square_quantile(confidence_z: float, dof: int) -> float:
             "aggregation: its tail probability underflows (limit about 37.6)"
         )
     return float(chdtri(dof, alpha))
+
+
+def _detection_setup(
+    n_per_time: int,
+    time_grid: Sequence[float],
+    particle: Particle,
+    env: Environment,
+    csl_geometry: CSLParams,
+    toggles: ChannelToggles,
+    trap_frequency: float,
+    occupancy: float,
+    measurement_noise: float,
+    drift_velocity_std: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated inputs and the standard-physics prediction of a detection.
+
+    Returns ``(times, sens, var_std, se_var)``: the grid, the
+    :func:`csl_sensitivity` at each time, the per-draw variance with the
+    collapse channel off (drift and readout terms included) and its
+    standard error for N runs.
+    """
+    if n_per_time < 2:
+        raise DomainError(f"n_per_time must be >= 2, got {n_per_time}")
+    times = check_time_grid(time_grid)
+    sens = np.array(
+        [csl_sensitivity(t, particle, csl_geometry) for t in times]
+    )
+    if not np.any(sens > 0.0):
+        raise DomainError(
+            "no sensitivity to the collapse rate: grid has no positive times"
+        )
+    std_toggles = ChannelToggles(
+        gas=toggles.gas, blackbody=toggles.blackbody, csl=False
+    )
+    var_std = _total_variance(
+        times,
+        particle,
+        env,
+        None,
+        std_toggles,
+        trap_frequency,
+        occupancy,
+        measurement_noise,
+        drift_velocity_std,
+    )
+    se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
+    return times, sens, var_std, se_var
 
 
 def min_detectable_lambda(
@@ -195,29 +217,18 @@ def min_detectable_lambda(
         ``best_time`` is the most sensitive grid time (the minimizer for
         best-time aggregation).
     """
-    if n_per_time < 2:
-        raise DomainError(f"n_per_time must be >= 2, got {n_per_time}")
-    times = check_time_grid(time_grid)
-
-    sens = np.array(
-        [csl_sensitivity(t, particle, csl_geometry) for t in times]
-    )
-    if not np.any(sens > 0.0):
-        raise DomainError(
-            "no sensitivity to the collapse rate: grid has no positive times"
-        )
-    var_std = standard_variance(
-        times,
+    times, sens, _, se_var = _detection_setup(
+        n_per_time,
+        time_grid,
         particle,
         env,
+        csl_geometry,
         toggles,
         trap_frequency,
         occupancy,
         measurement_noise,
         drift_velocity_std,
     )
-    se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
-
     usable = sens > 0.0
     per_time = np.full(times.size, np.inf)
     per_time[usable] = detection.confidence_z * se_var[usable] / sens[usable]
@@ -234,40 +245,23 @@ def min_detectable_lambda(
 
 
 def _seed_campaigns(
+    seeds: Sequence[int],
     collapse_rate: float,
     n_per_time: int,
-    time_grid: Sequence[float],
+    times: np.ndarray,
     particle: Particle,
     env: Environment,
     csl_geometry: CSLParams,
     toggles: ChannelToggles,
-    seeds: Sequence[int],
     trap_frequency: float,
     occupancy: float,
     measurement_noise: float,
     drift_velocity_std: float,
-) -> tuple[np.ndarray, np.ndarray, Iterator[PositionSamples]]:
-    """Standard-physics prediction and one simulated campaign per seed.
-
-    Returns ``(var_std, se_var, campaigns)``: the per-time variance under
-    standard physics, its standard error for N runs, and a generator of
-    :class:`waxsim.protocol.PositionSamples` drawn with the collapse channel
-    on at ``collapse_rate``, seed by seed.
-    """
+    workers: int | None = None,
+) -> Iterator[PositionSamples]:
+    """One simulated campaign per seed, collapse channel on at ``collapse_rate``."""
     if not seeds:
         raise DomainError("seeds must be non-empty")
-    times = tuple(time_grid)
-    var_std = standard_variance(
-        times,
-        particle,
-        env,
-        toggles,
-        trap_frequency,
-        occupancy,
-        measurement_noise,
-        drift_velocity_std,
-    )
-    se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
     csl = CSLParams(
         collapse_rate=collapse_rate,
         correlation_length=csl_geometry.correlation_length,
@@ -276,22 +270,18 @@ def _seed_campaigns(
     run_toggles = ChannelToggles(
         gas=toggles.gas, blackbody=toggles.blackbody, csl=True
     )
-
-    def campaigns():
-        for seed in seeds:
-            config = CampaignConfig(
-                time_grid=times,
-                runs_per_time=n_per_time,
-                measurement_noise=measurement_noise,
-                drift_velocity_std=drift_velocity_std,
-                occupancy=occupancy,
-                rng_seed=int(seed),
-            )
-            yield run_campaign(
-                config, particle, env, csl, run_toggles, trap_frequency
-            )
-
-    return var_std, se_var, campaigns()
+    for seed in seeds:
+        config = CampaignConfig(
+            time_grid=times,
+            runs_per_time=n_per_time,
+            measurement_noise=measurement_noise,
+            drift_velocity_std=drift_velocity_std,
+            occupancy=occupancy,
+            rng_seed=int(seed),
+        )
+        yield run_campaign(
+            config, particle, env, csl, run_toggles, trap_frequency, workers
+        )
 
 
 def detection_power_mc(
@@ -316,25 +306,14 @@ def detection_power_mc(
     standard-physics prediction, and applies the configured aggregation at
     threshold ``confidence_z``. Returns the detected fraction.
     """
-    var_std, se_var, campaigns = _seed_campaigns(
-        collapse_rate,
-        n_per_time,
-        time_grid,
-        particle,
-        env,
-        csl_geometry,
-        toggles,
-        seeds,
-        trap_frequency,
-        occupancy,
-        measurement_noise,
-        drift_velocity_std,
-    )
+    model = (particle, env, csl_geometry, toggles, trap_frequency, occupancy,
+             measurement_noise, drift_velocity_std)
+    times, _, var_std, se_var = _detection_setup(n_per_time, time_grid, *model)
     if detection.aggregation == "chi-square-sum":
-        q = _chi_square_quantile(detection.confidence_z, var_std.size)
+        q = _chi_square_quantile(detection.confidence_z, times.size)
 
     detected = 0
-    for data in campaigns:
+    for data in _seed_campaigns(seeds, collapse_rate, n_per_time, times, *model):
         var_hat = np.var(data.samples, axis=1, ddof=1)
         z = (var_hat - var_std) / se_var
         if detection.aggregation == "best-time":
@@ -401,9 +380,8 @@ def bisect_lambda_mc(
     occupancy: float = 0.0,
     measurement_noise: float = 0.0,
     drift_velocity_std: float = 0.0,
-    lambda_lo: float = 1e-22,
-    lambda_hi: float = 1e-6,
     power_target: float = 0.5,
+    workers: int | None = None,
 ) -> float:
     """Smallest collapse rate with Monte-Carlo detection power >= ``power_target``.
 
@@ -424,47 +402,28 @@ def bisect_lambda_mc(
 
     The power at lambda is the share of seeds whose critical rate is
     <= lambda, and the result is the smallest critical rate at which that
-    share reaches ``power_target``: an order statistic of the per-seed rates.
-    The campaigns are simulated, not modelled, so the result stays an
-    independent check of :func:`min_detectable_lambda`.
-
-    Raises :class:`waxsim.errors.BracketingError`, with the power at both
-    ends attached, if the power at ``lambda_lo`` already reaches the target
-    or the power at ``lambda_hi`` falls short of it.
+    share reaches ``power_target``, in (0, 1]: an order statistic of the
+    per-seed rates. The campaigns are simulated, not modelled, so the
+    result stays an independent check of :func:`min_detectable_lambda`.
+    ``workers`` is passed to each :func:`waxsim.protocol.run_campaign` call
+    and changes only wall time.
 
     Returns
     -------
     float
-        The rate [Hz], in ``(lambda_lo, lambda_hi]``.
+        The rate [Hz], >= 0.
     """
-    times = tuple(time_grid)
-    if not any(t > 0.0 for t in times):
-        raise DomainError(
-            "no sensitivity to the collapse rate: grid has no positive times"
-        )
-    if not (0.0 < lambda_lo < lambda_hi):
-        raise DomainError("need 0 < lambda_lo < lambda_hi")
-    var_std, se_var, campaigns = _seed_campaigns(
-        0.0,
-        n_per_time,
-        times,
-        particle,
-        env,
-        csl_geometry,
-        toggles,
-        seeds,
-        trap_frequency,
-        occupancy,
-        measurement_noise,
-        drift_velocity_std,
-    )
-    sens = np.array([csl_sensitivity(t, particle, csl_geometry) for t in times])
+    if not 0.0 < power_target <= 1.0:
+        raise DomainError(f"power_target must be in (0, 1], got {power_target}")
+    model = (particle, env, csl_geometry, toggles, trap_frequency, occupancy,
+             measurement_noise, drift_velocity_std)
+    times, sens, var_std, se_var = _detection_setup(n_per_time, time_grid, *model)
     q = None
     if detection.aggregation == "chi-square-sum":
-        q = _chi_square_quantile(detection.confidence_z, len(times))
+        q = _chi_square_quantile(detection.confidence_z, times.size)
 
     rates = []
-    for data in campaigns:
+    for data in _seed_campaigns(seeds, 0.0, n_per_time, times, *model, workers):
         var_hat = np.var(data.samples, axis=1, ddof=1)
         rates.append(
             _critical_rate(
@@ -472,16 +431,6 @@ def bisect_lambda_mc(
             )
         )
     rates = np.sort(rates)
-
-    # the power at a rate is the share of seeds detected there
-    p_lo = float(np.mean(rates <= lambda_lo))
-    p_hi = float(np.mean(rates <= lambda_hi))
-    if not p_lo < power_target <= p_hi:
-        raise BracketingError(
-            f"power bracket invalid: power({lambda_lo:.3e}) = {p_lo:.3f}, "
-            f"power({lambda_hi:.3e}) = {p_hi:.3f}, target {power_target}",
-            power_curve=[(lambda_lo, p_lo), (lambda_hi, p_hi)],
-        )
     # the first order statistic whose share of seeds reaches the target
     shares = np.arange(1, rates.size + 1) / rates.size
     return float(rates[np.searchsorted(shares, power_target)])

@@ -1,10 +1,10 @@
 """Particle and environment descriptions plus free-fall feasibility arithmetic.
 
 The default particle is a fused-silica nanosphere (radius 120 nm, density
-2200 kg/m^3). Its permittivity enters the thermal-photon rates through the
-Clausius-Mossotti factor (eps-1)/(eps+2); the thermal-band value carries a
-small positive imaginary part representing band-averaged absorption. Both
-permittivities are plain config inputs and can be overridden.
+2200 kg/m^3). Its thermal-band permittivity enters the thermal-photon rates
+through the Clausius-Mossotti factor (eps-1)/(eps+2) and carries a small
+positive imaginary part representing band-averaged absorption. It is a plain
+config input and can be overridden.
 
 Environments come in two named presets:
 
@@ -18,18 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .constants import amu as _amu
 from .constants import g as _g
 from .constants import hbar as _hbar
 from .errors import DomainError
 
 #: Mean molecular mass of air [kg].
-AIR_MOLECULE_MASS = 28.97 * 1.66053906660e-27
+AIR_MOLECULE_MASS = 28.97 * _amu
 #: Molecular mass of H2, the dominant residual gas around a cold spacecraft [kg].
-H2_MOLECULE_MASS = 2.01588 * 1.66053906660e-27
+H2_MOLECULE_MASS = 2.01588 * _amu
 
 #: Default fused-silica material values (overridable everywhere).
 FUSED_SILICA_DENSITY = 2200.0
-FUSED_SILICA_OPTICAL_PERMITTIVITY = 2.1 + 0.0j  # at 1064 nm trap light
 FUSED_SILICA_THERMAL_PERMITTIVITY = 2.1 + 0.25j  # effective, thermal-photon band
 
 #: Default trap angular frequency [rad/s] (2*pi*100 kHz).
@@ -108,8 +108,6 @@ class Particle:
         Sphere radius [m], > 0.
     mass_density : float
         Material density [kg/m^3], > 0.
-    optical_permittivity : complex
-        Relative permittivity at the trap wavelength (imag >= 0).
     thermal_permittivity : complex
         Effective relative permittivity over the thermal-photon band
         (imag >= 0).
@@ -122,7 +120,6 @@ class Particle:
 
     radius: float
     mass_density: float
-    optical_permittivity: complex = FUSED_SILICA_OPTICAL_PERMITTIVITY
     thermal_permittivity: complex = FUSED_SILICA_THERMAL_PERMITTIVITY
     internal_temperature: float = 400.0
     mass: float = field(init=False)
@@ -132,9 +129,8 @@ class Particle:
             raise DomainError(
                 f"internal_temperature must be >= 0, got {self.internal_temperature}"
             )
-        for name in ("optical_permittivity", "thermal_permittivity"):
-            if complex(getattr(self, name)).imag < 0.0:
-                raise DomainError(f"{name} must have imag >= 0")
+        if complex(self.thermal_permittivity).imag < 0.0:
+            raise DomainError("thermal_permittivity must have imag >= 0")
         # sphere_mass validates radius and density
         object.__setattr__(self, "mass", sphere_mass(self.radius, self.mass_density))
 

@@ -166,6 +166,28 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _total_variance(
+    times: np.ndarray,
+    particle: Particle,
+    env: Environment,
+    csl: CSLParams | None,
+    toggles: ChannelToggles,
+    trap_frequency: float,
+    occupancy: float,
+    measurement_noise: float,
+    drift_velocity_std: float,
+) -> np.ndarray:
+    """Per-draw variance at each time [m^2]: x_var(t) + (drift t)^2 + noise^2.
+
+    The one variance model: campaigns sample with it, and the detection bound
+    and its oracle predict with it, with the collapse channel off.
+    """
+    budget = total_budget(particle, env, csl, toggles)
+    state0 = initial_state(particle, trap_frequency, occupancy)
+    x_var = _x_var_free(state0, particle.mass, budget.total, times)
+    return x_var + (drift_velocity_std * times) ** 2 + measurement_noise**2
+
+
 def sampling_sigma(
     config: CampaignConfig,
     particle: Particle,
@@ -175,14 +197,18 @@ def sampling_sigma(
     trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
 ) -> np.ndarray:
     """Total per-draw standard deviation at each grid time [m]."""
-    times = np.asarray(config.time_grid)
-    budget = total_budget(particle, env, csl, toggles)
-    state0 = initial_state(particle, trap_frequency, config.occupancy)
-    x_var = _x_var_free(state0, particle.mass, budget.total, times)
     return np.sqrt(
-        x_var
-        + (config.drift_velocity_std * times) ** 2
-        + config.measurement_noise**2
+        _total_variance(
+            np.asarray(config.time_grid),
+            particle,
+            env,
+            csl,
+            toggles,
+            trap_frequency,
+            config.occupancy,
+            config.measurement_noise,
+            config.drift_velocity_std,
+        )
     )
 
 

@@ -190,8 +190,6 @@ def test_criterion_08_monte_carlo_power_oracle(silica, space):
                 space,
                 GEOMETRY,
                 seeds=seeds,
-                lambda_lo=1e-18,
-                lambda_hi=1e-8,
             )
             assert 0.5 <= mc / closed <= 2.0, (n, t_max, closed, mc)
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,6 +39,16 @@ def waxsim_process(*argv, stdout=subprocess.PIPE):
         stdout=stdout,
         stderr=subprocess.PIPE,
     )
+
+
+# sets the instrument terms of the variance model, which the default leaves
+# at 0, and the other aggregation
+NOISY_CONFIG = (
+    "campaign.measurement_noise_m = 1e-3\n"
+    "campaign.drift_velocity_std_m_s = 1e-4\n"
+    "trap.occupancy = 5\n"
+    "detection.aggregation = chi-square-sum\n"
+)
 
 
 def csv_column(text, name):
@@ -275,6 +286,28 @@ class TestCli:
         assert reparsed.get("environment.temperature_k") == 35.0
         assert reparsed.canonical_text() == out
 
+    def test_print_config_reparses_to_an_equal_config(self, capsys, tmp_path):
+        path = tmp_path / "noisy.cfg"
+        path.write_text(NOISY_CONFIG)
+        cases = (([], default_config()), (["--config", str(path)], load_config(NOISY_CONFIG)))
+        for extra, expected in cases:
+            code, out, _ = run_cli(capsys, "bound", "--print-config", *extra)
+            assert code == 0
+            assert load_config(out) == expected
+            assert "optical_permittivity" not in out
+
+    @pytest.mark.parametrize(
+        "key", ["particle.optical_permittivity_re", "particle.optical_permittivity_im"]
+    )
+    def test_removed_key_in_config_file_exits_2(self, capsys, tmp_path, key):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"{key} = 2.1\n")
+        code, out, err = run_cli(capsys, "rates", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert key in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rates.csv"
         code, out, _ = run_cli(capsys, "rates", "-o", str(target))
@@ -415,12 +448,79 @@ class TestWorkers:
         assert len(err.strip().splitlines()) == 1
         assert "--workers" in err
 
+    ORACLE = ("bound", "--oracle-check", "--oracle-seeds", "4")
+
+    def test_bound_workers_do_not_change_bytes(self, capsys):
+        assert run_cli(capsys, *self.ORACLE, "--workers", "2") == run_cli(capsys, *self.ORACLE)
+
+    def test_bound_workers_reach_the_oracle_campaigns(self, capsys, monkeypatch):
+        requested = []
+
+        def recording_pool(max_workers):
+            requested.append(max_workers)
+            return ThreadPoolExecutor(max_workers=1)
+
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", recording_pool)
+        assert run_cli(capsys, *self.ORACLE)[0] == 0
+        assert requested == []  # the oracle's small campaigns run serially
+        assert run_cli(capsys, *self.ORACLE, "--workers", "2")[0] == 0
+        assert requested == [2] * 16  # 4 rows x 4 seeds
+
     @pytest.mark.parametrize("command", ["rates", "expand", "feasibility"])
     def test_commands_that_sample_nothing_reject_workers(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--workers", "2"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+
+class TestCommandBytes:
+    """SHA-256 of the stdout and stderr of the model commands, pinned before
+    the variance model and the detection set-up were each merged into one.
+
+    Only the noisy config sees the drift, readout and occupancy terms; its
+    ``campaign`` rows at t = 0, where readout noise dominates, move with a
+    few-ulp change of the variance.
+    """
+
+    COMMANDS = {
+        "campaign": ("campaign",),
+        "rates": ("rates",),
+        "expand": ("expand",),
+        "bound": ("bound",),
+        "oracle": ("bound", "--oracle-check", "--oracle-seeds", "16"),
+        "feasibility": ("feasibility",),
+    }
+    EMPTY = hashlib.sha256(b"").hexdigest()
+    PINNED = {
+        ("default", "campaign"): ("d68129a7a8776134bacd8b6bcb7e9cb3bddd656a1b25999599dffda191e87a4d", EMPTY),
+        ("default", "rates"): ("3c51310a8400525f3c62b911af394f40dfb0a14006b203ca4c413963afca9022", EMPTY),
+        ("default", "expand"): ("cf2d0181f7e6fb36344ab82507b85062727758edcb56e6a43c5e4261f767d1d6", EMPTY),
+        ("default", "bound"): ("19d7500c4cf7d782ec53e8100645d457496bdbf81dabe2de91324d40fd0ab435", EMPTY),
+        ("default", "oracle"): (
+            "19d7500c4cf7d782ec53e8100645d457496bdbf81dabe2de91324d40fd0ab435",
+            "43cd215a1fe2ad595200c87cb40e19f926e4eff8912ce98fff1f16d0f8b4f6f0",
+        ),
+        ("default", "feasibility"): ("b21582798091f843a41037b624d74e93424e1f3f740202baff9a658e7edfc2fe", EMPTY),
+        ("noisy", "campaign"): ("e0366f69326bf056e61bf5cc1bb6922277473e36ce6767aab380ec01f9baf6ca", EMPTY),
+        ("noisy", "rates"): ("3c51310a8400525f3c62b911af394f40dfb0a14006b203ca4c413963afca9022", EMPTY),
+        ("noisy", "expand"): ("ee8eab8d69c27963ac76111d6b70596ad0cbb0c69d954ddb83b3139b235a61d1", EMPTY),
+        ("noisy", "bound"): ("6ffa51073c6b006eda9ff5b1bf61af94c1157a2f75d252c81d1bf82475d91973", EMPTY),
+        ("noisy", "oracle"): ("6ffa51073c6b006eda9ff5b1bf61af94c1157a2f75d252c81d1bf82475d91973", EMPTY),
+        ("noisy", "feasibility"): ("b21582798091f843a41037b624d74e93424e1f3f740202baff9a658e7edfc2fe", EMPTY),
+    }
+
+    @pytest.mark.parametrize("config, command", sorted(PINNED))
+    def test_pinned_digest(self, capsys, tmp_path, config, command):
+        extra = []
+        if config == "noisy":
+            path = tmp_path / "noisy.cfg"
+            path.write_text(NOISY_CONFIG)
+            extra = ["--config", str(path)]
+        code, out, err = run_cli(capsys, *self.COMMANDS[command], *extra)
+        assert code == 0
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+        assert digests == self.PINNED[config, command]
 
 
 class TestCampaignBytes:

@@ -4,7 +4,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from waxsim import (
-    BracketingError,
     ChannelToggles,
     CSLParams,
     DetectionConfig,
@@ -208,8 +207,6 @@ class TestMonteCarloOracle:
             space,
             GEOMETRY,
             seeds=range(1, 121),
-            lambda_lo=1e-18,
-            lambda_hi=1e-8,
         )
         assert 0.5 <= mc / closed <= 2.0
 
@@ -226,19 +223,21 @@ class TestMonteCarloOracle:
         assert high >= 0.99
         assert low <= 0.10
 
-    def test_non_bracketing_raises_with_curve(self, silica, space):
-        with pytest.raises(BracketingError) as err:
+    # the standard error sqrt(2 / (N - 1)) has no value at N = 1
+    def test_oracle_rejects_single_run_per_time(self, silica, space):
+        with pytest.raises(DomainError, match="n_per_time"):
+            bisect_lambda_mc(1, GRID, silica, space, GEOMETRY, seeds=range(1, 5))
+
+    def test_power_rejects_single_run_per_time(self, silica, space):
+        with pytest.raises(DomainError, match="n_per_time"):
+            detection_power_mc(1e-13, 1, GRID, silica, space, GEOMETRY, seeds=range(1, 5))
+
+    @pytest.mark.parametrize("target", [0.0, -0.5, 1.5])
+    def test_power_target_outside_unit_interval_rejected(self, silica, space, target):
+        with pytest.raises(DomainError, match="power_target"):
             bisect_lambda_mc(
-                60,
-                GRID,
-                silica,
-                space,
-                GEOMETRY,
-                seeds=range(1, 41),
-                lambda_lo=1e-20,
-                lambda_hi=1e-19,
+                60, GRID, silica, space, GEOMETRY, seeds=range(1, 5), power_target=target
             )
-        assert len(err.value.power_curve) == 2
 
     def test_empty_seeds_rejected(self, silica, space):
         with pytest.raises(DomainError):
@@ -267,10 +266,7 @@ class TestExactOracle:
             trap_frequency=config.trap_frequency(),
         )
         n, seeds = 400, range(1, 17)
-        closed = min_detectable_lambda(n, **model).lambda_min
-        rate = bisect_lambda_mc(
-            n, seeds=seeds, lambda_lo=closed / 32.0, lambda_hi=closed * 32.0, **model
-        )
+        rate = bisect_lambda_mc(n, seeds=seeds, **model)
         above = detection_power_mc(rate * (1.0 + 1e-9), n, seeds=seeds, **model)
         below = detection_power_mc(rate * (1.0 - 1e-9), n, seeds=seeds, **model)
         assert above >= 0.5 > below
@@ -287,6 +283,5 @@ class TestExactOracle:
         seeds = range(1, 41)
         bisect_lambda_mc(
             120, GRID, silica, space, GEOMETRY, seeds=seeds,
-            lambda_lo=1e-18, lambda_hi=1e-8,
         )
         assert calls == list(seeds)

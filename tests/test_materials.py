@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from waxsim import (
-    Constants,
     DomainError,
     Environment,
     Particle,
@@ -150,13 +149,3 @@ def test_custom_environment_allows_extremes():
         gas_temperature=0.0,
     )
     assert env.preset == "custom"
-
-
-def test_constants_positive_and_fixed():
-    const = Constants()
-    for name in ("hbar", "kB", "c", "g", "m0"):
-        assert getattr(const, name) > 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        const.hbar = 1.0
-    with pytest.raises(DomainError):
-        Constants(g=0.0)

@@ -227,7 +227,7 @@ class TestTiledSampling:
         assert data.samples.shape == (3, config.runs_per_time)
         rate = bisect_lambda_mc(
             400, (1.0, 10.0, 100.0), silica, space, CSLParams(0.0, 100e-9),
-            seeds=range(1, 9), lambda_lo=1e-18, lambda_hi=1e-6,
+            seeds=range(1, 9),
         )
         assert rate > 0.0
 

@@ -69,3 +69,7 @@ def test_quadrature_oracle_resolves_lazily():
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError):
         waxsim.no_such_name
+
+
+def test_every_public_name_resolves():
+    assert [name for name in waxsim.__all__ if not hasattr(waxsim, name)] == []

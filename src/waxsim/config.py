@@ -27,7 +27,7 @@ from .materials import (
     Environment,
     Particle,
 )
-from .protocol import CampaignConfig
+from .protocol import CampaignConfig, check_noise
 
 # key -> (type, default, unit, help)
 SCHEMA: dict[str, tuple[str, object, str, str]] = {
@@ -204,6 +204,11 @@ class ConfigBuilder:
             check_time_grid(values["campaign.time_grid_s"])
         except DomainError as exc:
             raise ConfigError(f"campaign.time_grid_s: {exc}") from exc
+        # every command, whether or not it samples, rejects the same inputs
+        check_noise(
+            values["campaign.measurement_noise_m"],
+            values["campaign.drift_velocity_std_m_s"],
+        )
         return RunConfig(values)
 
 

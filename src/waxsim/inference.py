@@ -41,7 +41,13 @@ from .decoherence import ChannelToggles, CSLParams, lambda_csl
 from .dynamics import check_time_grid
 from .errors import DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
-from .protocol import CampaignConfig, PositionSamples, _total_variance, run_campaign
+from .protocol import (
+    CampaignConfig,
+    PositionSamples,
+    _total_variance,
+    check_noise,
+    run_campaign,
+)
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,7 @@ def _detection_setup(
     """
     if n_per_time < 2:
         raise DomainError(f"n_per_time must be >= 2, got {n_per_time}")
+    check_noise(measurement_noise, drift_velocity_std)
     times = check_time_grid(time_grid)
     sens = np.array(
         [csl_sensitivity(t, particle, csl_geometry) for t in times]
@@ -314,8 +321,7 @@ def detection_power_mc(
 
     detected = 0
     for data in _seed_campaigns(seeds, collapse_rate, n_per_time, times, *model):
-        var_hat = np.var(data.samples, axis=1, ddof=1)
-        z = (var_hat - var_std) / se_var
+        z = (data.var_hat - var_std) / se_var
         if detection.aggregation == "best-time":
             hit = bool(np.max(z) >= detection.confidence_z)
         else:
@@ -424,10 +430,9 @@ def bisect_lambda_mc(
 
     rates = []
     for data in _seed_campaigns(seeds, 0.0, n_per_time, times, *model, workers):
-        var_hat = np.var(data.samples, axis=1, ddof=1)
         rates.append(
             _critical_rate(
-                var_hat, data.true_sigmas**2, sens, var_std, se_var, detection, q
+                data.var_hat, data.true_sigmas**2, sens, var_std, se_var, detection, q
             )
         )
     rates = np.sort(rates)

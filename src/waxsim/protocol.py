@@ -25,6 +25,13 @@ threads. By default, campaigns of at least ``PARALLEL_MIN_DRAWS`` draws use
 one thread per available CPU and smaller campaigns run serially.
 ``workers`` only changes wall time, never output.
 
+Widths come from tile moments: each tile returns its run count, mean and
+sum of squared deviations, computed on the thread that drew it, and a row's
+tiles are merged in tile order, first half with second half, with the
+pairwise update of Chan, Golub & LeVeque (Am. Stat. 37(3), 1983). The
+sample variance therefore depends on ``TILE_RUNS`` but not on ``workers``;
+a row of one tile gets exactly the value of ``np.var(row, ddof=1)``.
+
 The raw-sample CSV is produced by ``PositionSamples.csv_chunks`` on the same
 tiles: the header, then one string per tile, so a caller that writes each
 chunk as it comes (``waxsim campaign --dump-samples``) holds O(tile) CSV
@@ -82,10 +89,7 @@ class CampaignConfig:
             raise DomainError(
                 f"runs_per_time must be >= 2, got {self.runs_per_time}"
             )
-        if self.measurement_noise < 0.0:
-            raise DomainError("measurement_noise must be >= 0")
-        if self.drift_velocity_std < 0.0:
-            raise DomainError("drift_velocity_std must be >= 0")
+        check_noise(self.measurement_noise, self.drift_velocity_std)
         if self.occupancy < 0.0:
             raise DomainError("occupancy must be >= 0")
 
@@ -95,12 +99,14 @@ class PositionSamples:
     """Synthetic position records, one row of ``samples`` per grid time.
 
     ``true_sigmas`` holds the total standard deviation each row was drawn
-    with (model width plus drift and readout terms).
+    with (model width plus drift and readout terms). ``var_hat`` holds each
+    row's unbiased (ddof=1) sample variance, merged from tile moments.
     """
 
     times: np.ndarray
     samples: np.ndarray  # shape (len(times), runs_per_time)
     true_sigmas: np.ndarray
+    var_hat: np.ndarray
 
     def csv_chunks(self) -> Iterator[str]:
         """Raw-sample CSV in pieces: the header, then one string per tile.
@@ -143,6 +149,18 @@ TILE_RUNS = 2**16
 # serially: on a 2-core host two threads were slower than one up to 168 k
 # draws (21 x 8000) and faster from 210 k (21 x 10000) on
 PARALLEL_MIN_DRAWS = 2**18
+
+
+def check_noise(measurement_noise: float, drift_velocity_std: float) -> None:
+    """Reject a negative readout noise or velocity spread.
+
+    Both enter the variance model squared, so a negative value would
+    silently act as its absolute value.
+    """
+    if measurement_noise < 0.0:
+        raise DomainError("measurement_noise must be >= 0")
+    if drift_velocity_std < 0.0:
+        raise DomainError("drift_velocity_std must be >= 0")
 
 
 def check_workers(workers: int | None, name: str = "workers") -> None:
@@ -237,6 +255,8 @@ def run_campaign(
     Returns
     -------
     PositionSamples
+        With the full ``T x N`` sample array and each row's sample
+        variance.
 
     Raises
     ------
@@ -263,7 +283,8 @@ def run_campaign(
     samples = np.empty((times.size, n))
     tiles = ((i, a) for i in range(times.size) for a in range(0, n, TILE_RUNS))
 
-    def fill(tile: tuple[int, int]) -> None:
+    def fill(tile: tuple[int, int]) -> tuple[int, float, float]:
+        """Draw one tile; return its run count, mean and sum of squared deviations."""
         i, a = tile
         key = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(i,))
         bitgen = np.random.Philox(key)
@@ -275,37 +296,69 @@ def run_campaign(
         np.maximum(out, 2.0**-54, out=out)
         ndtri(out, out=out)
         out *= sigmas[i]
+        # the operations of np.var, while the tile is in cache; no BLAS (out @ out),
+        # whose threads would compete with the workers
+        mean = np.add.reduce(out) / out.size
+        dev = np.subtract(out, mean)
+        np.multiply(dev, dev, out=dev)
+        return out.size, mean, np.add.reduce(dev)
 
     if workers is None:
         workers = _available_cpus() if samples.size >= PARALLEL_MIN_DRAWS else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, tiles))
+            moments = list(pool.map(fill, tiles))
     else:
-        for tile in tiles:
-            fill(tile)
-    return PositionSamples(times, samples, sigmas)
+        moments = [fill(tile) for tile in tiles]
+    per_row = len(moments) // times.size
+    rows = (moments[k : k + per_row] for k in range(0, len(moments), per_row))
+    var_hat = np.array([m2 / (n - 1) for _, _, m2 in map(_merged_moments, rows)])
+    return PositionSamples(times, samples, sigmas, var_hat)
 
 
-def estimate_width(t: float, samples: Sequence[float]) -> WidthEstimate:
-    """Width estimate from the positions recorded at one grid time.
+def _merged_moments(tiles: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:
+    """``(n, mean, M2)`` of consecutive tiles, merged pairwise in tile order.
 
-    sigma_hat is the square root of the unbiased (ddof=1) sample variance.
-    The standard error of the variance estimate is sigma_hat^2 sqrt(2/(N-1))
-    (normal sampling theory); propagating to sigma gives
-    sigma_hat sqrt(1/(2(N-1))).
+    The update of Chan, Golub & LeVeque (1983), applied to the two halves
+    (the first one the longer), so rounding error grows with the log of the
+    tile count. One tile is returned as it is.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise DomainError("need at least 2 samples at one grid time")
-    n = x.size
-    sigma_hat = float(np.std(x, ddof=1))
+    if len(tiles) == 1:
+        return tiles[0]
+    half = (len(tiles) + 1) // 2
+    n_a, mean_a, m2_a = _merged_moments(tiles[:half])
+    n_b, mean_b, m2_b = _merged_moments(tiles[half:])
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + (m2_b + delta * delta * (n_a * n_b / n))
+
+
+def _width_estimate(t: float, variance: float, n: int) -> WidthEstimate:
+    """Width estimate from an unbiased sample variance of ``n`` positions.
+
+    sigma_hat is the square root of the variance. The standard error of the
+    variance estimate is sigma_hat^2 sqrt(2/(N-1)) (normal sampling theory);
+    propagating to sigma gives sigma_hat sqrt(1/(2(N-1))).
+    """
+    sigma_hat = math.sqrt(variance)
     return WidthEstimate(
         t=float(t),
         sigma_hat=sigma_hat,
         standard_error=sigma_hat * math.sqrt(1.0 / (2.0 * (n - 1))),
         sample_count=n,
     )
+
+
+def estimate_width(t: float, samples: Sequence[float]) -> WidthEstimate:
+    """Width estimate from the positions recorded at one grid time.
+
+    sigma_hat is the square root of the unbiased (ddof=1) sample variance;
+    its standard error is sigma_hat sqrt(1/(2(N-1))).
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise DomainError("need at least 2 samples at one grid time")
+    return _width_estimate(t, np.var(x, ddof=1), x.size)
 
 
 def campaign_curve(
@@ -319,9 +372,8 @@ def campaign_curve(
 ) -> tuple[WidthEstimate, ...]:
     """Run a campaign and estimate the width at every grid time."""
     data = run_campaign(config, particle, env, csl, toggles, trap_frequency, workers)
-    return tuple(
-        estimate_width(t, row) for t, row in zip(data.times, data.samples)
-    )
+    n = config.runs_per_time
+    return tuple(_width_estimate(t, v, n) for t, v in zip(data.times, data.var_hat))
 
 
 def campaign_to_csv(estimates: Sequence[WidthEstimate]) -> str:

@@ -131,6 +131,15 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             min_detectable_lambda(1, GRID, silica, space, GEOMETRY)
 
+    @pytest.mark.parametrize(
+        "noise", [dict(measurement_noise=-1e-3), dict(drift_velocity_std=-1e-4)]
+    )
+    def test_negative_noise_rejected_as_for_campaigns(self, silica, space, noise):
+        # both enter squared; a campaign refuses them, so the bound does too
+        name = next(iter(noise))
+        with pytest.raises(DomainError, match=f"{name} must be >= 0"):
+            min_detectable_lambda(100, GRID, silica, space, GEOMETRY, **noise)
+
     def test_chi_square_aggregation(self, silica, space):
         best = min_detectable_lambda(200, GRID, silica, space, GEOMETRY)
         pooled = min_detectable_lambda(

@@ -278,6 +278,32 @@ class TestTiledSampling:
         assert requested == [5]
 
 
+class TestTileMoments:
+    def test_single_tile_rows_equal_np_var(self, silica, ground):
+        data = run_campaign(make_config(runs_per_time=1001), silica, ground)
+        assert np.array_equal(data.var_hat, np.var(data.samples, axis=1, ddof=1))
+        for row, var_hat in zip(data.samples, data.var_hat):
+            assert var_hat == np.var(row, ddof=1)
+
+    @pytest.mark.parametrize("n, tile_runs", [(2 * protocol.TILE_RUNS + 1, None), (1001, 4)])
+    def test_merged_tiles_within_4_ulp_of_np_std(self, silica, ground, monkeypatch, n, tile_runs):
+        if tile_runs is not None:
+            monkeypatch.setattr(protocol, "TILE_RUNS", tile_runs)
+        config = make_config(runs_per_time=n)
+        samples = run_campaign(config, silica, ground).samples
+        for est, row in zip(campaign_curve(config, silica, ground), samples):
+            reference = np.std(row, ddof=1)
+            assert abs(est.sigma_hat - reference) <= 4 * np.spacing(reference)
+
+    def test_workers_do_not_change_var_hat(self, silica, ground):
+        config = make_config(time_grid=(0.5, 2.0), runs_per_time=8 * protocol.TILE_RUNS + 1)
+        var_hats = [
+            run_campaign(config, silica, ground, workers=workers).var_hat
+            for workers in (1, 2, 3)
+        ]
+        assert all(np.array_equal(var_hats[0], other) for other in var_hats[1:])
+
+
 class TestStreamingSerialization:
     def test_to_csv_joins_the_chunks(self, silica, ground):
         data = run_campaign(make_config(runs_per_time=1001), silica, ground)

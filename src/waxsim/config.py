@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import amu
 from .decoherence import ChannelToggles, CSLParams
-from .dynamics import check_time_grid
+from .dynamics import check_occupancy, check_time_grid
 from .errors import ConfigError, DomainError
 from .inference import DetectionConfig
 from .materials import (
@@ -209,6 +209,7 @@ class ConfigBuilder:
             values["campaign.measurement_noise_m"],
             values["campaign.drift_velocity_std_m_s"],
         )
+        check_occupancy(values["trap.occupancy"])
         return RunConfig(values)
 
 

@@ -95,6 +95,16 @@ class GaussianState:
         return self.x_var * self.p_var - self.xp_cov**2
 
 
+def check_occupancy(occupancy: float) -> None:
+    """Reject a negative mean phonon number.
+
+    The one occupancy rule shared by the models and the config, so every
+    command rejects the same value with the same line.
+    """
+    if occupancy < 0.0:
+        raise DomainError(f"occupancy must be >= 0, got {occupancy}")
+
+
 def initial_state(
     particle: Particle,
     trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
@@ -108,8 +118,7 @@ def initial_state(
     """
     if trap_frequency <= 0.0:
         raise DomainError(f"trap_frequency must be > 0, got {trap_frequency}")
-    if occupancy < 0.0:
-        raise DomainError(f"occupancy must be >= 0, got {occupancy}")
+    check_occupancy(occupancy)
     width = (2.0 * occupancy + 1.0)
     m_omega = particle.mass * trap_frequency
     return GaussianState(

@@ -32,17 +32,28 @@ pairwise update of Chan, Golub & LeVeque (Am. Stat. 37(3), 1983). The
 sample variance therefore depends on ``TILE_RUNS`` but not on ``workers``;
 a row of one tile gets exactly the value of ``np.var(row, ddof=1)``.
 
-The raw-sample CSV is produced by ``PositionSamples.csv_chunks`` on the same
-tiles: the header, then one string per tile, so a caller that writes each
-chunk as it comes (``waxsim campaign --dump-samples``) holds O(tile) CSV
-text, whatever the campaign size. ``PositionSamples.to_csv`` joins the
-chunks. ``run_campaign`` refuses, with ``DomainError``, a sample array
-larger than the host's physical memory.
+Memory contract: ``run_campaign`` keeps no sample array. Each worker draws
+its tiles into one reused tile buffer and keeps only the tile's moments, a
+24-byte record per tile; that table is the only allocation that grows with
+the campaign, and ``run_campaign`` refuses, with ``DomainError``, a table
+larger than the host's physical memory. ``PositionSamples.samples`` is a
+``CampaignSamples`` view: its shape and size cost nothing, while indexing a
+row, iterating and ``np.asarray`` re-draw the rows through the same tile
+kernel, so they give the bits the campaign drew. ``np.asarray`` refuses a
+``T x N`` array larger than physical memory.
+
+The raw-sample CSV is produced by ``PositionSamples.csv_chunks``, which
+re-draws the same tiles: the header, then one string per tile, so a caller
+that writes each chunk as it comes (``waxsim campaign --dump-samples``)
+holds O(tile) memory, whatever the campaign size. ``PositionSamples.to_csv``
+joins the chunks.
 """
 from __future__ import annotations
 
 import math
+import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -50,7 +61,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .decoherence import ChannelToggles, CSLParams, total_budget
-from .dynamics import _x_var_free, check_time_grid, initial_state
+from .dynamics import _x_var_free, check_occupancy, check_time_grid, initial_state
 from .errors import DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
 
@@ -90,37 +101,102 @@ class CampaignConfig:
                 f"runs_per_time must be >= 2, got {self.runs_per_time}"
             )
         check_noise(self.measurement_noise, self.drift_velocity_std)
-        if self.occupancy < 0.0:
-            raise DomainError("occupancy must be >= 0")
+        check_occupancy(self.occupancy)
+
+
+@dataclass(frozen=True, eq=False)
+class CampaignSamples:
+    """Read-only ``T x N`` view of a campaign's positions, re-drawn on demand.
+
+    ``shape``, ``size`` and ``len()`` draw nothing. ``view[i]``, iteration
+    and ``np.asarray(view)`` draw rows tile by tile through the campaign's
+    kernel, so they return the positions the campaign's widths came from.
+    Tile ``k`` is grid index ``k // tiles_per_row`` and the
+    ``k % tiles_per_row``-th block of ``tile_runs`` runs.
+    """
+
+    seed: int
+    sigmas: np.ndarray
+    runs: int
+    tile_runs: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.sigmas.size, self.runs)
+
+    @property
+    def size(self) -> int:
+        return self.sigmas.size * self.runs
+
+    @property
+    def tiles_per_row(self) -> int:
+        return -(-self.runs // self.tile_runs)
+
+    def __len__(self) -> int:
+        return self.sigmas.size
+
+    def draw_tile(self, k: int, out: np.ndarray) -> tuple[int, int, np.ndarray]:
+        """Draw tile ``k`` into the start of ``out``: (grid index, first run, runs)."""
+        i, j = divmod(k, self.tiles_per_row)
+        a = j * self.tile_runs
+        count = min(self.tile_runs, self.runs - a)
+        return i, a, _draw_tile(self.seed, self.sigmas[i], i, a, count, out)
+
+    def _fill_row(self, i: int, row: np.ndarray) -> None:
+        first = i * self.tiles_per_row
+        for j in range(self.tiles_per_row):
+            self.draw_tile(first + j, row[j * self.tile_runs :])
+
+    def __getitem__(self, key: int) -> np.ndarray:
+        # IndexError out of range, negative from the end, TypeError for a slice
+        i = range(len(self))[operator.index(key)]
+        _check_memory(8 * self.runs, f"a row of {self.runs} doubles")
+        row = np.empty(self.runs)
+        self._fill_row(i, row)
+        return row
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return (self[i] for i in range(len(self)))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        _check_memory(8 * self.size, f"samples ({len(self)} x {self.runs} doubles)")
+        out = np.empty(self.shape)
+        for i in range(len(self)):
+            self._fill_row(i, out[i])
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
 class PositionSamples:
     """Synthetic position records, one row of ``samples`` per grid time.
 
-    ``true_sigmas`` holds the total standard deviation each row was drawn
-    with (model width plus drift and readout terms). ``var_hat`` holds each
-    row's unbiased (ddof=1) sample variance, merged from tile moments.
+    ``samples`` is a :class:`CampaignSamples` view that re-draws the
+    positions when read. ``true_sigmas`` holds the total standard deviation
+    each row was drawn with (model width plus drift and readout terms).
+    ``var_hat`` holds each row's unbiased (ddof=1) sample variance, merged
+    from tile moments.
     """
 
     times: np.ndarray
-    samples: np.ndarray  # shape (len(times), runs_per_time)
+    samples: CampaignSamples  # shape (len(times), runs_per_time)
     true_sigmas: np.ndarray
     var_hat: np.ndarray
 
     def csv_chunks(self) -> Iterator[str]:
         """Raw-sample CSV in pieces: the header, then one string per tile.
 
-        A tile is one grid time and runs ``[a, a + TILE_RUNS)``, as in
-        :func:`run_campaign`, so a chunk holds at most ``TILE_RUNS`` lines
-        and writing the chunks one by one needs O(tile) memory.
+        Each tile is re-drawn into one reused buffer, so a chunk holds at
+        most ``tile_runs`` lines and writing the chunks one by one needs
+        O(tile) memory.
         """
         yield "t_s,run_index,x_m\n"
-        for t, row in zip(self.times, self.samples):
-            t_repr = repr(float(t))
-            for a in range(0, row.size, TILE_RUNS):
-                xs = row[a : a + TILE_RUNS].tolist()
-                yield "".join([f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs, a)])
+        view = self.samples
+        buffer = np.empty(min(view.runs, view.tile_runs))
+        t_reprs = [repr(float(t)) for t in self.times]
+        for k in range(len(view) * view.tiles_per_row):
+            i, a, xs = view.draw_tile(k, buffer)
+            t_repr = t_reprs[i]
+            yield "".join([f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs.tolist(), a)])
 
     def to_csv(self) -> str:
         """Raw-sample CSV: header ``t_s,run_index,x_m``."""
@@ -145,6 +221,8 @@ class WidthEstimate:
 
 # runs per tile; a multiple of 4, so a tile starts on a Philox counter step
 TILE_RUNS = 2**16
+# one tile's moments: run count, mean and sum of squared deviations
+_MOMENTS = np.dtype([("n", np.int64), ("mean", np.float64), ("m2", np.float64)])
 # by default, campaigns with fewer draws (T x N) than this run their tiles
 # serially: on a 2-core host two threads were slower than one up to 168 k
 # draws (21 x 8000) and faster from 210 k (21 x 10000) on
@@ -175,6 +253,16 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
         return None
+
+
+def _check_memory(needed: int, what: str) -> None:
+    """Refuse what would only fit in swap or overcommitted virtual memory."""
+    physical = _physical_memory()
+    if physical is not None and needed > physical:
+        raise DomainError(
+            f"campaign needs {needed / 1e9:.3g} GB of {what}, more than the "
+            f"{physical / 1e9:.3g} GB of physical memory"
+        )
 
 
 def _available_cpus() -> int:
@@ -230,6 +318,44 @@ def sampling_sigma(
     )
 
 
+def _draw_tile(
+    seed: int, sigma: float, i: int, a: int, count: int, out: np.ndarray
+) -> np.ndarray:
+    """Runs ``[a, a + count)`` of grid index ``i``, drawn into ``out[:count]``.
+
+    The one sampling kernel: the Philox stream keyed by ``(seed, i)``,
+    advanced to run ``a`` (a multiple of 4), mapped through the inverse
+    normal CDF and scaled by ``sigma``.
+    """
+    # imported on use, so that importing waxsim does not load scipy
+    from scipy.special import ndtri
+
+    key = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+    bitgen = np.random.Philox(key)
+    if a:
+        bitgen.advance(a // 4)
+    out = out[:count]
+    np.random.Generator(bitgen).random(out=out)
+    # random() is [0, 1); shift the measure-zero 0.0 away from ndtri's pole
+    np.maximum(out, 2.0**-54, out=out)
+    ndtri(out, out=out)
+    out *= sigma
+    return out
+
+
+def _tile_moments(out: np.ndarray, dev: np.ndarray) -> tuple[int, float, float]:
+    """Run count, mean and sum of squared deviations of a tile.
+
+    The operations of ``np.var``, with ``dev`` (as long as ``out``) as
+    scratch; no BLAS (``out @ out``), whose threads would compete with the
+    workers.
+    """
+    mean = np.add.reduce(out) / out.size
+    np.subtract(out, mean, out=dev)
+    np.multiply(dev, dev, out=dev)
+    return out.size, mean, np.add.reduce(dev)
+
+
 def run_campaign(
     config: CampaignConfig,
     particle: Particle,
@@ -255,65 +381,55 @@ def run_campaign(
     Returns
     -------
     PositionSamples
-        With the full ``T x N`` sample array and each row's sample
-        variance.
+        With each row's sample variance and a view that re-draws the
+        ``T x N`` samples on demand.
 
     Raises
     ------
     DomainError
-        If ``workers`` is below 1, or the ``T x N`` sample array would not
+        If ``workers`` is below 1, or the per-tile moment table would not
         fit in the host's physical memory.
     """
-    # imported here, before any worker starts, so that importing waxsim
-    # does not load scipy
-    from scipy.special import ndtri
-
     check_workers(workers)
     times = np.asarray(config.time_grid)
     sigmas = sampling_sigma(config, particle, env, csl, toggles, trap_frequency)
     n = config.runs_per_time
-    # refuse what would only fit in swap or overcommitted virtual memory
-    needed = 8 * times.size * n
-    physical = _physical_memory()
-    if physical is not None and needed > physical:
-        raise DomainError(
-            f"campaign needs {needed / 1e9:.3g} GB of samples ({times.size} x {n} "
-            f"doubles), more than the {physical / 1e9:.3g} GB of physical memory"
-        )
-    samples = np.empty((times.size, n))
-    tiles = ((i, a) for i in range(times.size) for a in range(0, n, TILE_RUNS))
+    view = CampaignSamples(config.rng_seed, sigmas, n, TILE_RUNS)
+    per_row = view.tiles_per_row
+    count = times.size * per_row
+    _check_memory(
+        count * _MOMENTS.itemsize, f"tile moments ({times.size} x {per_row} tiles)"
+    )
+    moments = np.empty(count, _MOMENTS)
+    undrawn = iter(range(count))
+    lock = threading.Lock()
 
-    def fill(tile: tuple[int, int]) -> tuple[int, float, float]:
-        """Draw one tile; return its run count, mean and sum of squared deviations."""
-        i, a = tile
-        key = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(i,))
-        bitgen = np.random.Philox(key)
-        if a:
-            bitgen.advance(a // 4)
-        out = samples[i, a : a + TILE_RUNS]
-        np.random.Generator(bitgen).random(out=out)
-        # random() is [0, 1); shift the measure-zero 0.0 away from ndtri's pole
-        np.maximum(out, 2.0**-54, out=out)
-        ndtri(out, out=out)
-        out *= sigmas[i]
-        # the operations of np.var, while the tile is in cache; no BLAS (out @ out),
-        # whose threads would compete with the workers
-        mean = np.add.reduce(out) / out.size
-        dev = np.subtract(out, mean)
-        np.multiply(dev, dev, out=dev)
-        return out.size, mean, np.add.reduce(dev)
+    def drain(buffers: np.ndarray) -> None:
+        """Draw the next undrawn tile until none is left; record its moments."""
+        out, dev = buffers
+        while True:
+            with lock:
+                k = next(undrawn, None)
+            if k is None:
+                return
+            tile = view.draw_tile(k, out)[2]
+            moments[k] = _tile_moments(tile, dev[: tile.size])
 
     if workers is None:
-        workers = _available_cpus() if samples.size >= PARALLEL_MIN_DRAWS else 1
+        workers = _available_cpus() if view.size >= PARALLEL_MIN_DRAWS else 1
+    # one task per thread, each with its own tile and scratch buffers
+    buffers = np.empty((min(workers, count), 2, min(n, TILE_RUNS)))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            moments = list(pool.map(fill, tiles))
+            for task in [pool.submit(drain, b) for b in buffers]:
+                task.result()
     else:
-        moments = [fill(tile) for tile in tiles]
-    per_row = len(moments) // times.size
-    rows = (moments[k : k + per_row] for k in range(0, len(moments), per_row))
-    var_hat = np.array([m2 / (n - 1) for _, _, m2 in map(_merged_moments, rows)])
-    return PositionSamples(times, samples, sigmas, var_hat)
+        drain(buffers[0])
+    var_hat = np.array([
+        _merged_moments(moments[k : k + per_row].tolist())[2] / (n - 1)
+        for k in range(0, count, per_row)
+    ])
+    return PositionSamples(times, view, sigmas, var_hat)
 
 
 def _merged_moments(tiles: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:

@@ -361,6 +361,11 @@ class TestCli:
         code, out, err = run_cli(capsys, *argv, f"--{key}=-1e-3", "--bound.n_sweep", "100")
         assert (code, out, err) == (2, "", line)
 
+    @pytest.mark.parametrize("command", ["rates", "expand", "campaign", "bound", "feasibility"])
+    def test_negative_occupancy_exits_2_on_every_command(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--trap.occupancy=-1")
+        assert (code, out, err) == (2, "", "waxsim: error: occupancy must be >= 0, got -1.0\n")
+
     def test_chi_square_underflowing_z_exits_cleanly(self, capsys):
         code, out, err = run_cli(
             capsys,

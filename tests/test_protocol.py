@@ -1,6 +1,8 @@
 """Campaign simulation: determinism, statistics, width estimation."""
 import math
+import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -50,6 +52,10 @@ class TestCampaignConfig:
             make_config(measurement_noise=-1e-12)
         with pytest.raises(DomainError):
             make_config(drift_velocity_std=-1e-9)
+
+    def test_rejects_negative_occupancy(self):
+        with pytest.raises(DomainError, match=r"^occupancy must be >= 0, got -1.0$"):
+            make_config(occupancy=-1.0)
 
 
 class TestDeterminism:
@@ -320,13 +326,92 @@ class TestStreamingSerialization:
         assert chunks[2].startswith("0.0,4,")
 
     def test_memory_beyond_physical_is_refused(self, silica, ground, monkeypatch):
-        # 3 x 100 doubles need 2400 bytes; nothing is allocated
-        monkeypatch.setattr(protocol, "_physical_memory", lambda: 2399)
+        # the moments of 3 tiles need 72 bytes; nothing is allocated
+        monkeypatch.setattr(protocol, "_physical_memory", lambda: 71)
         with pytest.raises(DomainError, match="physical memory"):
             run_campaign(make_config(), silica, ground)
+        monkeypatch.setattr(protocol, "_physical_memory", lambda: 72)
+        samples = run_campaign(make_config(), silica, ground).samples
+        # materialising the 3 x 100 doubles needs 2400 bytes
+        with pytest.raises(DomainError, match="physical memory"):
+            np.asarray(samples)
         monkeypatch.setattr(protocol, "_physical_memory", lambda: 2400)
-        assert run_campaign(make_config(), silica, ground).samples.shape == (3, 100)
+        assert np.asarray(samples).shape == (3, 100)
 
     def test_unknown_physical_memory_skips_the_check(self, silica, ground, monkeypatch):
         monkeypatch.setattr(protocol, "_physical_memory", lambda: None)
-        assert run_campaign(make_config(), silica, ground).samples.shape == (3, 100)
+        samples = run_campaign(make_config(), silica, ground).samples
+        assert np.asarray(samples).shape == (3, 100)
+
+
+class TestMomentsEngine:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_runs(self, silica, ground, workers):
+        def peak(tiles):
+            config = CampaignConfig((0.5,), tiles * protocol.TILE_RUNS, rng_seed=7)
+            tracemalloc.start()
+            try:
+                run_campaign(config, silica, ground, workers=workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_campaign(make_config(), silica, ground)  # imports done before measuring
+        assert peak(6) <= 1.25 * peak(2)
+
+    def test_shape_and_size_draw_nothing(self, silica, ground, monkeypatch):
+        import scipy.special
+
+        ndtri = scipy.special.ndtri
+        calls = []
+
+        def counting_ndtri(*args, **kwargs):
+            calls.append(1)
+            return ndtri(*args, **kwargs)
+
+        samples = run_campaign(make_config(), silica, ground).samples
+        monkeypatch.setattr(scipy.special, "ndtri", counting_ndtri)
+        assert samples.shape == (3, 100)
+        assert samples.size == 300
+        assert len(samples) == 3
+        assert calls == []
+        samples[0]  # one row of one tile
+        assert len(calls) == 1
+
+    def test_pool_runs_one_task_per_worker(self, silica, ground, monkeypatch):
+        submitted = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        config = make_config(runs_per_time=1001)  # 3 x 251 tiles
+        serial = run_campaign(config, silica, ground)
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
+        pooled = run_campaign(config, silica, ground, workers=2)
+        assert 1 <= len(submitted) <= 2
+        assert np.array_equal(serial.var_hat, pooled.var_hat)
+
+    def test_rows_are_redrawn_identically(self, silica, ground):
+        samples = run_campaign(make_config(runs_per_time=1001), silica, ground).samples
+        whole = np.asarray(samples)
+        assert np.array_equal(samples[-1], whole[2])
+        assert all(np.array_equal(a, b) for a, b in zip(samples, whole))
+        with pytest.raises(IndexError):
+            samples[3]
+
+    def test_more_workers_than_cores_lose_no_tile(self, silica, ground, monkeypatch):
+        # 753 tiles shared by 8 threads that switch every microsecond: a tile
+        # drawn twice or skipped leaves a stale record and moves var_hat
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        config = make_config(runs_per_time=1001)
+        serial = run_campaign(config, silica, ground)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_campaign(config, silica, ground, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial.var_hat, pooled.var_hat)

@@ -12,7 +12,9 @@ Configuration comes from an optional file (``--config`` or the
 ``WAXSIM_CONFIG`` environment variable) plus flag overrides; flags win.
 Every config key is addressable as ``--section.key value``. Exit codes:
 0 success, 2 usage or config error (including a run too large for memory and
-an output that cannot be written), 3 numerical failure. A reader closing
+an output that cannot be written), 3 numerical failure (including an
+overflow, a division by zero or a nan anywhere in the run). Every config key
+is validated before any command runs. A reader closing
 stdout early (``waxsim campaign --dump-samples | head``) ends the run with
 exit 0. Model-validity warnings go to stderr and do not change the exit
 code.
@@ -23,10 +25,13 @@ import argparse
 import os
 import re
 import sys
+from dataclasses import asdict
 from typing import Iterable
 
-from .config import SCHEMA, ConfigBuilder, RunConfig
-from .decoherence import total_budget
+import numpy as np
+
+from .config import SCHEMA, RunConfig, load_config
+from .decoherence import ChannelToggles, DecoherenceBudget, total_budget
 from .dynamics import expansion_curve
 from .errors import ConfigError, DomainError, NumericalError, WaxsimError
 from .inference import bisect_lambda_mc, min_detectable_lambda
@@ -34,9 +39,9 @@ from .materials import drop_distance
 from .protocol import campaign_curve, campaign_to_csv, check_workers, run_campaign
 
 _TOGGLE_WORDS = {
-    "none": {"toggles.gas": False, "toggles.blackbody": False, "toggles.csl": False},
-    "standard": {"toggles.gas": True, "toggles.blackbody": True, "toggles.csl": False},
-    "all": {"toggles.gas": True, "toggles.blackbody": True, "toggles.csl": True},
+    "none": ChannelToggles.none(),
+    "standard": ChannelToggles.standard(),
+    "all": ChannelToggles(),
 }
 
 
@@ -145,45 +150,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    builder = ConfigBuilder()
+    """The config file, then the flags: preset, toggle word, channel flags, keys."""
     path = args.config or os.environ.get("WAXSIM_CONFIG") or None
+    text = None
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        builder.read_text(text, source=path)
-    if args.preset:
-        builder.set_raw("environment.preset", args.preset)
+    overrides = [("environment.preset", args.preset)] if args.preset else []
     if args.toggles:
-        for key, value in _TOGGLE_WORDS[args.toggles].items():
-            builder.set_value(key, value)
-    if args.no_gas:
-        builder.set_value("toggles.gas", False)
-    if args.no_blackbody:
-        builder.set_value("toggles.blackbody", False)
-    if args.csl:
-        builder.set_value("toggles.csl", True)
-    for key in SCHEMA:
-        raw = getattr(args, key.replace(".", "__"), None)
-        if raw is not None:
-            builder.set_raw(key, raw)
-    return builder.finalize()
+        channels = asdict(_TOGGLE_WORDS[args.toggles])
+        overrides += [(f"toggles.{name}", str(on)) for name, on in channels.items()]
+    overrides += [
+        (key, raw)
+        for key, raw, given in (
+            ("toggles.gas", "false", args.no_gas),
+            ("toggles.blackbody", "false", args.no_blackbody),
+            ("toggles.csl", "true", args.csl),
+        )
+        if given
+    ]
+    overrides += [
+        (key, raw)
+        for key in SCHEMA
+        if (raw := getattr(args, key.replace(".", "__"), None)) is not None
+    ]
+    return load_config(text, path or "<config>", overrides)
 
 
-def _budget_warnings(config: RunConfig) -> list[str]:
-    """Validity warnings of the configured budget, as ``expand`` reports them."""
-    budget = total_budget(
+def _budget(config: RunConfig) -> DecoherenceBudget:
+    return total_budget(
         config.particle(), config.environment(), config.csl(), config.toggles()
     )
-    return list(budget.warnings)
 
 
 def _cmd_rates(config: RunConfig, args) -> tuple[str, list[str]]:
-    budget = total_budget(
-        config.particle(), config.environment(), config.csl(), config.toggles()
-    )
+    budget = _budget(config)
     rows = [
         ("blackbody_scattering", budget.blackbody_scattering),
         ("blackbody_absorption", budget.blackbody_absorption),
@@ -211,35 +215,25 @@ def _cmd_expand(config: RunConfig, args) -> tuple[str, list[str]]:
 
 
 def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[str]]:
-    if args.dump_samples:
-        data = run_campaign(
-            config.campaign(),
-            config.particle(),
-            config.environment(),
-            config.csl(),
-            config.toggles(),
-            config.trap_frequency(),
-            workers=args.workers,
-        )
-        return data.csv_chunks(), _budget_warnings(config)
-    estimates = campaign_curve(
+    model = (
         config.campaign(),
         config.particle(),
         config.environment(),
         config.csl(),
         config.toggles(),
         config.trap_frequency(),
-        workers=args.workers,
     )
-    return campaign_to_csv(estimates), _budget_warnings(config)
+    if args.dump_samples:
+        text = run_campaign(*model, workers=args.workers).csv_chunks()
+    else:
+        text = campaign_to_csv(campaign_curve(*model, workers=args.workers))
+    return text, list(_budget(config).warnings)
 
 
 def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
     if args.oracle_seeds < 1:
         raise ConfigError(f"--oracle-seeds must be >= 1, got {args.oracle_seeds}")
     n_sweep = config.get("bound.n_sweep")
-    if not n_sweep:
-        raise ConfigError("bound.n_sweep must be non-empty")
     grid = config.get("campaign.time_grid_s")
     kwargs = dict(
         particle=config.particle(),
@@ -255,7 +249,7 @@ def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
 
     results = [min_detectable_lambda(n, grid, **kwargs) for n in n_sweep]
 
-    warnings = _budget_warnings(config)
+    warnings = list(_budget(config).warnings)
     if args.oracle_check:
         seeds = list(range(1, args.oracle_seeds + 1))
         for n, res in zip(n_sweep, results):
@@ -327,17 +321,23 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_join_dash_values(argv))
     try:
         check_workers(getattr(args, "workers", None), "--workers")
-        config = _resolve_config(args)
-        if args.print_config:
-            _emit(config.canonical_text(), args.output)
-            return 0
-        text, warnings = _COMMANDS[args.command](config, args)
-        _emit(text, args.output)
+        # an overflow, a division by zero or a nan is a numerical failure,
+        # never an inf or nan in the output
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            config = _resolve_config(args)
+            if args.print_config:
+                _emit(config.canonical_text(), args.output)
+                return 0
+            text, warnings = _COMMANDS[args.command](config, args)
+            _emit(text, args.output)
     except (ConfigError, DomainError) as exc:
         print(f"waxsim: error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, WaxsimError) as exc:
         print(f"waxsim: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # OverflowError, ZeroDivisionError, FloatingPointError
+        print(f"waxsim: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         reason = str(exc) or "allocation failed"

@@ -18,16 +18,17 @@ import numpy as np
 
 from .constants import amu
 from .decoherence import ChannelToggles, CSLParams
-from .dynamics import check_occupancy, check_time_grid
+from .dynamics import check_time_grid, initial_state
 from .errors import ConfigError, DomainError
 from .inference import DetectionConfig
 from .materials import (
     AIR_MOLECULE_MASS,
-    H2_MOLECULE_MASS,
     Environment,
     Particle,
+    ground_environment,
+    space_environment,
 )
-from .protocol import CampaignConfig, check_noise
+from .protocol import CampaignConfig, _check_runs
 
 # key -> (type, default, unit, help)
 SCHEMA: dict[str, tuple[str, object, str, str]] = {
@@ -73,18 +74,13 @@ _ENUMS = {
 
 # keys a named environment preset supplies when not set explicitly
 _PRESET_VALUES = {
-    "ground": {
-        "environment.temperature_k": 300.0,
-        "environment.gas_pressure_pa": 1e-5,
-        "environment.gas_particle_mass_kg": AIR_MOLECULE_MASS,
-        "environment.gas_temperature_k": 300.0,
-    },
-    "space": {
-        "environment.temperature_k": 35.0,
-        "environment.gas_pressure_pa": 1e-12,
-        "environment.gas_particle_mass_kg": H2_MOLECULE_MASS,
-        "environment.gas_temperature_k": 35.0,
-    },
+    env.preset: {
+        "environment.temperature_k": env.temperature,
+        "environment.gas_pressure_pa": env.gas_pressure,
+        "environment.gas_particle_mass_kg": env.gas_particle_mass,
+        "environment.gas_temperature_k": env.gas_temperature,
+    }
+    for env in (ground_environment(), space_environment())
 }
 
 
@@ -173,12 +169,6 @@ class ConfigBuilder:
         self.values[key] = value
         self.explicit.add(key)
 
-    def set_value(self, key: str, value) -> None:
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        self.values[key] = value
-        self.explicit.add(key)
-
     def read_text(self, text: str, source: str = "<config>") -> None:
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -204,13 +194,17 @@ class ConfigBuilder:
             check_time_grid(values["campaign.time_grid_s"])
         except DomainError as exc:
             raise ConfigError(f"campaign.time_grid_s: {exc}") from exc
-        # every command, whether or not it samples, rejects the same inputs
-        check_noise(
-            values["campaign.measurement_noise_m"],
-            values["campaign.drift_velocity_std_m_s"],
-        )
-        check_occupancy(values["trap.occupancy"])
-        return RunConfig(values)
+        config = RunConfig(values)
+        # every command, whatever models it evaluates, rejects the same
+        # inputs: build each model object once (initial_state checks the trap)
+        for build in (config.campaign, config.environment, config.csl, config.detection):
+            build()
+        initial_state(config.particle(), config.trap_frequency(), config.get("trap.occupancy"))
+        if not values["bound.n_sweep"]:
+            raise ConfigError("bound.n_sweep must be non-empty")
+        for n in values["bound.n_sweep"]:
+            _check_runs(n, "n_per_time")
+        return config
 
 
 class RunConfig:

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import amu, c, hbar, kB
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .materials import Environment, Particle
 
 #: 8! * zeta(9) * 8 / (9 pi), prefactor of the thermal-scattering rate.
@@ -119,7 +119,7 @@ class BlackbodyRates:
 
 @dataclass(frozen=True)
 class DecoherenceBudget:
-    """Per-channel localization rates [m^-2 s^-1]; disabled channels are 0."""
+    """Per-channel localization rates [m^-2 s^-1]; disabled channels are 0, the total finite."""
 
     blackbody_scattering: float
     blackbody_absorption: float
@@ -127,6 +127,12 @@ class DecoherenceBudget:
     gas_collisions: float
     csl: float
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.total):
+            raise NumericalError(
+                f"localization budget is not finite: total {self.total} m^-2 s^-1"
+            )
 
     @property
     def total(self) -> float:
@@ -192,6 +198,11 @@ def lambda_blackbody(particle: Particle, env: Environment) -> BlackbodyRates:
     return BlackbodyRates(scattering, absorption, emission, tuple(warnings))
 
 
+def _mean_gas_speed(env: Environment) -> float:
+    """vbar = sqrt(2 kB T_g / m_g) [m/s], the speed of both gas-channel formulas."""
+    return math.sqrt(2.0 * kB * env.gas_temperature / env.gas_particle_mass)
+
+
 def lambda_gas(particle: Particle, env: Environment) -> float:
     """Localization rate from diffuse scattering of residual gas molecules.
 
@@ -209,7 +220,7 @@ def lambda_gas(particle: Particle, env: Environment) -> float:
         raise DomainError("gas_particle_mass must be > 0 at nonzero pressure")
     if env.gas_temperature <= 0.0:
         raise DomainError("gas_temperature must be > 0 at nonzero pressure")
-    vbar = math.sqrt(2.0 * kB * env.gas_temperature / env.gas_particle_mass)
+    vbar = _mean_gas_speed(env)
     return (
         _GAS_PREFACTOR
         * env.gas_particle_mass
@@ -288,8 +299,7 @@ def total_budget(
         gas = lambda_gas(particle, env)
         if env.gas_pressure > 0.0:
             gas_wavelength = 2.0 * math.pi * hbar / (
-                env.gas_particle_mass
-                * math.sqrt(2.0 * kB * env.gas_temperature / env.gas_particle_mass)
+                env.gas_particle_mass * _mean_gas_speed(env)
             )
             if gas_wavelength > particle.radius / _VALIDITY_FACTOR:
                 warnings.append(

@@ -78,7 +78,7 @@ class GaussianState:
             raise DomainError(f"p_var must be > 0, got {self.p_var}")
         bound = 0.25 * hbar * hbar * (1.0 - _PURITY_TOLERANCE)
         allowance = heisenberg_allowance(self.x_var, self.xp_cov, self.p_var)
-        if self.x_var * self.p_var - self.xp_cov**2 < bound - allowance:
+        if self.heisenberg_product < bound - allowance:
             raise DomainError(
                 "moments violate the Heisenberg bound: "
                 f"x_var*p_var - xp_cov^2 = {self.heisenberg_product:.6e} < hbar^2/4"
@@ -128,6 +128,16 @@ def initial_state(
     )
 
 
+def _check_evolution(mass: float, localization_rate: float, t: float) -> None:
+    """The mass, rate and time checks of :func:`evolve_free` and :func:`evolve_numeric`."""
+    if mass <= 0.0:
+        raise DomainError(f"mass must be > 0, got {mass}")
+    if localization_rate < 0.0:
+        raise DomainError(f"localization_rate must be >= 0, got {localization_rate}")
+    if t < 0.0:
+        raise DomainError(f"t must be >= 0, got {t}")
+
+
 def evolve_free(
     state: GaussianState, mass: float, localization_rate: float, t: float
 ) -> GaussianState:
@@ -152,14 +162,7 @@ def evolve_free(
         x_var(t)  = x_var0 + 2 xp_cov0 t/m + p_var0 t^2/m^2
                     + (2/3) hbar^2 Lambda t^3/m^2
     """
-    if mass <= 0.0:
-        raise DomainError(f"mass must be > 0, got {mass}")
-    if localization_rate < 0.0:
-        raise DomainError(
-            f"localization_rate must be >= 0, got {localization_rate}"
-        )
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
+    _check_evolution(mass, localization_rate, t)
     h2L = hbar * hbar * localization_rate
     return GaussianState(
         x_var=_x_var_free(state, mass, localization_rate, t),
@@ -219,15 +222,7 @@ def evolve_numeric(
     -------
     GaussianState
     """
-    if mass <= 0.0:
-        raise DomainError(f"mass must be > 0, got {mass}")
-    if localization_rate < 0.0:
-        raise DomainError(
-            f"localization_rate must be >= 0, got {localization_rate}"
-        )
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-
+    _check_evolution(mass, localization_rate, t)
     h2L2 = 2.0 * hbar * hbar * localization_rate
 
     def deriv(_t: float, y: np.ndarray) -> np.ndarray:
@@ -281,6 +276,31 @@ def _x_var_free(
     )
 
 
+def _total_variance(
+    times: np.ndarray,
+    particle: Particle,
+    env: Environment,
+    csl: CSLParams | None,
+    toggles: ChannelToggles,
+    trap_frequency: float,
+    occupancy: float,
+    measurement_noise: float,
+    drift_velocity_std: float,
+) -> tuple[DecoherenceBudget, np.ndarray]:
+    """The budget and the per-draw variance at each time [m^2].
+
+    The one variance model, x_var(t) + (drift t)^2 + noise^2: campaigns
+    (:func:`waxsim.protocol.sampling_sigma`) sample with it, the detection
+    bound and its oracle (:mod:`waxsim.inference`) predict with it with the
+    collapse channel off, and :func:`expansion_curve` takes it with both
+    instrumental terms at 0.
+    """
+    budget = total_budget(particle, env, csl, toggles)
+    state0 = initial_state(particle, trap_frequency, occupancy)
+    x_var = _x_var_free(state0, particle.mass, budget.total, times)
+    return budget, x_var + (drift_velocity_std * times) ** 2 + measurement_noise**2
+
+
 def check_time_grid(time_grid: Sequence[float]) -> np.ndarray:
     """The grid as a float array, if it is a valid grid of expansion times.
 
@@ -316,9 +336,9 @@ def expansion_curve(
     """
     times = check_time_grid(time_grid)
 
-    budget = total_budget(particle, env, csl, toggles)
-    state0 = initial_state(particle, trap_frequency, occupancy)
-    x_var = _x_var_free(state0, particle.mass, budget.total, times)
+    budget, x_var = _total_variance(
+        times, particle, env, csl, toggles, trap_frequency, occupancy, 0.0, 0.0
+    )
     sigmas = np.sqrt(x_var)
 
     warnings = list(budget.warnings)

@@ -31,23 +31,17 @@ with 50 percent detection power, an order statistic of those rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .constants import LAMBDA_GRW, hbar
 from .decoherence import ChannelToggles, CSLParams, lambda_csl
-from .dynamics import check_time_grid
+from .dynamics import _total_variance, check_time_grid
 from .errors import DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
-from .protocol import (
-    CampaignConfig,
-    PositionSamples,
-    _total_variance,
-    check_noise,
-    run_campaign,
-)
+from .protocol import CampaignConfig, PositionSamples, _check_runs, check_noise, run_campaign
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,7 @@ class DetectionResult:
     """Smallest detectable collapse rate for a given campaign size.
 
     ``lambda_min_grw`` reports the same rate in units of the historical
-    reference value 1e-16 Hz.
+    reference value 1e-16 Hz; both must be finite.
     """
 
     lambda_min: float
@@ -77,9 +71,9 @@ class DetectionResult:
     n_per_time: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lambda_min < math.inf:
+        if not (0.0 < self.lambda_min and math.isfinite(self.lambda_min_grw)):
             raise DomainError(
-                f"lambda_min must be finite and > 0, got {self.lambda_min}"
+                f"lambda_min must be > 0 and finite in GRW units too, got {self.lambda_min}"
             )
 
     @property
@@ -110,14 +104,7 @@ def csl_sensitivity(
     t: float, particle: Particle, csl_geometry: CSLParams
 ) -> float:
     """d(variance excess)/d(lambda) at time t [m^2/Hz]."""
-    rate_per_hz = lambda_csl(
-        particle,
-        CSLParams(
-            collapse_rate=1.0,
-            correlation_length=csl_geometry.correlation_length,
-            reference_mass=csl_geometry.reference_mass,
-        ),
-    )
+    rate_per_hz = lambda_csl(particle, replace(csl_geometry, collapse_rate=1.0))
     return (2.0 / 3.0) * hbar * hbar * rate_per_hz * t**3 / particle.mass**2
 
 
@@ -142,6 +129,7 @@ def _chi_square_quantile(confidence_z: float, dof: int) -> float:
 def _detection_setup(
     n_per_time: int,
     time_grid: Sequence[float],
+    detection: DetectionConfig,
     particle: Particle,
     env: Environment,
     csl_geometry: CSLParams,
@@ -150,41 +138,34 @@ def _detection_setup(
     occupancy: float,
     measurement_noise: float,
     drift_velocity_std: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float | None]:
     """Validated inputs and the standard-physics prediction of a detection.
 
-    Returns ``(times, sens, var_std, se_var)``: the grid, the
+    Returns ``(times, sens, var_std, se_var, q)``: the grid, the
     :func:`csl_sensitivity` at each time, the per-draw variance with the
-    collapse channel off (drift and readout terms included) and its
-    standard error for N runs.
+    collapse channel off (drift and readout terms included), its standard
+    error for N runs, and the chi-square threshold (``None`` for
+    best-time aggregation).
     """
-    if n_per_time < 2:
-        raise DomainError(f"n_per_time must be >= 2, got {n_per_time}")
+    _check_runs(n_per_time, "n_per_time")
     check_noise(measurement_noise, drift_velocity_std)
     times = check_time_grid(time_grid)
-    sens = np.array(
-        [csl_sensitivity(t, particle, csl_geometry) for t in times]
-    )
+    # one time at a time: numpy's array power may round t**3 an ulp away
+    # from the scalar one, and the bound's bytes rest on the scalar
+    sens = np.array([csl_sensitivity(t, particle, csl_geometry) for t in times])
     if not np.any(sens > 0.0):
         raise DomainError(
             "no sensitivity to the collapse rate: grid has no positive times"
         )
-    std_toggles = ChannelToggles(
-        gas=toggles.gas, blackbody=toggles.blackbody, csl=False
-    )
-    var_std = _total_variance(
-        times,
-        particle,
-        env,
-        None,
-        std_toggles,
-        trap_frequency,
-        occupancy,
-        measurement_noise,
-        drift_velocity_std,
+    _, var_std = _total_variance(
+        times, particle, env, None, replace(toggles, csl=False), trap_frequency,
+        occupancy, measurement_noise, drift_velocity_std,
     )
     se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
-    return times, sens, var_std, se_var
+    q = None
+    if detection.aggregation == "chi-square-sum":
+        q = _chi_square_quantile(detection.confidence_z, times.size)
+    return times, sens, var_std, se_var, q
 
 
 def min_detectable_lambda(
@@ -224,27 +205,18 @@ def min_detectable_lambda(
         ``best_time`` is the most sensitive grid time (the minimizer for
         best-time aggregation).
     """
-    times, sens, _, se_var = _detection_setup(
-        n_per_time,
-        time_grid,
-        particle,
-        env,
-        csl_geometry,
-        toggles,
-        trap_frequency,
-        occupancy,
-        measurement_noise,
-        drift_velocity_std,
+    times, sens, _, se_var, q = _detection_setup(
+        n_per_time, time_grid, detection, particle, env, csl_geometry, toggles,
+        trap_frequency, occupancy, measurement_noise, drift_velocity_std,
     )
     usable = sens > 0.0
     per_time = np.full(times.size, np.inf)
     per_time[usable] = detection.confidence_z * se_var[usable] / sens[usable]
     best = int(np.argmin(per_time))
 
-    if detection.aggregation == "best-time":
+    if q is None:
         lam = float(per_time[best])
     else:
-        q = _chi_square_quantile(detection.confidence_z, times.size)
         lam = float(np.sqrt(q / np.sum((sens[usable] / se_var[usable]) ** 2)))
     return DetectionResult(
         lambda_min=lam, best_time=float(times[best]), n_per_time=n_per_time
@@ -269,26 +241,12 @@ def _seed_campaigns(
     """One simulated campaign per seed, collapse channel on at ``collapse_rate``."""
     if not seeds:
         raise DomainError("seeds must be non-empty")
-    csl = CSLParams(
-        collapse_rate=collapse_rate,
-        correlation_length=csl_geometry.correlation_length,
-        reference_mass=csl_geometry.reference_mass,
-    )
-    run_toggles = ChannelToggles(
-        gas=toggles.gas, blackbody=toggles.blackbody, csl=True
-    )
+    csl = replace(csl_geometry, collapse_rate=collapse_rate)
+    run_toggles = replace(toggles, csl=True)
+    plan = CampaignConfig(times, n_per_time, measurement_noise, drift_velocity_std, occupancy)
     for seed in seeds:
-        config = CampaignConfig(
-            time_grid=times,
-            runs_per_time=n_per_time,
-            measurement_noise=measurement_noise,
-            drift_velocity_std=drift_velocity_std,
-            occupancy=occupancy,
-            rng_seed=int(seed),
-        )
-        yield run_campaign(
-            config, particle, env, csl, run_toggles, trap_frequency, workers
-        )
+        config = replace(plan, rng_seed=int(seed))
+        yield run_campaign(config, particle, env, csl, run_toggles, trap_frequency, workers)
 
 
 def detection_power_mc(
@@ -315,14 +273,13 @@ def detection_power_mc(
     """
     model = (particle, env, csl_geometry, toggles, trap_frequency, occupancy,
              measurement_noise, drift_velocity_std)
-    times, _, var_std, se_var = _detection_setup(n_per_time, time_grid, *model)
-    if detection.aggregation == "chi-square-sum":
-        q = _chi_square_quantile(detection.confidence_z, times.size)
-
+    times, _, var_std, se_var, q = _detection_setup(
+        n_per_time, time_grid, detection, *model
+    )
     detected = 0
     for data in _seed_campaigns(seeds, collapse_rate, n_per_time, times, *model):
         z = (data.var_hat - var_std) / se_var
-        if detection.aggregation == "best-time":
+        if q is None:
             hit = bool(np.max(z) >= detection.confidence_z)
         else:
             hit = bool(np.sum(z**2) >= q)
@@ -350,7 +307,7 @@ def _critical_rate(
     """
     a = var_hat - var_std
     b = var_hat / v0 * sens
-    if detection.aggregation == "best-time":
+    if q is None:
         # a time with no sensitivity detects at every rate or at none
         gap = detection.confidence_z * se_var - a
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -423,11 +380,9 @@ def bisect_lambda_mc(
         raise DomainError(f"power_target must be in (0, 1], got {power_target}")
     model = (particle, env, csl_geometry, toggles, trap_frequency, occupancy,
              measurement_noise, drift_velocity_std)
-    times, sens, var_std, se_var = _detection_setup(n_per_time, time_grid, *model)
-    q = None
-    if detection.aggregation == "chi-square-sum":
-        q = _chi_square_quantile(detection.confidence_z, times.size)
-
+    times, sens, var_std, se_var, q = _detection_setup(
+        n_per_time, time_grid, detection, *model
+    )
     rates = []
     for data in _seed_campaigns(seeds, 0.0, n_per_time, times, *model, workers):
         rates.append(

@@ -60,9 +60,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .decoherence import ChannelToggles, CSLParams, total_budget
-from .dynamics import _x_var_free, check_occupancy, check_time_grid, initial_state
-from .errors import DomainError
+from .decoherence import ChannelToggles, CSLParams
+from .dynamics import _total_variance, check_occupancy, check_time_grid
+from .errors import DomainError, NumericalError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
 
 
@@ -83,7 +83,7 @@ class CampaignConfig:
     occupancy : float
         Mean phonon number of the prepared trap state, >= 0.
     rng_seed : int
-        64-bit campaign seed.
+        Campaign seed, >= 0.
     """
 
     time_grid: tuple[float, ...]
@@ -96,12 +96,11 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "time_grid", tuple(float(t) for t in self.time_grid))
         check_time_grid(self.time_grid)
-        if self.runs_per_time < 2:
-            raise DomainError(
-                f"runs_per_time must be >= 2, got {self.runs_per_time}"
-            )
+        _check_runs(self.runs_per_time, "runs_per_time")
         check_noise(self.measurement_noise, self.drift_velocity_std)
         check_occupancy(self.occupancy)
+        if self.rng_seed < 0:
+            raise DomainError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,6 +240,12 @@ def check_noise(measurement_noise: float, drift_velocity_std: float) -> None:
         raise DomainError("drift_velocity_std must be >= 0")
 
 
+def _check_runs(runs: int, name: str) -> None:
+    """Reject fewer than 2 runs per grid time: a variance needs two."""
+    if runs < 2:
+        raise DomainError(f"{name} must be >= 2, got {runs}")
+
+
 def check_workers(workers: int | None, name: str = "workers") -> None:
     """Reject a thread count below 1; ``None`` means the default."""
     if workers is not None and workers < 1:
@@ -272,28 +277,6 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _total_variance(
-    times: np.ndarray,
-    particle: Particle,
-    env: Environment,
-    csl: CSLParams | None,
-    toggles: ChannelToggles,
-    trap_frequency: float,
-    occupancy: float,
-    measurement_noise: float,
-    drift_velocity_std: float,
-) -> np.ndarray:
-    """Per-draw variance at each time [m^2]: x_var(t) + (drift t)^2 + noise^2.
-
-    The one variance model: campaigns sample with it, and the detection bound
-    and its oracle predict with it, with the collapse channel off.
-    """
-    budget = total_budget(particle, env, csl, toggles)
-    state0 = initial_state(particle, trap_frequency, occupancy)
-    x_var = _x_var_free(state0, particle.mass, budget.total, times)
-    return x_var + (drift_velocity_std * times) ** 2 + measurement_noise**2
-
-
 def sampling_sigma(
     config: CampaignConfig,
     particle: Particle,
@@ -303,19 +286,11 @@ def sampling_sigma(
     trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
 ) -> np.ndarray:
     """Total per-draw standard deviation at each grid time [m]."""
-    return np.sqrt(
-        _total_variance(
-            np.asarray(config.time_grid),
-            particle,
-            env,
-            csl,
-            toggles,
-            trap_frequency,
-            config.occupancy,
-            config.measurement_noise,
-            config.drift_velocity_std,
-        )
+    _, variance = _total_variance(
+        np.asarray(config.time_grid), particle, env, csl, toggles, trap_frequency,
+        config.occupancy, config.measurement_noise, config.drift_velocity_std,
     )
+    return np.sqrt(variance)
 
 
 def _draw_tile(
@@ -389,6 +364,11 @@ def run_campaign(
     DomainError
         If ``workers`` is below 1, or the per-tile moment table would not
         fit in the host's physical memory.
+    NumericalError
+        If a row's sample variance overflows double precision.
+
+    Pool tasks run under the caller's numpy floating-point error state, as
+    the serial path does.
     """
     check_workers(workers)
     times = np.asarray(config.time_grid)
@@ -403,17 +383,20 @@ def run_campaign(
     moments = np.empty(count, _MOMENTS)
     undrawn = iter(range(count))
     lock = threading.Lock()
+    # numpy's floating-point error state is per thread: carry the caller's
+    errors = np.geterr()
 
     def drain(buffers: np.ndarray) -> None:
         """Draw the next undrawn tile until none is left; record its moments."""
         out, dev = buffers
-        while True:
-            with lock:
-                k = next(undrawn, None)
-            if k is None:
-                return
-            tile = view.draw_tile(k, out)[2]
-            moments[k] = _tile_moments(tile, dev[: tile.size])
+        with np.errstate(**errors):
+            while True:
+                with lock:
+                    k = next(undrawn, None)
+                if k is None:
+                    return
+                tile = view.draw_tile(k, out)[2]
+                moments[k] = _tile_moments(tile, dev[: tile.size])
 
     if workers is None:
         workers = _available_cpus() if view.size >= PARALLEL_MIN_DRAWS else 1
@@ -429,6 +412,8 @@ def run_campaign(
         _merged_moments(moments[k : k + per_row].tolist())[2] / (n - 1)
         for k in range(0, count, per_row)
     ])
+    if not np.all(np.isfinite(var_hat)):
+        raise NumericalError("sample variance overflows double precision")
     return PositionSamples(times, view, sigmas, var_hat)
 
 

@@ -12,7 +12,7 @@ import pytest
 import waxsim.cli as cli
 from waxsim import protocol
 from waxsim.config import ConfigBuilder, default_config, load_config
-from waxsim.errors import ConfigError, NumericalError
+from waxsim.errors import ConfigError, DomainError, NumericalError
 from waxsim.protocol import CampaignConfig, run_campaign
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -119,11 +119,10 @@ class TestConfigParsing:
         assert cfg.environment().temperature == 32.0
 
     def test_preset_conflict_is_an_error(self):
-        cfg = load_config(
-            "environment.preset = space\nenvironment.temperature_k = 300.0\n"
-        )
-        with pytest.raises(Exception):
-            cfg.environment()
+        with pytest.raises(DomainError, match="space preset"):
+            load_config(
+                "environment.preset = space\nenvironment.temperature_k = 300.0\n"
+            )
 
     @pytest.mark.parametrize("grid", ["", "5,5,10", "10,5", "-1,5", "0:0:3"])
     def test_bad_time_grid_rejected(self, grid):
@@ -365,6 +364,26 @@ class TestCli:
     def test_negative_occupancy_exits_2_on_every_command(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--trap.occupancy=-1")
         assert (code, out, err) == (2, "", "waxsim: error: occupancy must be >= 0, got -1.0\n")
+
+    @pytest.mark.parametrize("command", ["rates", "expand", "campaign", "bound", "feasibility"])
+    @pytest.mark.parametrize(
+        "flag, reason",
+        [
+            ("--detection.confidence_z=-1", "confidence_z must be > 0"),
+            ("--campaign.runs_per_time=1", "runs_per_time must be >= 2, got 1"),
+            ("--bound.n_sweep=1", "n_per_time must be >= 2, got 1"),
+            ("--bound.n_sweep=", "bound.n_sweep must be non-empty"),
+            ("--trap.frequency_hz=-1", "trap_frequency must be > 0, got -6.283185307179586"),
+            ("--particle.radius_m=-1", "radius must be > 0, got -1.0"),
+            ("--environment.temperature_k=-1", "temperature must be >= 0, got -1.0"),
+            ("--csl.correlation_length_m=-1", "correlation_length must be > 0, got -1.0"),
+            ("--campaign.seed=-1", "rng_seed must be >= 0, got -1"),
+        ],
+    )
+    def test_every_command_validates_the_whole_config(self, capsys, command, flag, reason):
+        # each key used to be rejected only by the commands whose models read it
+        code, out, err = run_cli(capsys, command, flag)
+        assert (code, out, err) == (2, "", f"waxsim: error: {reason}\n")
 
     def test_chi_square_underflowing_z_exits_cleanly(self, capsys):
         code, out, err = run_cli(

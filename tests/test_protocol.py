@@ -14,6 +14,7 @@ from waxsim import (
     ChannelToggles,
     CSLParams,
     DomainError,
+    NumericalError,
     bisect_lambda_mc,
     campaign_curve,
     campaign_to_csv,
@@ -56,6 +57,27 @@ class TestCampaignConfig:
     def test_rejects_negative_occupancy(self):
         with pytest.raises(DomainError, match=r"^occupancy must be >= 0, got -1.0$"):
             make_config(occupancy=-1.0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match=r"^rng_seed must be >= 0, got -1$"):
+            make_config(rng_seed=-1)
+
+
+class TestNumericalFailure:
+    def test_overflowing_variance_is_refused(self, silica, ground):
+        # (drift t)^2 overflows to inf; numpy is told only to stay quiet
+        config = make_config(drift_velocity_std=1e160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="sample variance overflows"):
+                run_campaign(config, silica, ground)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_tasks_keep_the_callers_error_state(self, silica, ground, workers):
+        # the tile sums of squares overflow; numpy's error state is per thread
+        config = make_config(time_grid=(10.0,), drift_velocity_std=1e152, runs_per_time=1000)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                run_campaign(config, silica, ground, workers=workers)
 
 
 class TestDeterminism:

@@ -42,6 +42,7 @@ from .inference import (
     DetectionConfig,
     DetectionResult,
     bisect_lambda_mc,
+    bisect_lambda_mc_sweep,
     csl_sensitivity,
     detection_power_mc,
     min_detectable_lambda,
@@ -104,6 +105,7 @@ __all__ = [
     "WidthEstimate",
     "amu",
     "bisect_lambda_mc",
+    "bisect_lambda_mc_sweep",
     "c",
     "campaign_curve",
     "campaign_to_csv",

@@ -34,7 +34,7 @@ from .config import SCHEMA, RunConfig, load_config
 from .decoherence import ChannelToggles, DecoherenceBudget, total_budget
 from .dynamics import expansion_curve
 from .errors import ConfigError, DomainError, NumericalError, WaxsimError
-from .inference import bisect_lambda_mc, min_detectable_lambda
+from .inference import bisect_lambda_mc_sweep, min_detectable_lambda
 from .materials import drop_distance
 from .protocol import campaign_curve, campaign_to_csv, check_workers, run_campaign
 
@@ -224,7 +224,8 @@ def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[st
         config.trap_frequency(),
     )
     if args.dump_samples:
-        text = run_campaign(*model, workers=args.workers).csv_chunks()
+        # the dump re-draws its tiles as it writes them; no width is merged
+        text = run_campaign(*model, run_counts=()).csv_chunks()
     else:
         text = campaign_to_csv(campaign_curve(*model, workers=args.workers))
     return text, list(_budget(config).warnings)
@@ -252,8 +253,8 @@ def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
     warnings = list(_budget(config).warnings)
     if args.oracle_check:
         seeds = list(range(1, args.oracle_seeds + 1))
-        for n, res in zip(n_sweep, results):
-            mc = bisect_lambda_mc(n, grid, seeds=seeds, workers=args.workers, **kwargs)
+        oracle = bisect_lambda_mc_sweep(n_sweep, grid, seeds=seeds, workers=args.workers, **kwargs)
+        for n, res, mc in zip(n_sweep, results, oracle):
             if not (0.5 <= mc / res.lambda_min <= 2.0):
                 warnings.append(
                     f"oracle check failed at N={n}: closed form "

@@ -27,12 +27,14 @@ Both are closed-form because the excess is linear in lambda.
 one campaign per seed through :mod:`waxsim.protocol`, finds the exact rate
 at which each seed is detected at the same threshold, and returns the rate
 with 50 percent detection power, an order statistic of those rates.
+``bisect_lambda_mc_sweep`` does this for every N of a sweep from one
+campaign per seed at the largest N, reading each N from a run prefix.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +43,9 @@ from .decoherence import ChannelToggles, CSLParams, lambda_csl
 from .dynamics import _total_variance, check_time_grid
 from .errors import DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
-from .protocol import CampaignConfig, PositionSamples, _check_runs, check_noise, run_campaign
+from .protocol import (
+    CampaignConfig, PositionSamples, _check_runs, _thread_map, check_noise, run_campaign,
+)
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,8 @@ def min_detectable_lambda(
     )
 
 
-def _seed_campaigns(
+def _over_seeds(
+    read: Callable[[PositionSamples], object],
     seeds: Sequence[int],
     collapse_rate: float,
     n_per_time: int,
@@ -237,16 +242,32 @@ def _seed_campaigns(
     measurement_noise: float,
     drift_velocity_std: float,
     workers: int | None = None,
-) -> Iterator[PositionSamples]:
-    """One simulated campaign per seed, collapse channel on at ``collapse_rate``."""
+    run_counts: Sequence[int] | None = None,
+) -> list:
+    """``read`` of one simulated campaign per seed, in seed order.
+
+    The collapse channel is on at ``collapse_rate``. An explicit ``workers``
+    above 1 runs the seeds' campaigns on one pool of that many threads,
+    each campaign serial; otherwise the seeds run one after another and
+    ``workers`` goes to each :func:`waxsim.protocol.run_campaign`.
+    """
     if not seeds:
         raise DomainError("seeds must be non-empty")
     csl = replace(csl_geometry, collapse_rate=collapse_rate)
     run_toggles = replace(toggles, csl=True)
     plan = CampaignConfig(times, n_per_time, measurement_noise, drift_velocity_std, occupancy)
-    for seed in seeds:
+    pooled = workers is not None and workers > 1
+
+    def one(seed: int) -> object:
         config = replace(plan, rng_seed=int(seed))
-        yield run_campaign(config, particle, env, csl, run_toggles, trap_frequency, workers)
+        return read(run_campaign(
+            config, particle, env, csl, run_toggles, trap_frequency,
+            1 if pooled else workers, run_counts,
+        ))
+
+    if pooled:
+        return _thread_map(one, seeds, workers)
+    return [one(seed) for seed in seeds]
 
 
 def detection_power_mc(
@@ -276,15 +297,14 @@ def detection_power_mc(
     times, _, var_std, se_var, q = _detection_setup(
         n_per_time, time_grid, detection, *model
     )
-    detected = 0
-    for data in _seed_campaigns(seeds, collapse_rate, n_per_time, times, *model):
+
+    def detected(data: PositionSamples) -> bool:
         z = (data.var_hat - var_std) / se_var
         if q is None:
-            hit = bool(np.max(z) >= detection.confidence_z)
-        else:
-            hit = bool(np.sum(z**2) >= q)
-        detected += hit
-    return detected / len(seeds)
+            return bool(np.max(z) >= detection.confidence_z)
+        return bool(np.sum(z**2) >= q)
+
+    return sum(_over_seeds(detected, seeds, collapse_rate, n_per_time, times, *model)) / len(seeds)
 
 
 def _critical_rate(
@@ -368,29 +388,74 @@ def bisect_lambda_mc(
     share reaches ``power_target``, in (0, 1]: an order statistic of the
     per-seed rates. The campaigns are simulated, not modelled, so the
     result stays an independent check of :func:`min_detectable_lambda`.
-    ``workers`` is passed to each :func:`waxsim.protocol.run_campaign` call
-    and changes only wall time.
+    ``workers`` changes only wall time (see :func:`bisect_lambda_mc_sweep`,
+    whose one-N case this is).
 
     Returns
     -------
     float
         The rate [Hz], >= 0.
     """
+    return bisect_lambda_mc_sweep(
+        (n_per_time,), time_grid, particle, env, csl_geometry, seeds, toggles,
+        detection, trap_frequency, occupancy, measurement_noise,
+        drift_velocity_std, power_target, workers,
+    )[0]
+
+
+def bisect_lambda_mc_sweep(
+    n_sweep: Sequence[int],
+    time_grid: Sequence[float],
+    particle: Particle,
+    env: Environment,
+    csl_geometry: CSLParams = CSLParams(collapse_rate=0.0),
+    seeds: Sequence[int] = (),
+    toggles: ChannelToggles = ChannelToggles.standard(),
+    detection: DetectionConfig = DetectionConfig(),
+    trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
+    occupancy: float = 0.0,
+    measurement_noise: float = 0.0,
+    drift_velocity_std: float = 0.0,
+    power_target: float = 0.5,
+    workers: int | None = None,
+) -> list[float]:
+    """:func:`bisect_lambda_mc` at each N of ``n_sweep``, in sweep order.
+
+    Each seed's campaign is simulated once, at the largest N. Run r of grid
+    time i is the r-th draw of the stream keyed by (seed, i) whatever the
+    campaign size, so the first N runs of that campaign are the N-run
+    campaign of the same seed, and each N reads its row variances from that
+    run prefix (see :func:`waxsim.protocol.run_campaign`). Every rate is
+    bit-identical to a separate :func:`bisect_lambda_mc` call.
+
+    An explicit ``workers`` above 1 simulates the seeds' campaigns on one
+    pool of that many threads; otherwise it is passed to each
+    :func:`waxsim.protocol.run_campaign` call. It changes only wall time.
+    """
     if not 0.0 < power_target <= 1.0:
         raise DomainError(f"power_target must be in (0, 1], got {power_target}")
+    if not n_sweep:
+        raise DomainError("n_sweep must be non-empty")
     model = (particle, env, csl_geometry, toggles, trap_frequency, occupancy,
              measurement_noise, drift_velocity_std)
-    times, sens, var_std, se_var, q = _detection_setup(
-        n_per_time, time_grid, detection, *model
-    )
-    rates = []
-    for data in _seed_campaigns(seeds, 0.0, n_per_time, times, *model, workers):
-        rates.append(
-            _critical_rate(
-                data.var_hat, data.true_sigmas**2, sens, var_std, se_var, detection, q
-            )
+    # only the standard error depends on N
+    se_var = {}
+    for n in n_sweep:
+        times, sens, var_std, se_var[n], q = _detection_setup(
+            n, time_grid, detection, *model
         )
-    rates = np.sort(rates)
+
+    def critical_rates(data: PositionSamples) -> list[float]:
+        v0 = data.true_sigmas**2
+        return [
+            _critical_rate(data.var_hats[n], v0, sens, var_std, se_var[n], detection, q)
+            for n in n_sweep
+        ]
+
+    per_seed = _over_seeds(
+        critical_rates, seeds, 0.0, max(n_sweep), times, *model, workers, n_sweep
+    )
     # the first order statistic whose share of seeds reaches the target
-    shares = np.arange(1, rates.size + 1) / rates.size
-    return float(rates[np.searchsorted(shares, power_target)])
+    shares = np.arange(1, len(per_seed) + 1) / len(per_seed)
+    index = int(np.searchsorted(shares, power_target))
+    return [float(np.sort(rates)[index]) for rates in zip(*per_seed)]

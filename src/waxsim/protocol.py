@@ -32,6 +32,17 @@ pairwise update of Chan, Golub & LeVeque (Am. Stat. 37(3), 1983). The
 sample variance therefore depends on ``TILE_RUNS`` but not on ``workers``;
 a row of one tile gets exactly the value of ``np.var(row, ddof=1)``.
 
+Run prefixes: ``run_campaign(..., run_counts=ms)`` also merges each row's
+variance of its first m runs, for each m in ``ms``. Run r is the same draw
+whatever the campaign size, so the first m runs are the m-run campaign of
+the same seed. Tiles before the one that holds run m - 1 are whole in both;
+that tile is cut at m, and the worker that draws it also records the
+moments of its first runs. Merging the whole tiles and the cut one gives
+the m-run campaign's tile list in its order, so the variance is
+bit-identical to that campaign's.
+The Monte-Carlo oracle draws each seed once at the largest N of a sweep
+and reads every N from a prefix.
+
 Memory contract: ``run_campaign`` keeps no sample array. Each worker draws
 its tiles into one reused tile buffer and keeps only the tile's moments, a
 24-byte record per tile; that table is the only allocation that grows with
@@ -46,7 +57,8 @@ The raw-sample CSV is produced by ``PositionSamples.csv_chunks``, which
 re-draws the same tiles: the header, then one string per tile, so a caller
 that writes each chunk as it comes (``waxsim campaign --dump-samples``)
 holds O(tile) memory, whatever the campaign size. ``PositionSamples.to_csv``
-joins the chunks.
+joins the chunks. With ``run_counts=()`` a campaign merges no variance and
+draws nothing, so a dump built on it draws each tile once.
 """
 from __future__ import annotations
 
@@ -56,7 +68,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -172,14 +184,20 @@ class PositionSamples:
     ``samples`` is a :class:`CampaignSamples` view that re-draws the
     positions when read. ``true_sigmas`` holds the total standard deviation
     each row was drawn with (model width plus drift and readout terms).
-    ``var_hat`` holds each row's unbiased (ddof=1) sample variance, merged
-    from tile moments.
+    ``var_hats`` maps each run count ``m`` the campaign was asked for to
+    every row's unbiased (ddof=1) sample variance of runs ``[0, m)``,
+    merged from tile moments.
     """
 
     times: np.ndarray
     samples: CampaignSamples  # shape (len(times), runs_per_time)
     true_sigmas: np.ndarray
-    var_hat: np.ndarray
+    var_hats: dict[int, np.ndarray]
+
+    @property
+    def var_hat(self) -> np.ndarray:
+        """Each row's sample variance over all N runs (``KeyError`` if not asked for)."""
+        return self.var_hats[self.samples.runs]
 
     def csv_chunks(self) -> Iterator[str]:
         """Raw-sample CSV in pieces: the header, then one string per tile.
@@ -339,6 +357,7 @@ def run_campaign(
     toggles: ChannelToggles = ChannelToggles(),
     trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
     workers: int | None = None,
+    run_counts: Sequence[int] | None = None,
 ) -> PositionSamples:
     """Generate the synthetic position dataset for one campaign.
 
@@ -352,18 +371,26 @@ def run_campaign(
         threads. The default is the available CPUs for campaigns of at
         least ``PARALLEL_MIN_DRAWS`` draws and 1 below. Output is
         byte-identical to the serial path.
+    run_counts : sequence of int, optional
+        The run counts ``m``, each in ``[2, N]``, at which to merge each
+        row's sample variance of runs ``[0, m)``; the default is ``(N,)``.
+        The variance at ``m`` is bit-identical to that of an ``m``-run
+        campaign with the same seed, because it merges the same tiles in
+        the same order. An empty sequence draws nothing: the result is
+        only the re-drawing view.
 
     Returns
     -------
     PositionSamples
-        With each row's sample variance and a view that re-draws the
-        ``T x N`` samples on demand.
+        With each requested run count's row variances and a view that
+        re-draws the ``T x N`` samples on demand.
 
     Raises
     ------
     DomainError
-        If ``workers`` is below 1, or the per-tile moment table would not
-        fit in the host's physical memory.
+        If ``workers`` is below 1, a run count lies outside ``[2, N]``, or
+        the per-tile moment table would not fit in the host's physical
+        memory.
     NumericalError
         If a row's sample variance overflows double precision.
 
@@ -374,47 +401,83 @@ def run_campaign(
     times = np.asarray(config.time_grid)
     sigmas = sampling_sigma(config, particle, env, csl, toggles, trap_frequency)
     n = config.runs_per_time
+    counts = sorted({n} if run_counts is None else set(map(operator.index, run_counts)))
+    for m in counts:
+        if not 2 <= m <= n:
+            raise DomainError(f"run counts must lie in [2, {n}], got {m}")
     view = CampaignSamples(config.rng_seed, sigmas, n, TILE_RUNS)
-    per_row = view.tiles_per_row
+    if not counts:
+        return PositionSamples(times, view, sigmas, {})
+    per_row, tile_runs = view.tiles_per_row, view.tile_runs
     count = times.size * per_row
     _check_memory(
         count * _MOMENTS.itemsize, f"tile moments ({times.size} x {per_row} tiles)"
     )
     moments = np.empty(count, _MOMENTS)
+    # run count m ends in tile column (m - 1) // tile_runs; if it ends before
+    # that tile does, it also needs the moments of the tile's first runs
+    column = {m: (m - 1) // tile_runs for m in counts}
+    cut_at: dict[int, list[tuple[int, int]]] = {}  # column -> [(slot, runs kept)]
+    slot = {}
+    for m, j in column.items():
+        kept = m - j * tile_runs
+        if kept < min(tile_runs, n - j * tile_runs):
+            slot[m] = len(slot)
+            cut_at.setdefault(j, []).append((slot[m], kept))
+    cuts = np.empty((times.size, len(slot)), _MOMENTS)
     undrawn = iter(range(count))
     lock = threading.Lock()
-    # numpy's floating-point error state is per thread: carry the caller's
-    errors = np.geterr()
 
     def drain(buffers: np.ndarray) -> None:
         """Draw the next undrawn tile until none is left; record its moments."""
         out, dev = buffers
-        with np.errstate(**errors):
-            while True:
-                with lock:
-                    k = next(undrawn, None)
-                if k is None:
-                    return
-                tile = view.draw_tile(k, out)[2]
-                moments[k] = _tile_moments(tile, dev[: tile.size])
+        while True:
+            with lock:
+                k = next(undrawn, None)
+            if k is None:
+                return
+            i, a, tile = view.draw_tile(k, out)
+            moments[k] = _tile_moments(tile, dev[: tile.size])
+            for s, kept in cut_at.get(a // tile_runs, ()):
+                cuts[i, s] = _tile_moments(tile[:kept], dev[:kept])
 
     if workers is None:
         workers = _available_cpus() if view.size >= PARALLEL_MIN_DRAWS else 1
     # one task per thread, each with its own tile and scratch buffers
-    buffers = np.empty((min(workers, count), 2, min(n, TILE_RUNS)))
+    buffers = np.empty((min(workers, count), 2, min(n, tile_runs)))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for task in [pool.submit(drain, b) for b in buffers]:
-                task.result()
+        _thread_map(drain, buffers, workers)
     else:
         drain(buffers[0])
-    var_hat = np.array([
-        _merged_moments(moments[k : k + per_row].tolist())[2] / (n - 1)
-        for k in range(0, count, per_row)
-    ])
-    if not np.all(np.isfinite(var_hat)):
+
+    def row_variance(i: int, m: int) -> float:
+        """Row ``i``'s variance of runs ``[0, m)``, from the m-run campaign's tiles."""
+        j = column[m]
+        tiles = moments[i * per_row : i * per_row + j + 1].tolist()
+        if m in slot:
+            tiles[j] = cuts[i, slot[m]].item()
+        return _merged_moments(tiles)[2] / (m - 1)
+
+    var_hats = {m: np.array([row_variance(i, m) for i in range(times.size)]) for m in counts}
+    if not all(np.all(np.isfinite(v)) for v in var_hats.values()):
         raise NumericalError("sample variance overflows double precision")
-    return PositionSamples(times, view, sigmas, var_hat)
+    return PositionSamples(times, view, sigmas, var_hats)
+
+
+def _thread_map(func: Callable, items: Iterable, workers: int) -> list:
+    """``[func(item) for item in items]`` on a pool of ``workers`` threads.
+
+    Each call runs under the caller's numpy floating-point error state,
+    which is per thread and does not reach pool threads by itself.
+    """
+    errors = np.geterr()
+
+    def task(item):
+        with np.errstate(**errors):
+            return func(item)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, items))
 
 
 def _merged_moments(tiles: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:

@@ -504,7 +504,7 @@ class TestWorkers:
         assert run_cli(capsys, *self.ORACLE)[0] == 0
         assert requested == []  # the oracle's small campaigns run serially
         assert run_cli(capsys, *self.ORACLE, "--workers", "2")[0] == 0
-        assert requested == [2] * 16  # 4 rows x 4 seeds
+        assert requested == [2]  # one pool for the 4 seeds' campaigns
 
     @pytest.mark.parametrize("command", ["rates", "expand", "feasibility"])
     def test_commands_that_sample_nothing_reject_workers(self, capsys, command):
@@ -651,6 +651,19 @@ class TestStreamedDump:
         out, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (0, b"")
         assert out == target.read_bytes()
+
+    def test_dump_draws_each_tile_once(self, tmp_path, monkeypatch):
+        import scipy.special
+
+        calls = []
+        ndtri = scipy.special.ndtri
+        monkeypatch.setattr(
+            scipy.special, "ndtri", lambda *a, **k: calls.append(1) or ndtri(*a, **k)
+        )
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
+        assert cli.main([*argv, "-o", str(tmp_path / "dump.csv")]) == 0
+        assert len(calls) == 2 * 3  # 2 times x 3 tiles of at most 4 runs
 
     def test_dump_memory_is_one_tile(self, silica, ground, tmp_path):
         def emit_peak(tiles):

@@ -10,13 +10,16 @@ from waxsim import (
     DetectionResult,
     DomainError,
     bisect_lambda_mc,
+    bisect_lambda_mc_sweep,
     detection_power_mc,
     ground_environment,
     min_detectable_lambda,
     space_environment,
     variance_excess,
 )
+import waxsim.cli as cli
 import waxsim.inference as inference
+from waxsim import protocol
 from waxsim.config import default_config
 from waxsim.constants import LAMBDA_GRW
 from waxsim.inference import _chi_square_quantile
@@ -294,3 +297,72 @@ class TestExactOracle:
             120, GRID, silica, space, GEOMETRY, seeds=seeds,
         )
         assert calls == list(seeds)
+
+
+class TestOracleSweep:
+    """One campaign per seed at the largest N; each N reads a run prefix."""
+
+    SEEDS = range(1, 9)
+
+    @staticmethod
+    def model(aggregation="best-time"):
+        config = default_config()
+        return dict(
+            time_grid=config.get("campaign.time_grid_s"),
+            particle=config.particle(),
+            env=config.environment(),
+            csl_geometry=config.csl(),
+            toggles=config.toggles(),
+            detection=DetectionConfig(aggregation=aggregation),
+            trap_frequency=config.trap_frequency(),
+        )
+
+    def per_n(self, n_sweep, **model):
+        return [bisect_lambda_mc(n, seeds=self.SEEDS, **model) for n in n_sweep]
+
+    @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_one_oracle_per_n(self, aggregation, workers):
+        model = self.model(aggregation)
+        sweep = (400, 100, 400)  # unsorted, with a duplicate
+        rates = bisect_lambda_mc_sweep(sweep, seeds=self.SEEDS, workers=workers, **model)
+        assert rates == self.per_n(sweep, **model)
+        assert rates[0] == rates[2] and rates[0] != rates[1]
+
+    @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
+    def test_run_prefixes_across_tiles(self, monkeypatch, aggregation):
+        # tiles of 4 runs and N = 13: run counts end mid-tile (2, 6, 11), on a
+        # tile boundary (4, 8) and in the ragged last tile (13)
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        model = self.model(aggregation)
+        sweep = (13, 2, 4, 6, 8, 11)
+        rates = bisect_lambda_mc_sweep(sweep, seeds=self.SEEDS, **model)
+        assert rates == self.per_n(sweep, **model)
+
+    def test_rejects_an_empty_sweep(self):
+        with pytest.raises(DomainError, match="n_sweep"):
+            bisect_lambda_mc_sweep((), seeds=self.SEEDS, **self.model())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pooled_seeds_keep_the_callers_error_state(self, workers):
+        # the tile sums of squares overflow; numpy's error state is per thread
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                bisect_lambda_mc_sweep(
+                    (100, 400), seeds=self.SEEDS, measurement_noise=1e154,
+                    workers=workers, **self.model(),
+                )
+
+    def test_bound_oracle_runs_one_campaign_per_seed(self, capsys, monkeypatch):
+        calls = []
+        real = inference.run_campaign
+
+        def counting(config, *args, **kwargs):
+            calls.append((config.rng_seed, config.runs_per_time))
+            return real(config, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "run_campaign", counting)
+        assert cli.main(["bound", "--oracle-check", "--oracle-seeds", "4"]) == 0
+        capsys.readouterr()
+        largest = max(default_config().get("bound.n_sweep"))
+        assert calls == [(seed, largest) for seed in range(1, 5)]

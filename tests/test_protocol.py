@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -437,3 +438,59 @@ class TestMomentsEngine:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(serial.var_hat, pooled.var_hat)
+
+
+class TestRunPrefixes:
+    """``run_counts``: the row variances of a campaign's first m runs."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_prefix_equals_the_shorter_campaign(self, silica, ground, monkeypatch, workers):
+        # tiles of 4 runs, N = 13: counts end mid-tile, on a tile boundary,
+        # several tiles in and at N, in the ragged last tile
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        config = make_config(runs_per_time=13)
+        counts = (11, 2, 3, 4, 6, 8, 12, 13, 4)
+        data = run_campaign(config, silica, ground, workers=workers, run_counts=counts)
+        assert sorted(data.var_hats) == sorted(set(counts))
+        for m in counts:
+            shorter = run_campaign(replace(config, runs_per_time=m), silica, ground)
+            assert np.array_equal(data.var_hats[m], shorter.var_hat)
+        assert data.var_hat is data.var_hats[13]
+
+    def test_more_workers_than_cores_lose_no_cut(self, silica, ground, monkeypatch):
+        # 753 tiles, 3 of every 251 cut, shared by 8 threads that switch
+        # every microsecond: a lost cut record moves that prefix's variance
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        config = make_config(runs_per_time=1001)
+        counts = (7, 501, 998, 1001)
+        serial = run_campaign(config, silica, ground, run_counts=counts)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_campaign(config, silica, ground, workers=8, run_counts=counts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(serial.var_hats[m], pooled.var_hats[m]) for m in counts)
+
+    def test_default_is_all_runs(self, silica, ground):
+        data = run_campaign(make_config(), silica, ground)
+        assert list(data.var_hats) == [100]
+
+    @pytest.mark.parametrize("m", [1, 101])
+    def test_count_outside_the_campaign_rejected(self, silica, ground, m):
+        with pytest.raises(DomainError, match="run counts"):
+            run_campaign(make_config(), silica, ground, run_counts=(50, m))
+
+    def test_no_counts_draw_nothing(self, silica, ground, monkeypatch):
+        import scipy.special
+
+        calls = []
+        ndtri = scipy.special.ndtri
+        monkeypatch.setattr(
+            scipy.special, "ndtri", lambda *a, **k: calls.append(1) or ndtri(*a, **k)
+        )
+        data = run_campaign(make_config(), silica, ground, run_counts=())
+        assert calls == [] and data.var_hats == {}
+        with pytest.raises(KeyError):
+            data.var_hat
+        assert data.to_csv() == run_campaign(make_config(), silica, ground).to_csv()

@@ -15,26 +15,29 @@ import numpy as np
 from waxsim import (
     CampaignConfig,
     CSLParams,
+    Scenario,
     campaign_curve,
     fused_silica_particle,
     run_campaign,
-    sampling_sigma,
     space_environment,
 )
 
-particle = fused_silica_particle()
-environment = space_environment()
-collapse = CSLParams(collapse_rate=1e-13, correlation_length=100e-9)
-
-config = CampaignConfig(
+# what is measured: the sphere in space, with collapse and a 100 nm readout
+scenario = Scenario(
+    fused_silica_particle(),
+    space_environment(),
+    csl=CSLParams(collapse_rate=1e-13, correlation_length=100e-9),
+    measurement_noise=1e-7,
+)
+# how it is measured: the grid, the runs per time and the seed
+plan = CampaignConfig(
     time_grid=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
     runs_per_time=300,
-    measurement_noise=1e-7,  # 100 nm readout
     rng_seed=424242,
 )
 
-truth = sampling_sigma(config, particle, environment, collapse)
-estimates = campaign_curve(config, particle, environment, collapse)
+truth = np.sqrt(scenario.variance(np.array(plan.time_grid))[1])
+estimates = campaign_curve(plan, scenario)
 
 print(f"{'t [s]':>7}  {'sigma_hat [m]':>13}  {'err [m]':>10}  {'truth [m]':>11}  {'pull':>6}")
 for est, sigma in zip(estimates, truth):
@@ -45,7 +48,7 @@ for est, sigma in zip(estimates, truth):
     )
 
 # determinism check: the same seed reproduces the dataset bit for bit
-again = run_campaign(config, particle, environment, collapse)
-first = run_campaign(config, particle, environment, collapse)
+again = run_campaign(plan, scenario)
+first = run_campaign(plan, scenario)
 print()
 print("same seed, same data:", np.array_equal(first.samples, again.samples))

@@ -13,6 +13,7 @@ import numpy as np
 
 from waxsim import (
     CSLParams,
+    Scenario,
     bisect_lambda_mc,
     fused_silica_particle,
     min_detectable_lambda,
@@ -42,9 +43,8 @@ for prev, curr in zip(results, results[1:]):
 
 n_check = 400
 closed = results[1].lambda_min
-mc = bisect_lambda_mc(
-    n_check, grid, particle, environment, geometry, seeds=range(1, 101)
-)
+scenario = Scenario(particle, environment, geometry)
+mc = bisect_lambda_mc(n_check, grid, scenario, seeds=range(1, 101))
 print()
 print(f"Monte-Carlo oracle at N = {n_check}: {mc:.3e} Hz "
       f"(closed form {closed:.3e} Hz, ratio {mc / closed:.2f})")

@@ -26,6 +26,7 @@ from .decoherence import (
 from .dynamics import (
     ExpansionCurve,
     GaussianState,
+    Scenario,
     evolve_free,
     evolve_numeric,
     expansion_curve,
@@ -68,7 +69,6 @@ from .protocol import (
     campaign_to_csv,
     estimate_width,
     run_campaign,
-    sampling_sigma,
 )
 
 __version__ = "0.1.0"
@@ -101,6 +101,7 @@ __all__ = [
     "NumericalError",
     "Particle",
     "PositionSamples",
+    "Scenario",
     "WaxsimError",
     "WidthEstimate",
     "amu",
@@ -131,7 +132,6 @@ __all__ = [
     "min_detectable_lambda",
     "rk4_integrate",
     "run_campaign",
-    "sampling_sigma",
     "space_environment",
     "sphere_geometry_factor",
     "sphere_mass",

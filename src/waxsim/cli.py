@@ -215,19 +215,12 @@ def _cmd_expand(config: RunConfig, args) -> tuple[str, list[str]]:
 
 
 def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[str]]:
-    model = (
-        config.campaign(),
-        config.particle(),
-        config.environment(),
-        config.csl(),
-        config.toggles(),
-        config.trap_frequency(),
-    )
+    plan, scenario = config.campaign(), config.scenario()
     if args.dump_samples:
         # the dump re-draws its tiles as it writes them; no width is merged
-        text = run_campaign(*model, run_counts=()).csv_chunks()
+        text = run_campaign(plan, scenario, run_counts=()).csv_chunks()
     else:
-        text = campaign_to_csv(campaign_curve(*model, workers=args.workers))
+        text = campaign_to_csv(campaign_curve(plan, scenario, args.workers))
     return text, list(_budget(config).warnings)
 
 
@@ -236,24 +229,22 @@ def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
         raise ConfigError(f"--oracle-seeds must be >= 1, got {args.oracle_seeds}")
     n_sweep = config.get("bound.n_sweep")
     grid = config.get("campaign.time_grid_s")
-    kwargs = dict(
-        particle=config.particle(),
-        env=config.environment(),
-        csl_geometry=config.csl(),
-        toggles=config.toggles(),
-        detection=config.detection(),
-        trap_frequency=config.trap_frequency(),
-        occupancy=config.get("trap.occupancy"),
-        measurement_noise=config.get("campaign.measurement_noise_m"),
-        drift_velocity_std=config.get("campaign.drift_velocity_std_m_s"),
-    )
-
-    results = [min_detectable_lambda(n, grid, **kwargs) for n in n_sweep]
+    scenario, detection = config.scenario(), config.detection()
+    results = [
+        min_detectable_lambda(
+            n, grid, scenario.particle, scenario.environment, scenario.csl,
+            scenario.toggles, detection, scenario.trap_frequency, scenario.occupancy,
+            scenario.measurement_noise, scenario.drift_velocity_std,
+        )
+        for n in n_sweep
+    ]
 
     warnings = list(_budget(config).warnings)
     if args.oracle_check:
         seeds = list(range(1, args.oracle_seeds + 1))
-        oracle = bisect_lambda_mc_sweep(n_sweep, grid, seeds=seeds, workers=args.workers, **kwargs)
+        oracle = bisect_lambda_mc_sweep(
+            n_sweep, grid, scenario, detection, seeds, workers=args.workers
+        )
         for n, res, mc in zip(n_sweep, results, oracle):
             if not (0.5 <= mc / res.lambda_min <= 2.0):
                 warnings.append(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import amu
 from .decoherence import ChannelToggles, CSLParams
-from .dynamics import check_time_grid, initial_state
+from .dynamics import Scenario, check_time_grid
 from .errors import ConfigError, DomainError
 from .inference import DetectionConfig
 from .materials import (
@@ -196,10 +196,9 @@ class ConfigBuilder:
             raise ConfigError(f"campaign.time_grid_s: {exc}") from exc
         config = RunConfig(values)
         # every command, whatever models it evaluates, rejects the same
-        # inputs: build each model object once (initial_state checks the trap)
-        for build in (config.campaign, config.environment, config.csl, config.detection):
+        # inputs: build each model object once
+        for build in (config.campaign, config.scenario, config.detection):
             build()
-        initial_state(config.particle(), config.trap_frequency(), config.get("trap.occupancy"))
         if not values["bound.n_sweep"]:
             raise ConfigError("bound.n_sweep must be non-empty")
         for n in values["bound.n_sweep"]:
@@ -293,10 +292,20 @@ class RunConfig:
         return CampaignConfig(
             time_grid=self.get("campaign.time_grid_s"),
             runs_per_time=self.get("campaign.runs_per_time"),
+            rng_seed=self.get("campaign.seed"),
+        )
+
+    def scenario(self) -> Scenario:
+        """The sphere, its environment, preparation and instrument."""
+        return Scenario(
+            particle=self.particle(),
+            environment=self.environment(),
+            csl=self.csl(),
+            toggles=self.toggles(),
+            trap_frequency=self.trap_frequency(),
+            occupancy=self.get("trap.occupancy"),
             measurement_noise=self.get("campaign.measurement_noise_m"),
             drift_velocity_std=self.get("campaign.drift_velocity_std_m_s"),
-            occupancy=self.get("trap.occupancy"),
-            rng_seed=self.get("campaign.seed"),
         )
 
     def detection(self) -> DetectionConfig:

@@ -95,16 +95,6 @@ class GaussianState:
         return self.x_var * self.p_var - self.xp_cov**2
 
 
-def check_occupancy(occupancy: float) -> None:
-    """Reject a negative mean phonon number.
-
-    The one occupancy rule shared by the models and the config, so every
-    command rejects the same value with the same line.
-    """
-    if occupancy < 0.0:
-        raise DomainError(f"occupancy must be >= 0, got {occupancy}")
-
-
 def initial_state(
     particle: Particle,
     trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
@@ -118,7 +108,8 @@ def initial_state(
     """
     if trap_frequency <= 0.0:
         raise DomainError(f"trap_frequency must be > 0, got {trap_frequency}")
-    check_occupancy(occupancy)
+    if occupancy < 0.0:
+        raise DomainError(f"occupancy must be >= 0, got {occupancy}")
     width = (2.0 * occupancy + 1.0)
     m_omega = particle.mass * trap_frequency
     return GaussianState(
@@ -276,29 +267,65 @@ def _x_var_free(
     )
 
 
-def _total_variance(
-    times: np.ndarray,
-    particle: Particle,
-    env: Environment,
-    csl: CSLParams | None,
-    toggles: ChannelToggles,
-    trap_frequency: float,
-    occupancy: float,
-    measurement_noise: float,
-    drift_velocity_std: float,
-) -> tuple[DecoherenceBudget, np.ndarray]:
-    """The budget and the per-draw variance at each time [m^2].
+@dataclass(frozen=True)
+class Scenario:
+    """One sphere in one environment: the inputs of the variance model.
 
-    The one variance model, x_var(t) + (drift t)^2 + noise^2: campaigns
-    (:func:`waxsim.protocol.sampling_sigma`) sample with it, the detection
-    bound and its oracle (:mod:`waxsim.inference`) predict with it with the
-    collapse channel off, and :func:`expansion_curve` takes it with both
-    instrumental terms at 0.
+    Attributes
+    ----------
+    particle : Particle
+    environment : Environment
+    csl : CSLParams or None
+        Collapse parameters; ``None`` zeroes the collapse channel, as in
+        :func:`waxsim.decoherence.total_budget`. The Monte-Carlo oracle of
+        :mod:`waxsim.inference` needs one and uses only its correlation
+        length and reference mass.
+    toggles : ChannelToggles
+        Channels in the budget. The detection bound predicts with the
+        collapse channel off and its oracle simulates with it on, whatever
+        ``toggles.csl`` says.
+    trap_frequency : float
+        Angular trap frequency [rad/s], > 0.
+    occupancy : float
+        Mean phonon number of the prepared trap state, >= 0.
+    measurement_noise : float
+        Position-readout standard deviation [m], >= 0.
+    drift_velocity_std : float
+        Run-to-run center-of-mass velocity spread [m/s], >= 0.
     """
-    budget = total_budget(particle, env, csl, toggles)
-    state0 = initial_state(particle, trap_frequency, occupancy)
-    x_var = _x_var_free(state0, particle.mass, budget.total, times)
-    return budget, x_var + (drift_velocity_std * times) ** 2 + measurement_noise**2
+
+    particle: Particle
+    environment: Environment
+    csl: CSLParams | None = CSLParams(collapse_rate=0.0)
+    toggles: ChannelToggles = ChannelToggles()
+    trap_frequency: float = DEFAULT_TRAP_FREQUENCY
+    occupancy: float = 0.0
+    measurement_noise: float = 0.0
+    drift_velocity_std: float = 0.0
+
+    def __post_init__(self) -> None:
+        # the trap frequency and occupancy rules: those of the preparation
+        initial_state(self.particle, self.trap_frequency, self.occupancy)
+        # both enter the variance squared, so a negative value would
+        # silently act as its absolute value
+        if self.measurement_noise < 0.0:
+            raise DomainError("measurement_noise must be >= 0")
+        if self.drift_velocity_std < 0.0:
+            raise DomainError("drift_velocity_std must be >= 0")
+
+    def variance(self, times: np.ndarray) -> tuple[DecoherenceBudget, np.ndarray]:
+        """The budget and the per-draw variance at each time [m^2].
+
+        The one variance model, x_var(t) + (drift t)^2 + noise^2: campaigns
+        (:func:`waxsim.protocol.run_campaign`) sample with it, the detection
+        bound and its oracle (:mod:`waxsim.inference`) predict with it with
+        the collapse channel off, and :func:`expansion_curve` takes it with
+        both instrumental terms at 0.
+        """
+        budget = total_budget(self.particle, self.environment, self.csl, self.toggles)
+        state0 = initial_state(self.particle, self.trap_frequency, self.occupancy)
+        x_var = _x_var_free(state0, self.particle.mass, budget.total, times)
+        return budget, x_var + (self.drift_velocity_std * times) ** 2 + self.measurement_noise**2
 
 
 def check_time_grid(time_grid: Sequence[float]) -> np.ndarray:
@@ -335,10 +362,8 @@ def expansion_curve(
     small-separation quadratic form stops being quantitatively reliable.
     """
     times = check_time_grid(time_grid)
-
-    budget, x_var = _total_variance(
-        times, particle, env, csl, toggles, trap_frequency, occupancy, 0.0, 0.0
-    )
+    scenario = Scenario(particle, env, csl, toggles, trap_frequency, occupancy)
+    budget, x_var = scenario.variance(times)
     sigmas = np.sqrt(x_var)
 
     warnings = list(budget.warnings)

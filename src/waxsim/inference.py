@@ -40,12 +40,10 @@ import numpy as np
 
 from .constants import LAMBDA_GRW, hbar
 from .decoherence import ChannelToggles, CSLParams, lambda_csl
-from .dynamics import _total_variance, check_time_grid
+from .dynamics import Scenario, check_time_grid
 from .errors import DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
-from .protocol import (
-    CampaignConfig, PositionSamples, _check_runs, _thread_map, check_noise, run_campaign,
-)
+from .protocol import CampaignConfig, PositionSamples, _check_runs, _thread_map, run_campaign
 
 
 @dataclass(frozen=True)
@@ -131,17 +129,7 @@ def _chi_square_quantile(confidence_z: float, dof: int) -> float:
 
 
 def _detection_setup(
-    n_per_time: int,
-    time_grid: Sequence[float],
-    detection: DetectionConfig,
-    particle: Particle,
-    env: Environment,
-    csl_geometry: CSLParams,
-    toggles: ChannelToggles,
-    trap_frequency: float,
-    occupancy: float,
-    measurement_noise: float,
-    drift_velocity_std: float,
+    n_per_time: int, time_grid: Sequence[float], detection: DetectionConfig, scenario: Scenario
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float | None]:
     """Validated inputs and the standard-physics prediction of a detection.
 
@@ -152,19 +140,15 @@ def _detection_setup(
     best-time aggregation).
     """
     _check_runs(n_per_time, "n_per_time")
-    check_noise(measurement_noise, drift_velocity_std)
     times = check_time_grid(time_grid)
     # one time at a time: numpy's array power may round t**3 an ulp away
     # from the scalar one, and the bound's bytes rest on the scalar
-    sens = np.array([csl_sensitivity(t, particle, csl_geometry) for t in times])
+    sens = np.array([csl_sensitivity(t, scenario.particle, scenario.csl) for t in times])
     if not np.any(sens > 0.0):
         raise DomainError(
             "no sensitivity to the collapse rate: grid has no positive times"
         )
-    _, var_std = _total_variance(
-        times, particle, env, None, replace(toggles, csl=False), trap_frequency,
-        occupancy, measurement_noise, drift_velocity_std,
-    )
+    _, var_std = replace(scenario, toggles=replace(scenario.toggles, csl=False)).variance(times)
     se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
     q = None
     if detection.aggregation == "chi-square-sum":
@@ -201,7 +185,7 @@ def min_detectable_lambda(
         Standard channels present in the background model.
     detection : DetectionConfig
     trap_frequency, occupancy, measurement_noise, drift_velocity_std
-        Preparation and noise model.
+        Preparation and noise model, as in :class:`waxsim.dynamics.Scenario`.
 
     Returns
     -------
@@ -209,10 +193,11 @@ def min_detectable_lambda(
         ``best_time`` is the most sensitive grid time (the minimizer for
         best-time aggregation).
     """
-    times, sens, _, se_var, q = _detection_setup(
-        n_per_time, time_grid, detection, particle, env, csl_geometry, toggles,
-        trap_frequency, occupancy, measurement_noise, drift_velocity_std,
+    scenario = Scenario(
+        particle, env, csl_geometry, toggles, trap_frequency, occupancy,
+        measurement_noise, drift_velocity_std,
     )
+    times, sens, _, se_var, q = _detection_setup(n_per_time, time_grid, detection, scenario)
     usable = sens > 0.0
     per_time = np.full(times.size, np.inf)
     per_time[usable] = detection.confidence_z * se_var[usable] / sens[usable]
@@ -233,37 +218,30 @@ def _over_seeds(
     collapse_rate: float,
     n_per_time: int,
     times: np.ndarray,
-    particle: Particle,
-    env: Environment,
-    csl_geometry: CSLParams,
-    toggles: ChannelToggles,
-    trap_frequency: float,
-    occupancy: float,
-    measurement_noise: float,
-    drift_velocity_std: float,
+    scenario: Scenario,
     workers: int | None = None,
     run_counts: Sequence[int] | None = None,
 ) -> list:
     """``read`` of one simulated campaign per seed, in seed order.
 
-    The collapse channel is on at ``collapse_rate``. An explicit ``workers``
-    above 1 runs the seeds' campaigns on one pool of that many threads,
-    each campaign serial; otherwise the seeds run one after another and
-    ``workers`` goes to each :func:`waxsim.protocol.run_campaign`.
+    The campaigns simulate ``scenario`` with the collapse channel on at
+    ``collapse_rate``. An explicit ``workers`` above 1 runs the seeds'
+    campaigns on one pool of that many threads, each campaign serial;
+    otherwise the seeds run one after another and ``workers`` goes to each
+    :func:`waxsim.protocol.run_campaign`.
     """
     if not seeds:
         raise DomainError("seeds must be non-empty")
-    csl = replace(csl_geometry, collapse_rate=collapse_rate)
-    run_toggles = replace(toggles, csl=True)
-    plan = CampaignConfig(times, n_per_time, measurement_noise, drift_velocity_std, occupancy)
+    simulated = replace(
+        scenario,
+        csl=replace(scenario.csl, collapse_rate=collapse_rate),
+        toggles=replace(scenario.toggles, csl=True),
+    )
     pooled = workers is not None and workers > 1
 
     def one(seed: int) -> object:
-        config = replace(plan, rng_seed=int(seed))
-        return read(run_campaign(
-            config, particle, env, csl, run_toggles, trap_frequency,
-            1 if pooled else workers, run_counts,
-        ))
+        plan = CampaignConfig(times, n_per_time, int(seed))
+        return read(run_campaign(plan, simulated, 1 if pooled else workers, run_counts))
 
     if pooled:
         return _thread_map(one, seeds, workers)
@@ -274,16 +252,9 @@ def detection_power_mc(
     collapse_rate: float,
     n_per_time: int,
     time_grid: Sequence[float],
-    particle: Particle,
-    env: Environment,
-    csl_geometry: CSLParams = CSLParams(collapse_rate=0.0),
-    toggles: ChannelToggles = ChannelToggles.standard(),
+    scenario: Scenario,
     detection: DetectionConfig = DetectionConfig(),
     seeds: Sequence[int] = (),
-    trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
-    occupancy: float = 0.0,
-    measurement_noise: float = 0.0,
-    drift_velocity_std: float = 0.0,
 ) -> float:
     """Monte-Carlo detection probability at a given collapse rate.
 
@@ -292,11 +263,7 @@ def detection_power_mc(
     standard-physics prediction, and applies the configured aggregation at
     threshold ``confidence_z``. Returns the detected fraction.
     """
-    model = (particle, env, csl_geometry, toggles, trap_frequency, occupancy,
-             measurement_noise, drift_velocity_std)
-    times, _, var_std, se_var, q = _detection_setup(
-        n_per_time, time_grid, detection, *model
-    )
+    times, _, var_std, se_var, q = _detection_setup(n_per_time, time_grid, detection, scenario)
 
     def detected(data: PositionSamples) -> bool:
         z = (data.var_hat - var_std) / se_var
@@ -304,7 +271,8 @@ def detection_power_mc(
             return bool(np.max(z) >= detection.confidence_z)
         return bool(np.sum(z**2) >= q)
 
-    return sum(_over_seeds(detected, seeds, collapse_rate, n_per_time, times, *model)) / len(seeds)
+    hits = _over_seeds(detected, seeds, collapse_rate, n_per_time, times, scenario)
+    return sum(hits) / len(seeds)
 
 
 def _critical_rate(
@@ -353,16 +321,9 @@ def _critical_rate(
 def bisect_lambda_mc(
     n_per_time: int,
     time_grid: Sequence[float],
-    particle: Particle,
-    env: Environment,
-    csl_geometry: CSLParams = CSLParams(collapse_rate=0.0),
-    seeds: Sequence[int] = (),
-    toggles: ChannelToggles = ChannelToggles.standard(),
+    scenario: Scenario,
     detection: DetectionConfig = DetectionConfig(),
-    trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
-    occupancy: float = 0.0,
-    measurement_noise: float = 0.0,
-    drift_velocity_std: float = 0.0,
+    seeds: Sequence[int] = (),
     power_target: float = 0.5,
     workers: int | None = None,
 ) -> float:
@@ -397,25 +358,16 @@ def bisect_lambda_mc(
         The rate [Hz], >= 0.
     """
     return bisect_lambda_mc_sweep(
-        (n_per_time,), time_grid, particle, env, csl_geometry, seeds, toggles,
-        detection, trap_frequency, occupancy, measurement_noise,
-        drift_velocity_std, power_target, workers,
+        (n_per_time,), time_grid, scenario, detection, seeds, power_target, workers
     )[0]
 
 
 def bisect_lambda_mc_sweep(
     n_sweep: Sequence[int],
     time_grid: Sequence[float],
-    particle: Particle,
-    env: Environment,
-    csl_geometry: CSLParams = CSLParams(collapse_rate=0.0),
-    seeds: Sequence[int] = (),
-    toggles: ChannelToggles = ChannelToggles.standard(),
+    scenario: Scenario,
     detection: DetectionConfig = DetectionConfig(),
-    trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
-    occupancy: float = 0.0,
-    measurement_noise: float = 0.0,
-    drift_velocity_std: float = 0.0,
+    seeds: Sequence[int] = (),
     power_target: float = 0.5,
     workers: int | None = None,
 ) -> list[float]:
@@ -436,14 +388,10 @@ def bisect_lambda_mc_sweep(
         raise DomainError(f"power_target must be in (0, 1], got {power_target}")
     if not n_sweep:
         raise DomainError("n_sweep must be non-empty")
-    model = (particle, env, csl_geometry, toggles, trap_frequency, occupancy,
-             measurement_noise, drift_velocity_std)
     # only the standard error depends on N
     se_var = {}
     for n in n_sweep:
-        times, sens, var_std, se_var[n], q = _detection_setup(
-            n, time_grid, detection, *model
-        )
+        times, sens, var_std, se_var[n], q = _detection_setup(n, time_grid, detection, scenario)
 
     def critical_rates(data: PositionSamples) -> list[float]:
         v0 = data.true_sigmas**2
@@ -453,7 +401,7 @@ def bisect_lambda_mc_sweep(
         ]
 
     per_seed = _over_seeds(
-        critical_rates, seeds, 0.0, max(n_sweep), times, *model, workers, n_sweep
+        critical_rates, seeds, 0.0, max(n_sweep), times, scenario, workers, n_sweep
     )
     # the first order statistic whose share of seeds reaches the target
     shares = np.arange(1, len(per_seed) + 1) / len(per_seed)

@@ -8,8 +8,9 @@ instrumental terms,
 
     var_total(t) = x_var(t) + (drift_velocity_std * t)^2 + measurement_noise^2,
 
-covering run-to-run center-of-mass velocity scatter and readout noise. Runs
-are independent (fresh preparation each cycle).
+covering run-to-run center-of-mass velocity scatter and readout noise
+(:meth:`waxsim.dynamics.Scenario.variance`). Runs are independent (fresh
+preparation each cycle). A ``CampaignConfig`` is the plan: grid, N and seed.
 
 Randomness contract: the stream for grid index i is a Philox counter-based
 generator keyed by (seed, i); run r consumes the r-th uniform of that stream,
@@ -72,15 +73,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .decoherence import ChannelToggles, CSLParams
-from .dynamics import _total_variance, check_occupancy, check_time_grid
+from .dynamics import Scenario, check_time_grid
 from .errors import DomainError, NumericalError
-from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Measurement plan for one campaign.
+    """Measurement plan for one campaign; what is measured is a
+    :class:`waxsim.dynamics.Scenario`.
 
     Attributes
     ----------
@@ -88,29 +88,18 @@ class CampaignConfig:
         Expansion times [s]; non-empty, non-negative, strictly increasing.
     runs_per_time : int
         Repetitions N per grid time, >= 2 so a variance is estimable.
-    measurement_noise : float
-        Position-readout standard deviation [m], >= 0.
-    drift_velocity_std : float
-        Run-to-run center-of-mass velocity spread [m/s], >= 0.
-    occupancy : float
-        Mean phonon number of the prepared trap state, >= 0.
     rng_seed : int
         Campaign seed, >= 0.
     """
 
     time_grid: tuple[float, ...]
     runs_per_time: int
-    measurement_noise: float = 0.0
-    drift_velocity_std: float = 0.0
-    occupancy: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "time_grid", tuple(float(t) for t in self.time_grid))
         check_time_grid(self.time_grid)
         _check_runs(self.runs_per_time, "runs_per_time")
-        check_noise(self.measurement_noise, self.drift_velocity_std)
-        check_occupancy(self.occupancy)
         if self.rng_seed < 0:
             raise DomainError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
@@ -246,18 +235,6 @@ _MOMENTS = np.dtype([("n", np.int64), ("mean", np.float64), ("m2", np.float64)])
 PARALLEL_MIN_DRAWS = 2**18
 
 
-def check_noise(measurement_noise: float, drift_velocity_std: float) -> None:
-    """Reject a negative readout noise or velocity spread.
-
-    Both enter the variance model squared, so a negative value would
-    silently act as its absolute value.
-    """
-    if measurement_noise < 0.0:
-        raise DomainError("measurement_noise must be >= 0")
-    if drift_velocity_std < 0.0:
-        raise DomainError("drift_velocity_std must be >= 0")
-
-
 def _check_runs(runs: int, name: str) -> None:
     """Reject fewer than 2 runs per grid time: a variance needs two."""
     if runs < 2:
@@ -293,22 +270,6 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
-
-
-def sampling_sigma(
-    config: CampaignConfig,
-    particle: Particle,
-    env: Environment,
-    csl: CSLParams | None = None,
-    toggles: ChannelToggles = ChannelToggles(),
-    trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
-) -> np.ndarray:
-    """Total per-draw standard deviation at each grid time [m]."""
-    _, variance = _total_variance(
-        np.asarray(config.time_grid), particle, env, csl, toggles, trap_frequency,
-        config.occupancy, config.measurement_noise, config.drift_velocity_std,
-    )
-    return np.sqrt(variance)
 
 
 def _draw_tile(
@@ -350,12 +311,8 @@ def _tile_moments(out: np.ndarray, dev: np.ndarray) -> tuple[int, float, float]:
 
 
 def run_campaign(
-    config: CampaignConfig,
-    particle: Particle,
-    env: Environment,
-    csl: CSLParams | None = None,
-    toggles: ChannelToggles = ChannelToggles(),
-    trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
+    plan: CampaignConfig,
+    scenario: Scenario,
     workers: int | None = None,
     run_counts: Sequence[int] | None = None,
 ) -> PositionSamples:
@@ -363,9 +320,9 @@ def run_campaign(
 
     Parameters
     ----------
-    config : CampaignConfig
-    particle, env, csl, toggles, trap_frequency
-        Model inputs, as for :func:`waxsim.dynamics.expansion_curve`.
+    plan : CampaignConfig
+    scenario : Scenario
+        What is measured; each draw's variance is ``scenario.variance``.
     workers : int, optional
         Thread count; more than 1 always samples on a pool of that many
         threads. The default is the available CPUs for campaigns of at
@@ -398,14 +355,14 @@ def run_campaign(
     the serial path does.
     """
     check_workers(workers)
-    times = np.asarray(config.time_grid)
-    sigmas = sampling_sigma(config, particle, env, csl, toggles, trap_frequency)
-    n = config.runs_per_time
+    times = np.asarray(plan.time_grid)
+    sigmas = np.sqrt(scenario.variance(times)[1])
+    n = plan.runs_per_time
     counts = sorted({n} if run_counts is None else set(map(operator.index, run_counts)))
     for m in counts:
         if not 2 <= m <= n:
             raise DomainError(f"run counts must lie in [2, {n}], got {m}")
-    view = CampaignSamples(config.rng_seed, sigmas, n, TILE_RUNS)
+    view = CampaignSamples(plan.rng_seed, sigmas, n, TILE_RUNS)
     if not counts:
         return PositionSamples(times, view, sigmas, {})
     per_row, tile_runs = view.tiles_per_row, view.tile_runs
@@ -526,17 +483,11 @@ def estimate_width(t: float, samples: Sequence[float]) -> WidthEstimate:
 
 
 def campaign_curve(
-    config: CampaignConfig,
-    particle: Particle,
-    env: Environment,
-    csl: CSLParams | None = None,
-    toggles: ChannelToggles = ChannelToggles(),
-    trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
-    workers: int | None = None,
+    plan: CampaignConfig, scenario: Scenario, workers: int | None = None
 ) -> tuple[WidthEstimate, ...]:
     """Run a campaign and estimate the width at every grid time."""
-    data = run_campaign(config, particle, env, csl, toggles, trap_frequency, workers)
-    n = config.runs_per_time
+    data = run_campaign(plan, scenario, workers)
+    n = plan.runs_per_time
     return tuple(_width_estimate(t, v, n) for t, v in zip(data.times, data.var_hat))
 
 

@@ -14,6 +14,7 @@ from waxsim import (
     ChannelToggles,
     CSLParams,
     Environment,
+    Scenario,
     csl_sphere_factor_bruteforce,
     drop_distance,
     evolve_free,
@@ -177,31 +178,21 @@ def test_criterion_07_detection_scaling(silica, space):
 def test_criterion_08_monte_carlo_power_oracle(silica, space):
     started = time.perf_counter()
     seeds = range(1, 101)
+    scenario = Scenario(silica, space, GEOMETRY)
     for n in (60, 120, 240, 480, 960):
         for t_max in (30.0, 100.0):
             grid = tuple(np.geomspace(1.0, t_max, 6))
             closed = min_detectable_lambda(
                 n, grid, silica, space, GEOMETRY
             ).lambda_min
-            mc = bisect_lambda_mc(
-                n,
-                grid,
-                silica,
-                space,
-                GEOMETRY,
-                seeds=seeds,
-            )
+            mc = bisect_lambda_mc(n, grid, scenario, seeds=seeds)
             assert 0.5 <= mc / closed <= 2.0, (n, t_max, closed, mc)
 
     grid = tuple(np.geomspace(1.0, 100.0, 6))
     closed = min_detectable_lambda(240, grid, silica, space, GEOMETRY).lambda_min
     power_seeds = range(1, 301)
-    high = detection_power_mc(
-        10.0 * closed, 240, grid, silica, space, GEOMETRY, seeds=power_seeds
-    )
-    low = detection_power_mc(
-        closed / 10.0, 240, grid, silica, space, GEOMETRY, seeds=power_seeds
-    )
+    high = detection_power_mc(10.0 * closed, 240, grid, scenario, seeds=power_seeds)
+    low = detection_power_mc(closed / 10.0, 240, grid, scenario, seeds=power_seeds)
     assert high >= 0.99
     assert low <= 0.10
     elapsed = time.perf_counter() - started

@@ -13,6 +13,7 @@ import waxsim.cli as cli
 from waxsim import protocol
 from waxsim.config import ConfigBuilder, default_config, load_config
 from waxsim.errors import ConfigError, DomainError, NumericalError
+from waxsim.dynamics import Scenario
 from waxsim.protocol import CampaignConfig, run_campaign
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -668,7 +669,7 @@ class TestStreamedDump:
     def test_dump_memory_is_one_tile(self, silica, ground, tmp_path):
         def emit_peak(tiles):
             config = CampaignConfig((0.5,), tiles * protocol.TILE_RUNS, rng_seed=7)
-            data = run_campaign(config, silica, ground)
+            data = run_campaign(config, Scenario(silica, ground))
             tracemalloc.start()
             try:
                 cli._emit(data.csv_chunks(), str(tmp_path / "dump.csv"))

@@ -1,4 +1,6 @@
 """Minimum detectable collapse rate: closed form and Monte-Carlo oracle."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from waxsim import (
     DetectionConfig,
     DetectionResult,
     DomainError,
+    Scenario,
     bisect_lambda_mc,
     bisect_lambda_mc_sweep,
     detection_power_mc,
@@ -208,58 +211,49 @@ class TestChiSquareThreshold:
             DetectionResult(lambda_min=bad, best_time=1.0, n_per_time=100)
 
 
+@pytest.fixture
+def in_space(silica, space):
+    """The default sphere in space, with the collapse geometry under test."""
+    return Scenario(silica, space, GEOMETRY)
+
+
 class TestMonteCarloOracle:
-    def test_agrees_with_closed_form_within_factor_two(self, silica, space):
+    def test_agrees_with_closed_form_within_factor_two(self, silica, space, in_space):
         n = 120
         closed = min_detectable_lambda(n, GRID, silica, space, GEOMETRY).lambda_min
-        mc = bisect_lambda_mc(
-            n,
-            GRID,
-            silica,
-            space,
-            GEOMETRY,
-            seeds=range(1, 121),
-        )
+        mc = bisect_lambda_mc(n, GRID, in_space, seeds=range(1, 121))
         assert 0.5 <= mc / closed <= 2.0
 
-    def test_power_extremes(self, silica, space):
+    def test_power_extremes(self, silica, space, in_space):
         n = 120
         closed = min_detectable_lambda(n, GRID, silica, space, GEOMETRY).lambda_min
         seeds = range(1, 201)
-        high = detection_power_mc(
-            10.0 * closed, n, GRID, silica, space, GEOMETRY, seeds=seeds
-        )
-        low = detection_power_mc(
-            closed / 10.0, n, GRID, silica, space, GEOMETRY, seeds=seeds
-        )
+        high = detection_power_mc(10.0 * closed, n, GRID, in_space, seeds=seeds)
+        low = detection_power_mc(closed / 10.0, n, GRID, in_space, seeds=seeds)
         assert high >= 0.99
         assert low <= 0.10
 
     # the standard error sqrt(2 / (N - 1)) has no value at N = 1
-    def test_oracle_rejects_single_run_per_time(self, silica, space):
+    def test_oracle_rejects_single_run_per_time(self, in_space):
         with pytest.raises(DomainError, match="n_per_time"):
-            bisect_lambda_mc(1, GRID, silica, space, GEOMETRY, seeds=range(1, 5))
+            bisect_lambda_mc(1, GRID, in_space, seeds=range(1, 5))
 
-    def test_power_rejects_single_run_per_time(self, silica, space):
+    def test_power_rejects_single_run_per_time(self, in_space):
         with pytest.raises(DomainError, match="n_per_time"):
-            detection_power_mc(1e-13, 1, GRID, silica, space, GEOMETRY, seeds=range(1, 5))
+            detection_power_mc(1e-13, 1, GRID, in_space, seeds=range(1, 5))
 
     @pytest.mark.parametrize("target", [0.0, -0.5, 1.5])
-    def test_power_target_outside_unit_interval_rejected(self, silica, space, target):
+    def test_power_target_outside_unit_interval_rejected(self, in_space, target):
         with pytest.raises(DomainError, match="power_target"):
-            bisect_lambda_mc(
-                60, GRID, silica, space, GEOMETRY, seeds=range(1, 5), power_target=target
-            )
+            bisect_lambda_mc(60, GRID, in_space, seeds=range(1, 5), power_target=target)
 
-    def test_empty_seeds_rejected(self, silica, space):
+    def test_empty_seeds_rejected(self, in_space):
         with pytest.raises(DomainError):
-            bisect_lambda_mc(60, GRID, silica, space, GEOMETRY, seeds=())
+            bisect_lambda_mc(60, GRID, in_space, seeds=())
 
-    def test_no_positive_times_rejected(self, silica, space):
+    def test_no_positive_times_rejected(self, in_space):
         with pytest.raises(DomainError):
-            bisect_lambda_mc(
-                60, (0.0,), silica, space, GEOMETRY, seeds=range(4)
-            )
+            bisect_lambda_mc(60, (0.0,), in_space, seeds=range(4))
 
 
 class TestExactOracle:
@@ -270,12 +264,8 @@ class TestExactOracle:
         config = default_config()
         model = dict(
             time_grid=config.get("campaign.time_grid_s"),
-            particle=config.particle(),
-            env=config.environment(),
-            csl_geometry=config.csl(),
-            toggles=config.toggles(),
+            scenario=config.scenario(),
             detection=DetectionConfig(aggregation=aggregation),
-            trap_frequency=config.trap_frequency(),
         )
         n, seeds = 400, range(1, 17)
         rate = bisect_lambda_mc(n, seeds=seeds, **model)
@@ -283,7 +273,7 @@ class TestExactOracle:
         below = detection_power_mc(rate * (1.0 - 1e-9), n, seeds=seeds, **model)
         assert above >= 0.5 > below
 
-    def test_one_campaign_per_seed(self, silica, space, monkeypatch):
+    def test_one_campaign_per_seed(self, in_space, monkeypatch):
         calls = []
         real = inference.run_campaign
 
@@ -293,9 +283,7 @@ class TestExactOracle:
 
         monkeypatch.setattr(inference, "run_campaign", counting)
         seeds = range(1, 41)
-        bisect_lambda_mc(
-            120, GRID, silica, space, GEOMETRY, seeds=seeds,
-        )
+        bisect_lambda_mc(120, GRID, in_space, seeds=seeds)
         assert calls == list(seeds)
 
 
@@ -309,12 +297,8 @@ class TestOracleSweep:
         config = default_config()
         return dict(
             time_grid=config.get("campaign.time_grid_s"),
-            particle=config.particle(),
-            env=config.environment(),
-            csl_geometry=config.csl(),
-            toggles=config.toggles(),
+            scenario=config.scenario(),
             detection=DetectionConfig(aggregation=aggregation),
-            trap_frequency=config.trap_frequency(),
         )
 
     def per_n(self, n_sweep, **model):
@@ -346,12 +330,11 @@ class TestOracleSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pooled_seeds_keep_the_callers_error_state(self, workers):
         # the tile sums of squares overflow; numpy's error state is per thread
+        model = self.model()
+        model["scenario"] = replace(model["scenario"], measurement_noise=1e154)
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                bisect_lambda_mc_sweep(
-                    (100, 400), seeds=self.SEEDS, measurement_noise=1e154,
-                    workers=workers, **self.model(),
-                )
+                bisect_lambda_mc_sweep((100, 400), seeds=self.SEEDS, workers=workers, **model)
 
     def test_bound_oracle_runs_one_campaign_per_seed(self, capsys, monkeypatch):
         calls = []

@@ -16,12 +16,12 @@ from waxsim import (
     CSLParams,
     DomainError,
     NumericalError,
+    Scenario,
     bisect_lambda_mc,
     campaign_curve,
     campaign_to_csv,
     estimate_width,
     run_campaign,
-    sampling_sigma,
 )
 from waxsim import protocol
 
@@ -49,61 +49,68 @@ class TestCampaignConfig:
         with pytest.raises(DomainError):
             make_config(time_grid=(-1.0, 0.5))
 
-    def test_rejects_negative_noise(self):
-        with pytest.raises(DomainError):
-            make_config(measurement_noise=-1e-12)
-        with pytest.raises(DomainError):
-            make_config(drift_velocity_std=-1e-9)
-
-    def test_rejects_negative_occupancy(self):
-        with pytest.raises(DomainError, match=r"^occupancy must be >= 0, got -1.0$"):
-            make_config(occupancy=-1.0)
-
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError, match=r"^rng_seed must be >= 0, got -1$"):
             make_config(rng_seed=-1)
 
 
+class TestScenario:
+    def test_rejects_negative_noise(self, silica, ground):
+        with pytest.raises(DomainError, match=r"^measurement_noise must be >= 0$"):
+            Scenario(silica, ground, measurement_noise=-1e-12)
+        with pytest.raises(DomainError, match=r"^drift_velocity_std must be >= 0$"):
+            Scenario(silica, ground, drift_velocity_std=-1e-9)
+
+    def test_rejects_negative_occupancy(self, silica, ground):
+        with pytest.raises(DomainError, match=r"^occupancy must be >= 0, got -1.0$"):
+            Scenario(silica, ground, occupancy=-1.0)
+
+    def test_rejects_non_positive_trap_frequency(self, silica, ground):
+        with pytest.raises(DomainError, match=r"^trap_frequency must be > 0, got 0.0$"):
+            Scenario(silica, ground, trap_frequency=0.0)
+
+
 class TestNumericalFailure:
     def test_overflowing_variance_is_refused(self, silica, ground):
         # (drift t)^2 overflows to inf; numpy is told only to stay quiet
-        config = make_config(drift_velocity_std=1e160)
+        scenario = Scenario(silica, ground, drift_velocity_std=1e160)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="sample variance overflows"):
-                run_campaign(config, silica, ground)
+                run_campaign(make_config(), scenario)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pool_tasks_keep_the_callers_error_state(self, silica, ground, workers):
         # the tile sums of squares overflow; numpy's error state is per thread
-        config = make_config(time_grid=(10.0,), drift_velocity_std=1e152, runs_per_time=1000)
+        config = make_config(time_grid=(10.0,), runs_per_time=1000)
+        scenario = Scenario(silica, ground, drift_velocity_std=1e152)
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                run_campaign(config, silica, ground, workers=workers)
+                run_campaign(config, scenario, workers=workers)
 
 
 class TestDeterminism:
     def test_same_seed_identical(self, silica, ground):
         config = make_config()
-        a = run_campaign(config, silica, ground)
-        b = run_campaign(config, silica, ground)
+        a = run_campaign(config, Scenario(silica, ground))
+        b = run_campaign(config, Scenario(silica, ground))
         assert np.array_equal(a.samples, b.samples)
         assert a.to_csv() == b.to_csv()
 
     def test_different_seed_differs(self, silica, ground):
-        a = run_campaign(make_config(rng_seed=1), silica, ground)
-        b = run_campaign(make_config(rng_seed=2), silica, ground)
+        a = run_campaign(make_config(rng_seed=1), Scenario(silica, ground))
+        b = run_campaign(make_config(rng_seed=2), Scenario(silica, ground))
         assert not np.array_equal(a.samples, b.samples)
 
     def test_parallel_matches_serial(self, silica, ground):
         config = make_config(time_grid=tuple(float(t) for t in range(0, 12)))
-        serial = run_campaign(config, silica, ground)
-        threaded = run_campaign(config, silica, ground, workers=4)
+        serial = run_campaign(config, Scenario(silica, ground))
+        threaded = run_campaign(config, Scenario(silica, ground), workers=4)
         assert serial.to_csv() == threaded.to_csv()
 
     def test_estimates_reproducible(self, silica, ground):
         config = make_config()
-        first = campaign_to_csv(campaign_curve(config, silica, ground))
-        second = campaign_to_csv(campaign_curve(config, silica, ground))
+        first = campaign_to_csv(campaign_curve(config, Scenario(silica, ground)))
+        second = campaign_to_csv(campaign_curve(config, Scenario(silica, ground)))
         assert first == second
 
 
@@ -111,28 +118,23 @@ class TestStatistics:
     def test_variance_additivity(self, silica, ground):
         # generated variance must match x_var + (v t)^2 + noise^2 within
         # 3 standard errors of the variance estimate at N = 1e5
-        config = make_config(
-            time_grid=(10.0,),
-            runs_per_time=100_000,
-            measurement_noise=1e-6,
-            drift_velocity_std=1e-7,
-            rng_seed=101,
-        )
-        data = run_campaign(config, silica, ground)
-        target = sampling_sigma(config, silica, ground)[0] ** 2
+        config = make_config(time_grid=(10.0,), runs_per_time=100_000, rng_seed=101)
+        scenario = Scenario(silica, ground, measurement_noise=1e-6, drift_velocity_std=1e-7)
+        data = run_campaign(config, scenario)
+        target = scenario.variance(np.array([10.0]))[1][0]
         sample_var = np.var(data.samples[0], ddof=1)
         se = target * math.sqrt(2.0 / (config.runs_per_time - 1))
         assert abs(sample_var - target) < 3.0 * se
 
     def test_ground_state_width_at_release(self, silica, ground):
         config = make_config(time_grid=(0.0, 1.0), runs_per_time=100_000, rng_seed=5)
-        data = run_campaign(config, silica, ground, toggles=ChannelToggles.none())
+        data = run_campaign(config, Scenario(silica, ground, toggles=ChannelToggles.none()))
         sample_std = np.std(data.samples[0], ddof=1)
         assert_allclose(sample_std, SIGMA0, rtol=0.02)
 
     def test_large_n_tracks_model_variance(self, silica, ground):
         config = make_config(time_grid=(0.5, 5.0), runs_per_time=100_000, rng_seed=17)
-        data = run_campaign(config, silica, ground)
+        data = run_campaign(config, Scenario(silica, ground))
         for row, sigma in zip(data.samples, data.true_sigmas):
             se = sigma**2 * math.sqrt(2.0 / (config.runs_per_time - 1))
             assert abs(np.var(row, ddof=1) - sigma**2) < 3.0 * se
@@ -140,8 +142,8 @@ class TestStatistics:
     def test_collapse_channel_inflates_samples(self, silica, space):
         config = make_config(time_grid=(100.0,), runs_per_time=20_000, rng_seed=3)
         csl = CSLParams(collapse_rate=1e-12)
-        off = run_campaign(config, silica, space, toggles=ChannelToggles.standard())
-        on = run_campaign(config, silica, space, csl, ChannelToggles())
+        off = run_campaign(config, Scenario(silica, space, toggles=ChannelToggles.standard()))
+        on = run_campaign(config, Scenario(silica, space, csl, ChannelToggles()))
         assert np.var(on.samples[0]) > np.var(off.samples[0])
 
 
@@ -194,10 +196,10 @@ class TestEstimateWidth:
         campaigns = 10_000
         covered = 0
         total = 0
-        truth = sampling_sigma(make_config(time_grid=grid), silica, ground)
+        truth = np.sqrt(Scenario(silica, ground).variance(np.array(grid))[1])
         for seed in range(campaigns):
             config = make_config(time_grid=grid, runs_per_time=n, rng_seed=seed)
-            data = run_campaign(config, silica, ground)
+            data = run_campaign(config, Scenario(silica, ground))
             for row, sigma in zip(data.samples, truth):
                 est = estimate_width(1.0, row)
                 covered += abs(est.sigma_hat - sigma) < est.standard_error
@@ -209,7 +211,7 @@ class TestEstimateWidth:
 class TestSerialization:
     def test_raw_csv_shape(self, silica, ground):
         config = make_config(time_grid=(0.0, 2.0), runs_per_time=3)
-        data = run_campaign(config, silica, ground)
+        data = run_campaign(config, Scenario(silica, ground))
         lines = data.to_csv().splitlines()
         assert lines[0] == "t_s,run_index,x_m"
         assert len(lines) == 1 + 2 * 3
@@ -218,16 +220,14 @@ class TestSerialization:
         float(x)  # parses
 
     def test_estimate_csv_format(self, silica, ground):
-        estimates = campaign_curve(make_config(), silica, ground)
+        estimates = campaign_curve(make_config(), Scenario(silica, ground))
         lines = campaign_to_csv(estimates).splitlines()
         assert lines[0] == "t_s,sigma_hat_m,sigma_err_m,n_samples"
         assert len(lines) == 4
         assert lines[1].endswith(",100")
 
     def test_single_time_grid(self, silica, ground):
-        estimates = campaign_curve(
-            make_config(time_grid=(5.0,)), silica, ground
-        )
+        estimates = campaign_curve(make_config(time_grid=(5.0,)), Scenario(silica, ground))
         assert len(estimates) == 1
         assert estimates[0].t == 5.0
 
@@ -236,15 +236,15 @@ class TestTiledSampling:
     def test_tile_size_does_not_change_samples(self, silica, ground, monkeypatch):
         # 4-run tiles give ragged last tiles and many advance() calls
         config = make_config(runs_per_time=1001)
-        whole = run_campaign(config, silica, ground)
+        whole = run_campaign(config, Scenario(silica, ground))
         monkeypatch.setattr(protocol, "TILE_RUNS", 4)
-        tiled = run_campaign(config, silica, ground)
+        tiled = run_campaign(config, Scenario(silica, ground))
         assert np.array_equal(whole.samples, tiled.samples)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, silica, ground, workers):
         with pytest.raises(DomainError, match="workers"):
-            run_campaign(make_config(), silica, ground, workers=workers)
+            run_campaign(make_config(), Scenario(silica, ground), workers=workers)
 
     def test_small_campaigns_start_no_thread(self, silica, space, monkeypatch):
         def refuse(*args, **kwargs):
@@ -252,10 +252,10 @@ class TestTiledSampling:
 
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", refuse)
         config = make_config(runs_per_time=protocol.PARALLEL_MIN_DRAWS // 3 - 1)
-        data = run_campaign(config, silica, space)
+        data = run_campaign(config, Scenario(silica, space))
         assert data.samples.shape == (3, config.runs_per_time)
         rate = bisect_lambda_mc(
-            400, (1.0, 10.0, 100.0), silica, space, CSLParams(0.0, 100e-9),
+            400, (1.0, 10.0, 100.0), Scenario(silica, space, CSLParams(0.0, 100e-9)),
             seeds=range(1, 9),
         )
         assert rate > 0.0
@@ -276,9 +276,9 @@ class TestTiledSampling:
     def test_explicit_workers_always_pool(self, silica, ground, monkeypatch):
         # below the threshold and above the CPU count
         config = make_config()
-        serial = run_campaign(config, silica, ground)
+        serial = run_campaign(config, Scenario(silica, ground))
         requested = self.record_pools(monkeypatch, cpus=1)
-        pooled = run_campaign(config, silica, ground, workers=4)
+        pooled = run_campaign(config, Scenario(silica, ground), workers=4)
         assert requested == [4]
         assert np.array_equal(serial.samples, pooled.samples)
 
@@ -294,7 +294,7 @@ class TestTiledSampling:
 
         monkeypatch.setattr(scipy.special, "ndtri", counting_ndtri)
         before = threading.active_count()
-        run_campaign(make_config(), silica, ground, workers=64)  # 3 tiles
+        run_campaign(make_config(), Scenario(silica, ground), workers=64)  # 3 tiles
         assert len(counts) == 3
         assert max(counts) <= before + 3
 
@@ -302,14 +302,14 @@ class TestTiledSampling:
         requested = self.record_pools(monkeypatch, cpus=5)
         monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", 0)
         config = make_config(runs_per_time=protocol.TILE_RUNS + 1)  # 6 tiles
-        run_campaign(config, silica, ground)
-        run_campaign(config, silica, ground, workers=1)
+        run_campaign(config, Scenario(silica, ground))
+        run_campaign(config, Scenario(silica, ground), workers=1)
         assert requested == [5]
 
 
 class TestTileMoments:
     def test_single_tile_rows_equal_np_var(self, silica, ground):
-        data = run_campaign(make_config(runs_per_time=1001), silica, ground)
+        data = run_campaign(make_config(runs_per_time=1001), Scenario(silica, ground))
         assert np.array_equal(data.var_hat, np.var(data.samples, axis=1, ddof=1))
         for row, var_hat in zip(data.samples, data.var_hat):
             assert var_hat == np.var(row, ddof=1)
@@ -319,15 +319,15 @@ class TestTileMoments:
         if tile_runs is not None:
             monkeypatch.setattr(protocol, "TILE_RUNS", tile_runs)
         config = make_config(runs_per_time=n)
-        samples = run_campaign(config, silica, ground).samples
-        for est, row in zip(campaign_curve(config, silica, ground), samples):
+        samples = run_campaign(config, Scenario(silica, ground)).samples
+        for est, row in zip(campaign_curve(config, Scenario(silica, ground)), samples):
             reference = np.std(row, ddof=1)
             assert abs(est.sigma_hat - reference) <= 4 * np.spacing(reference)
 
     def test_workers_do_not_change_var_hat(self, silica, ground):
         config = make_config(time_grid=(0.5, 2.0), runs_per_time=8 * protocol.TILE_RUNS + 1)
         var_hats = [
-            run_campaign(config, silica, ground, workers=workers).var_hat
+            run_campaign(config, Scenario(silica, ground), workers=workers).var_hat
             for workers in (1, 2, 3)
         ]
         assert all(np.array_equal(var_hats[0], other) for other in var_hats[1:])
@@ -335,12 +335,12 @@ class TestTileMoments:
 
 class TestStreamingSerialization:
     def test_to_csv_joins_the_chunks(self, silica, ground):
-        data = run_campaign(make_config(runs_per_time=1001), silica, ground)
+        data = run_campaign(make_config(runs_per_time=1001), Scenario(silica, ground))
         assert data.to_csv() == "".join(data.csv_chunks())
 
     def test_one_chunk_per_tile(self, silica, ground, monkeypatch):
         monkeypatch.setattr(protocol, "TILE_RUNS", 4)
-        data = run_campaign(make_config(runs_per_time=10), silica, ground)
+        data = run_campaign(make_config(runs_per_time=10), Scenario(silica, ground))
         chunks = list(data.csv_chunks())
         assert len(chunks) == 1 + 3 * math.ceil(10 / 4)
         assert chunks[0] == "t_s,run_index,x_m\n"
@@ -352,9 +352,9 @@ class TestStreamingSerialization:
         # the moments of 3 tiles need 72 bytes; nothing is allocated
         monkeypatch.setattr(protocol, "_physical_memory", lambda: 71)
         with pytest.raises(DomainError, match="physical memory"):
-            run_campaign(make_config(), silica, ground)
+            run_campaign(make_config(), Scenario(silica, ground))
         monkeypatch.setattr(protocol, "_physical_memory", lambda: 72)
-        samples = run_campaign(make_config(), silica, ground).samples
+        samples = run_campaign(make_config(), Scenario(silica, ground)).samples
         # materialising the 3 x 100 doubles needs 2400 bytes
         with pytest.raises(DomainError, match="physical memory"):
             np.asarray(samples)
@@ -363,7 +363,7 @@ class TestStreamingSerialization:
 
     def test_unknown_physical_memory_skips_the_check(self, silica, ground, monkeypatch):
         monkeypatch.setattr(protocol, "_physical_memory", lambda: None)
-        samples = run_campaign(make_config(), silica, ground).samples
+        samples = run_campaign(make_config(), Scenario(silica, ground)).samples
         assert np.asarray(samples).shape == (3, 100)
 
 
@@ -374,12 +374,12 @@ class TestMomentsEngine:
             config = CampaignConfig((0.5,), tiles * protocol.TILE_RUNS, rng_seed=7)
             tracemalloc.start()
             try:
-                run_campaign(config, silica, ground, workers=workers)
+                run_campaign(config, Scenario(silica, ground), workers=workers)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        run_campaign(make_config(), silica, ground)  # imports done before measuring
+        run_campaign(make_config(), Scenario(silica, ground))  # imports done before measuring
         assert peak(6) <= 1.25 * peak(2)
 
     def test_shape_and_size_draw_nothing(self, silica, ground, monkeypatch):
@@ -392,7 +392,7 @@ class TestMomentsEngine:
             calls.append(1)
             return ndtri(*args, **kwargs)
 
-        samples = run_campaign(make_config(), silica, ground).samples
+        samples = run_campaign(make_config(), Scenario(silica, ground)).samples
         monkeypatch.setattr(scipy.special, "ndtri", counting_ndtri)
         assert samples.shape == (3, 100)
         assert samples.size == 300
@@ -411,14 +411,14 @@ class TestMomentsEngine:
 
         monkeypatch.setattr(protocol, "TILE_RUNS", 4)
         config = make_config(runs_per_time=1001)  # 3 x 251 tiles
-        serial = run_campaign(config, silica, ground)
+        serial = run_campaign(config, Scenario(silica, ground))
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
-        pooled = run_campaign(config, silica, ground, workers=2)
+        pooled = run_campaign(config, Scenario(silica, ground), workers=2)
         assert 1 <= len(submitted) <= 2
         assert np.array_equal(serial.var_hat, pooled.var_hat)
 
     def test_rows_are_redrawn_identically(self, silica, ground):
-        samples = run_campaign(make_config(runs_per_time=1001), silica, ground).samples
+        samples = run_campaign(make_config(runs_per_time=1001), Scenario(silica, ground)).samples
         whole = np.asarray(samples)
         assert np.array_equal(samples[-1], whole[2])
         assert all(np.array_equal(a, b) for a, b in zip(samples, whole))
@@ -430,11 +430,11 @@ class TestMomentsEngine:
         # drawn twice or skipped leaves a stale record and moves var_hat
         monkeypatch.setattr(protocol, "TILE_RUNS", 4)
         config = make_config(runs_per_time=1001)
-        serial = run_campaign(config, silica, ground)
+        serial = run_campaign(config, Scenario(silica, ground))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = run_campaign(config, silica, ground, workers=8)
+            pooled = run_campaign(config, Scenario(silica, ground), workers=8)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(serial.var_hat, pooled.var_hat)
@@ -450,10 +450,10 @@ class TestRunPrefixes:
         monkeypatch.setattr(protocol, "TILE_RUNS", 4)
         config = make_config(runs_per_time=13)
         counts = (11, 2, 3, 4, 6, 8, 12, 13, 4)
-        data = run_campaign(config, silica, ground, workers=workers, run_counts=counts)
+        data = run_campaign(config, Scenario(silica, ground), workers=workers, run_counts=counts)
         assert sorted(data.var_hats) == sorted(set(counts))
         for m in counts:
-            shorter = run_campaign(replace(config, runs_per_time=m), silica, ground)
+            shorter = run_campaign(replace(config, runs_per_time=m), Scenario(silica, ground))
             assert np.array_equal(data.var_hats[m], shorter.var_hat)
         assert data.var_hat is data.var_hats[13]
 
@@ -463,23 +463,23 @@ class TestRunPrefixes:
         monkeypatch.setattr(protocol, "TILE_RUNS", 4)
         config = make_config(runs_per_time=1001)
         counts = (7, 501, 998, 1001)
-        serial = run_campaign(config, silica, ground, run_counts=counts)
+        serial = run_campaign(config, Scenario(silica, ground), run_counts=counts)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = run_campaign(config, silica, ground, workers=8, run_counts=counts)
+            pooled = run_campaign(config, Scenario(silica, ground), workers=8, run_counts=counts)
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(serial.var_hats[m], pooled.var_hats[m]) for m in counts)
 
     def test_default_is_all_runs(self, silica, ground):
-        data = run_campaign(make_config(), silica, ground)
+        data = run_campaign(make_config(), Scenario(silica, ground))
         assert list(data.var_hats) == [100]
 
     @pytest.mark.parametrize("m", [1, 101])
     def test_count_outside_the_campaign_rejected(self, silica, ground, m):
         with pytest.raises(DomainError, match="run counts"):
-            run_campaign(make_config(), silica, ground, run_counts=(50, m))
+            run_campaign(make_config(), Scenario(silica, ground), run_counts=(50, m))
 
     def test_no_counts_draw_nothing(self, silica, ground, monkeypatch):
         import scipy.special
@@ -489,8 +489,8 @@ class TestRunPrefixes:
         monkeypatch.setattr(
             scipy.special, "ndtri", lambda *a, **k: calls.append(1) or ndtri(*a, **k)
         )
-        data = run_campaign(make_config(), silica, ground, run_counts=())
+        data = run_campaign(make_config(), Scenario(silica, ground), run_counts=())
         assert calls == [] and data.var_hats == {}
         with pytest.raises(KeyError):
             data.var_hat
-        assert data.to_csv() == run_campaign(make_config(), silica, ground).to_csv()
+        assert data.to_csv() == run_campaign(make_config(), Scenario(silica, ground)).to_csv()

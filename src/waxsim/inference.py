@@ -14,6 +14,8 @@ errors:
 
 ``best-time`` aggregation (default)
     lambda_min = min over t of  z * SE_var(t) / (d excess / d lambda)(t)
+    The minimizing time, ``best_time``, is picked from the model before any
+    data exist, and a campaign is tested at that one time.
 
 ``chi-square-sum`` aggregation
     all grid times pooled,  sum_t (lambda s_t / SE_t)^2 = q  where
@@ -130,14 +132,15 @@ def _chi_square_quantile(confidence_z: float, dof: int) -> float:
 
 def _detection_setup(
     n_per_time: int, time_grid: Sequence[float], detection: DetectionConfig, scenario: Scenario
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float | None, int]:
     """Validated inputs and the standard-physics prediction of a detection.
 
-    Returns ``(times, sens, var_std, se_var, q)``: the grid, the
+    Returns ``(times, sens, var_std, se_var, q, best)``: the grid, the
     :func:`csl_sensitivity` at each time, the per-draw variance with the
     collapse channel off (drift and readout terms included), its standard
-    error for N runs, and the chi-square threshold (``None`` for
-    best-time aggregation).
+    error for N runs, the chi-square threshold (``None`` for best-time
+    aggregation) and the index of the most sensitive time, the one time
+    best-time aggregation tests.
     """
     _check_runs(n_per_time, "n_per_time")
     times = check_time_grid(time_grid)
@@ -150,10 +153,13 @@ def _detection_setup(
         )
     _, var_std = replace(scenario, toggles=replace(scenario.toggles, csl=False)).variance(times)
     se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
+    per_time = np.full(times.size, np.inf)
+    usable = sens > 0.0
+    per_time[usable] = detection.confidence_z * se_var[usable] / sens[usable]
     q = None
     if detection.aggregation == "chi-square-sum":
         q = _chi_square_quantile(detection.confidence_z, times.size)
-    return times, sens, var_std, se_var, q
+    return times, sens, var_std, se_var, q, int(np.argmin(per_time))
 
 
 def min_detectable_lambda(
@@ -197,15 +203,11 @@ def min_detectable_lambda(
         particle, env, csl_geometry, toggles, trap_frequency, occupancy,
         measurement_noise, drift_velocity_std,
     )
-    times, sens, _, se_var, q = _detection_setup(n_per_time, time_grid, detection, scenario)
-    usable = sens > 0.0
-    per_time = np.full(times.size, np.inf)
-    per_time[usable] = detection.confidence_z * se_var[usable] / sens[usable]
-    best = int(np.argmin(per_time))
-
+    times, sens, _, se_var, q, best = _detection_setup(n_per_time, time_grid, detection, scenario)
     if q is None:
-        lam = float(per_time[best])
+        lam = float(detection.confidence_z * se_var[best] / sens[best])
     else:
+        usable = sens > 0.0
         lam = float(np.sqrt(q / np.sum((sens[usable] / se_var[usable]) ** 2)))
     return DetectionResult(
         lambda_min=lam, best_time=float(times[best]), n_per_time=n_per_time
@@ -259,16 +261,19 @@ def detection_power_mc(
     """Monte-Carlo detection probability at a given collapse rate.
 
     Simulates one campaign per seed with the collapse channel active at
-    ``collapse_rate``, compares each grid time's sample variance against the
-    standard-physics prediction, and applies the configured aggregation at
-    threshold ``confidence_z``. Returns the detected fraction.
+    ``collapse_rate``, compares the sample variance against the
+    standard-physics prediction at ``best_time`` (best-time) or at every
+    grid time (chi-square-sum), and applies the threshold
+    ``confidence_z``. Returns the detected fraction.
     """
-    times, _, var_std, se_var, q = _detection_setup(n_per_time, time_grid, detection, scenario)
+    times, _, var_std, se_var, q, best = _detection_setup(
+        n_per_time, time_grid, detection, scenario
+    )
 
     def detected(data: PositionSamples) -> bool:
         z = (data.var_hat - var_std) / se_var
         if q is None:
-            return bool(np.max(z) >= detection.confidence_z)
+            return bool(z[best] >= detection.confidence_z)
         return bool(np.sum(z**2) >= q)
 
     hits = _over_seeds(detected, seeds, collapse_rate, n_per_time, times, scenario)
@@ -283,6 +288,7 @@ def _critical_rate(
     se_var: np.ndarray,
     detection: DetectionConfig,
     q: float | None,
+    best: int,
 ) -> float:
     """Smallest rate at which one seed's campaign is detected.
 
@@ -291,18 +297,13 @@ def _critical_rate(
     variance at rate lambda is ``w * (v0 + lambda * sens)``, ``w = var_hat /
     v0``, so the z-score at each time is linear in lambda:
     ``(a + lambda * b) / se_var`` with ``a = var_hat - var_std`` and
-    ``b = w * sens``.
+    ``b = w * sens``. Best-time aggregation tests grid index ``best`` only,
+    where ``sens`` is positive.
     """
     a = var_hat - var_std
     b = var_hat / v0 * sens
     if q is None:
-        # a time with no sensitivity detects at every rate or at none
-        gap = detection.confidence_z * se_var - a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_time = np.where(
-                b > 0.0, gap / b, np.where(gap <= 0.0, 0.0, np.inf)
-            )
-        return max(float(np.min(per_time)), 0.0)
+        return max(float((detection.confidence_z * se_var[best] - a[best]) / b[best]), 0.0)
     # upper root of sum_t ((a + lambda b) / se)^2 = q, written
     # A lambda^2 + 2 B lambda + C = 0 and solved without cancellation
     a, b = a / se_var, b / se_var
@@ -338,8 +339,11 @@ def bisect_lambda_mc(
     detects:
 
     ``best-time``
-        min over t of ``(z se_t + var_std_t - w_t v0_t) / (w_t sens_t)``,
-        clipped at 0.
+        ``(z se_t + var_std_t - w_t v0_t) / (w_t sens_t)`` at the time
+        :func:`min_detectable_lambda` reports as ``best_time``, clipped at 0.
+        Testing only that time, chosen from the model before any data, is
+        the decision rule the closed form prices; the smallest rate over all
+        times would be a look-elsewhere test with a higher false-alarm rate.
     ``chi-square-sum``
         the upper root of ``sum_t ((w_t v0_t - var_std_t + lambda w_t
         sens_t) / se_t)^2 = q``, or 0 when there is no real root.
@@ -388,15 +392,17 @@ def bisect_lambda_mc_sweep(
         raise DomainError(f"power_target must be in (0, 1], got {power_target}")
     if not n_sweep:
         raise DomainError("n_sweep must be non-empty")
-    # only the standard error depends on N
-    se_var = {}
+    # only the standard error, and with it the best time, depends on N
+    se_var, best = {}, {}
     for n in n_sweep:
-        times, sens, var_std, se_var[n], q = _detection_setup(n, time_grid, detection, scenario)
+        times, sens, var_std, se_var[n], q, best[n] = _detection_setup(
+            n, time_grid, detection, scenario
+        )
 
     def critical_rates(data: PositionSamples) -> list[float]:
         v0 = data.true_sigmas**2
         return [
-            _critical_rate(data.var_hats[n], v0, sens, var_std, se_var[n], detection, q)
+            _critical_rate(data.var_hats[n], v0, sens, var_std, se_var[n], detection, q, best[n])
             for n in n_sweep
         ]
 

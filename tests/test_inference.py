@@ -349,3 +349,32 @@ class TestOracleSweep:
         capsys.readouterr()
         largest = max(default_config().get("bound.n_sweep"))
         assert calls == [(seed, largest) for seed in range(1, 5)]
+
+
+class TestPreRegisteredTime:
+    """Best-time aggregation tests only the time the closed form picks."""
+
+    @staticmethod
+    def default():
+        config = default_config()
+        return config, config.get("campaign.time_grid_s"), config.scenario(), config.detection()
+
+    def test_oracle_matches_the_closed_form_on_the_default_config(self):
+        # testing all 21 times instead gave ratios of 0.27-0.38 here
+        config, grid, scenario, detection = self.default()
+        sweep = config.get("bound.n_sweep")
+        rates = bisect_lambda_mc_sweep(sweep, grid, scenario, detection, seeds=range(1, 65))
+        for n, rate in zip(sweep, rates):
+            closed = min_detectable_lambda(
+                n, grid, config.particle(), config.environment(), config.csl(),
+                detection=detection, trap_frequency=config.trap_frequency(),
+            )
+            assert 0.85 <= rate / closed.lambda_min <= 1.15, n
+
+    def test_false_alarms_at_rate_zero_stay_near_the_normal_tail(self):
+        # Phi(-3) is 0.135 %, about 1.4 of 1000 campaigns; 8 or more has a
+        # binomial probability near 1e-5. Testing all 21 times detected
+        # about 4.3 % of campaigns.
+        _, grid, scenario, detection = self.default()
+        power = detection_power_mc(0.0, 400, grid, scenario, detection, seeds=range(1, 1001))
+        assert round(power * 1000) <= 8

@@ -257,13 +257,19 @@ class ExpansionCurve:
 def _x_var_free(
     state: GaussianState, mass: float, localization_rate: float, times: float | np.ndarray
 ) -> float | np.ndarray:
-    """Closed-form x_var(t), for one time or elementwise over a time array."""
+    """Closed-form x_var(t), for one time or elementwise over a time array.
+
+    The cube is three IEEE multiplies, ``(t * t * t)``, as in
+    :func:`waxsim.inference.csl_sensitivity`: numpy's array power rounds
+    ``t**3`` differently with the CPU's SIMD features, the scalar ``pow``
+    differently again, and both would make the bytes depend on the machine.
+    """
     h2L = hbar * hbar * localization_rate
     return (
         state.x_var
         + 2.0 * state.xp_cov * times / mass
         + state.p_var * times**2 / mass**2
-        + (2.0 / 3.0) * h2L * times**3 / mass**2
+        + (2.0 / 3.0) * h2L * (times * times * times) / mass**2
     )
 
 

@@ -52,6 +52,18 @@ NOISY_CONFIG = (
 )
 
 
+def simd_features():
+    """The AVX-512 feature groups that numpy dispatches to on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [
+        name for name in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+        if name in __cpu_dispatch__ and __cpu_features__.get(name)
+    ]
+
+
 def csv_column(text, name):
     lines = text.strip().splitlines()
     idx = lines[0].split(",").index(name)
@@ -523,7 +535,8 @@ class TestCommandBytes:
 
     Only the noisy config sees the drift, readout and occupancy terms; its
     ``campaign`` rows at t = 0, where readout noise dominates, move with a
-    few-ulp change of the variance.
+    few-ulp change of the variance. The ``thirds`` grid has non-integer
+    times, whose cubes round.
     """
 
     COMMANDS = {
@@ -535,6 +548,7 @@ class TestCommandBytes:
         "feasibility": ("feasibility",),
     }
     EMPTY = hashlib.sha256(b"").hexdigest()
+    THIRDS = ("--campaign.time_grid_s", "0:20:7")
     PINNED = {
         ("default", "campaign"): ("d68129a7a8776134bacd8b6bcb7e9cb3bddd656a1b25999599dffda191e87a4d", EMPTY),
         ("default", "rates"): ("3c51310a8400525f3c62b911af394f40dfb0a14006b203ca4c413963afca9022", EMPTY),
@@ -548,11 +562,13 @@ class TestCommandBytes:
         ("noisy", "bound"): ("6ffa51073c6b006eda9ff5b1bf61af94c1157a2f75d252c81d1bf82475d91973", EMPTY),
         ("noisy", "oracle"): ("6ffa51073c6b006eda9ff5b1bf61af94c1157a2f75d252c81d1bf82475d91973", EMPTY),
         ("noisy", "feasibility"): ("b21582798091f843a41037b624d74e93424e1f3f740202baff9a658e7edfc2fe", EMPTY),
+        ("thirds", "expand"): ("15b4d520fa0f45d286ae7cd755c832e2bd9284053dbb817627db7ae21f22a4b2", EMPTY),
+        ("thirds", "bound"): ("e1ac62848d53e1e0fc503cecb1a1faf93bacef69b9ed662a5a53cefc54239631", EMPTY),
     }
 
     @pytest.mark.parametrize("config, command", sorted(PINNED))
     def test_pinned_digest(self, capsys, tmp_path, config, command):
-        extra = []
+        extra = list(self.THIRDS) if config == "thirds" else []
         if config == "noisy":
             path = tmp_path / "noisy.cfg"
             path.write_text(NOISY_CONFIG)
@@ -561,6 +577,24 @@ class TestCommandBytes:
         assert code == 0
         digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
         assert digests == self.PINNED[config, command]
+
+    @pytest.mark.skipif(
+        "AVX512_ICL" not in simd_features(), reason="numpy dispatches no AVX512_ICL here"
+    )
+    @pytest.mark.parametrize("command", ["expand", "bound"])
+    def test_bytes_do_not_depend_on_simd_features(self, command):
+        # numpy's AVX-512 array power once rounded t**3 on this grid
+        # differently from its other code paths
+        outputs = set()
+        for disabled in ("", " ".join(simd_features())):
+            env = dict(waxsim_env(), NPY_DISABLE_CPU_FEATURES=disabled)
+            proc = subprocess.run(
+                [sys.executable, "-m", "waxsim", command, *self.THIRDS],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
 
 class TestCampaignBytes:

@@ -28,10 +28,8 @@ from .dynamics import (
     GaussianState,
     Scenario,
     evolve_free,
-    evolve_numeric,
     expansion_curve,
     initial_state,
-    rk4_integrate,
 )
 from .errors import (
     ConfigError,
@@ -71,17 +69,9 @@ from .protocol import (
     run_campaign,
 )
 
+from .validation import csl_sphere_factor_bruteforce, evolve_numeric, rk4_integrate
+
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # The quadrature oracle loads scipy.interpolate, so it is imported on
-    # first use rather than with the package (PEP 562).
-    if name == "csl_sphere_factor_bruteforce":
-        from .validation import csl_sphere_factor_bruteforce
-
-        return csl_sphere_factor_bruteforce
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BlackbodyRates",

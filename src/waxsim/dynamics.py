@@ -10,9 +10,10 @@ rate Lambda (the -Lambda [x,[x,rho]] master-equation term) evolves them as
     d<x^2>/dt      = <xp+px>/m
 
 whose closed-form solution is polynomial in t; the t^3 term in <x^2> is the
-decoherence signature the measurement protocol targets. ``evolve_numeric``
-integrates the same system with a generic fixed-step 4th-order Runge-Kutta
-scheme as an independent check on the closed form.
+decoherence signature the measurement protocol targets.
+:func:`waxsim.validation.evolve_numeric` integrates the same system with a
+generic fixed-step 4th-order Runge-Kutta scheme as an independent check on
+the closed form.
 
 The quadratic localization form holds for wave-packet spreads small against
 the collapse correlation length; curves that leave that regime are flagged,
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .constants import hbar
 from .decoherence import ChannelToggles, CSLParams, DecoherenceBudget, total_budget
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
 
 #: Relative slack on the Heisenberg product at construction.
@@ -120,7 +121,7 @@ def initial_state(
 
 
 def _check_evolution(mass: float, localization_rate: float, t: float) -> None:
-    """The mass, rate and time checks of :func:`evolve_free` and :func:`evolve_numeric`."""
+    """The mass, rate and time checks of :func:`evolve_free` and its RK4 oracle."""
     if mass <= 0.0:
         raise DomainError(f"mass must be > 0, got {mass}")
     if localization_rate < 0.0:
@@ -160,80 +161,6 @@ def evolve_free(
         xp_cov=state.xp_cov + state.p_var * t / mass + h2L * t * t / mass,
         p_var=state.p_var + 2.0 * h2L * t,
     )
-
-
-def rk4_integrate(
-    deriv: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    t0: float,
-    t1: float,
-    steps: int,
-) -> np.ndarray:
-    """Generic fixed-step classical Runge-Kutta (order 4) integrator.
-
-    Returns the state at ``t1`` after ``steps`` equal steps from ``t0``.
-    """
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    h = (t1 - t0) / steps
-    y = np.asarray(y0, dtype=float)
-    t = t0
-    for _ in range(steps):
-        k1 = deriv(t, y)
-        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = deriv(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return y
-
-
-def evolve_numeric(
-    state: GaussianState,
-    mass: float,
-    localization_rate: float,
-    t: float,
-    steps: int = 10_000,
-    tolerance: float | None = None,
-) -> GaussianState:
-    """Integrate the moment ODEs with fixed-step RK4 (verification path).
-
-    Parameters
-    ----------
-    state, mass, localization_rate, t
-        As in :func:`evolve_free`.
-    steps : int
-        Number of RK4 steps, >= 1.
-    tolerance : float, optional
-        If given, the integration is repeated with 2x the steps; a relative
-        change in sigma above ``tolerance`` raises NumericalError. The
-        finer result is returned.
-
-    Returns
-    -------
-    GaussianState
-    """
-    _check_evolution(mass, localization_rate, t)
-    h2L2 = 2.0 * hbar * hbar * localization_rate
-
-    def deriv(_t: float, y: np.ndarray) -> np.ndarray:
-        x_var, xp_cov, p_var = y
-        return np.array([2.0 * xp_cov / mass, p_var / mass, h2L2])
-
-    y0 = np.array([state.x_var, state.xp_cov, state.p_var])
-    if t == 0.0:
-        return state
-    y = rk4_integrate(deriv, y0, 0.0, t, steps)
-    if tolerance is not None:
-        y_fine = rk4_integrate(deriv, y0, 0.0, t, 2 * steps)
-        sigma, sigma_fine = math.sqrt(y[0]), math.sqrt(y_fine[0])
-        if abs(sigma - sigma_fine) > tolerance * sigma_fine:
-            raise NumericalError(
-                "moment integration not converged: halving the step changes "
-                f"sigma by {abs(sigma - sigma_fine) / sigma_fine:.3e} relative"
-            )
-        y = y_fine
-    return GaussianState(x_var=y[0], xp_cov=y[1], p_var=y[2])
 
 
 @dataclass(frozen=True)

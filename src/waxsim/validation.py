@@ -1,5 +1,17 @@
-"""Brute-force cross-checks for the collapse-rate convention.
+"""Verification oracles: independent routes to what the models compute.
 
+None of them is used by a model; the tests and the acceptance suite compare
+against them. Importing this module loads no scipy.
+
+Moment evolution
+----------------
+:func:`evolve_numeric` integrates the moment equations of
+:mod:`waxsim.dynamics` with a generic fixed-step 4th-order Runge-Kutta
+scheme, :func:`rk4_integrate`, as a check on the closed form of
+:func:`waxsim.dynamics.evolve_free`.
+
+Collapse-rate convention
+------------------------
 The closed-form sphere factor in :func:`waxsim.decoherence.sphere_geometry_factor`
 is re-derived here from first principles, with no reference to that formula.
 The collapse decoherence function for center-of-mass displacement s is, in
@@ -22,10 +34,89 @@ Everything is numeric; no series or closed form for the sphere factor enters.
 """
 from __future__ import annotations
 
-import numpy as np
-from scipy.interpolate import CubicSpline
+import math
+from typing import Callable
 
-from .errors import DomainError
+import numpy as np
+
+from .constants import hbar
+from .dynamics import GaussianState, _check_evolution
+from .errors import DomainError, NumericalError
+
+
+def rk4_integrate(
+    deriv: Callable[[float, np.ndarray], np.ndarray],
+    y0: np.ndarray,
+    t0: float,
+    t1: float,
+    steps: int,
+) -> np.ndarray:
+    """Generic fixed-step classical Runge-Kutta (order 4) integrator.
+
+    Returns the state at ``t1`` after ``steps`` equal steps from ``t0``.
+    """
+    if steps < 1:
+        raise DomainError(f"steps must be >= 1, got {steps}")
+    h = (t1 - t0) / steps
+    y = np.asarray(y0, dtype=float)
+    t = t0
+    for _ in range(steps):
+        k1 = deriv(t, y)
+        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = deriv(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return y
+
+
+def evolve_numeric(
+    state: GaussianState,
+    mass: float,
+    localization_rate: float,
+    t: float,
+    steps: int = 10_000,
+    tolerance: float | None = None,
+) -> GaussianState:
+    """Integrate the moment ODEs with fixed-step RK4 (verification path).
+
+    Parameters
+    ----------
+    state, mass, localization_rate, t
+        As in :func:`waxsim.dynamics.evolve_free`.
+    steps : int
+        Number of RK4 steps, >= 1.
+    tolerance : float, optional
+        If given, the integration is repeated with 2x the steps; a relative
+        change in sigma above ``tolerance`` raises NumericalError. The
+        finer result is returned.
+
+    Returns
+    -------
+    GaussianState
+    """
+    _check_evolution(mass, localization_rate, t)
+    h2L2 = 2.0 * hbar * hbar * localization_rate
+
+    def deriv(_t: float, y: np.ndarray) -> np.ndarray:
+        x_var, xp_cov, p_var = y
+        return np.array([2.0 * xp_cov / mass, p_var / mass, h2L2])
+
+    y0 = np.array([state.x_var, state.xp_cov, state.p_var])
+    if t == 0.0:
+        return state
+    y = rk4_integrate(deriv, y0, 0.0, t, steps)
+    if tolerance is not None:
+        y_fine = rk4_integrate(deriv, y0, 0.0, t, 2 * steps)
+        sigma, sigma_fine = math.sqrt(y[0]), math.sqrt(y_fine[0])
+        if abs(sigma - sigma_fine) > tolerance * sigma_fine:
+            raise NumericalError(
+                "moment integration not converged: halving the step changes "
+                f"sigma by {abs(sigma - sigma_fine) / sigma_fine:.3e} relative"
+            )
+        y = y_fine
+    return GaussianState(x_var=y[0], xp_cov=y[1], p_var=y[2])
+
 
 #: Grid extent beyond the sphere edge, in correlation lengths; the smeared
 #: density is Gaussian-small there.
@@ -38,6 +129,8 @@ def _smeared_density(ratio: float, n_grid: int = 4000, n_quad: int = 200):
     mu(r) = (pi)^(-3/4) rho0 * 2 pi / r * int_0^R x
             [exp(-(r-x)^2/2) - exp(-(r+x)^2/2)] dx
     """
+    from scipy.interpolate import CubicSpline
+
     rmax = ratio + _TAIL
     r = np.linspace(0.0, rmax, n_grid)
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
@@ -80,6 +173,8 @@ def csl_sphere_factor_bruteforce(
         quadratic coefficient of Gamma divided by 1/(4 a^2) at unit mass and
         unit rate.
     """
+    from scipy.interpolate import CubicSpline
+
     if ratio <= 0.0:
         raise DomainError(f"ratio must be > 0, got {ratio}")
     mu, rmax = _smeared_density(ratio)

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import waxsim.dynamics as dynamics
+import waxsim.validation as validation
 from waxsim import (
     ChannelToggles,
     CSLParams,
@@ -170,15 +171,15 @@ class TestEvolveNumeric:
 
     def test_convergence_guard_raises(self, silica, monkeypatch):
         # inject a step-dependent bias so halving the step moves sigma
-        real = dynamics.rk4_integrate
+        real = validation.rk4_integrate
 
         def biased(deriv, y0, t0, t1, steps):
             return real(deriv, y0, t0, t1, steps) * (1.0 + 1e-3 / steps)
 
-        monkeypatch.setattr(dynamics, "rk4_integrate", biased)
+        monkeypatch.setattr(validation, "rk4_integrate", biased)
         state = initial_state(silica, OMEGA)
         with pytest.raises(NumericalError):
-            dynamics.evolve_numeric(
+            validation.evolve_numeric(
                 state, silica.mass, LAMBDA_BB, 10.0, steps=4, tolerance=1e-9
             )
 

@@ -56,12 +56,16 @@ def test_campaign_loads_only_scipy_special():
 
 
 def test_quadrature_oracle_resolves_lazily():
+    # the oracles import at once; scipy.interpolate loads on the first call
     code = (
+        "import sys\n"
         "import waxsim\n"
         "from waxsim import csl_sphere_factor_bruteforce\n"
         "from waxsim.validation import csl_sphere_factor_bruteforce as direct\n"
         "assert waxsim.csl_sphere_factor_bruteforce is csl_sphere_factor_bruteforce is direct\n"
         "assert 'csl_sphere_factor_bruteforce' in waxsim.__all__\n"
+        "assert 'scipy.interpolate' not in sys.modules\n"
+        "csl_sphere_factor_bruteforce(1.0)\n"
     )
     assert "scipy.interpolate" in scipy_loaded_after(code)
 

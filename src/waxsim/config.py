@@ -8,19 +8,27 @@ equal configuration.
 
 Float lists accept either a comma-separated list (``0,5,10``) or a linear
 range ``start:stop:count``; the canonical form is always the comma list.
+A range gives the floats of ``numpy.linspace(start, stop, count)``, computed
+in pure Python: point i is ``start + i * step`` with ``step = (stop - start)
+/ (count - 1)``, or ``start + (i / (count - 1)) * (stop - start)`` where
+``step`` underflows to 0, and the last point is ``stop``. A span, product or
+sum that overflows raises ``FloatingPointError`` ("overflow encountered in
+subtract", "multiply" or "add"), as ``linspace`` does where numpy raises on
+overflow; the CLI reports it as a numerical failure.
+
+Nothing here imports numpy: the rules that ``ConfigBuilder.finalize``
+applies live in :mod:`waxsim.dynamics` and the other model modules, which
+are pure Python up to their array functions.
 """
 from __future__ import annotations
 
 import math
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .constants import amu
 from .decoherence import ChannelToggles, CSLParams
-from .dynamics import Scenario, check_time_grid
+from .dynamics import CampaignConfig, DetectionConfig, Scenario, _check_runs, grid_times
 from .errors import ConfigError, DomainError
-from .inference import DetectionConfig
 from .materials import (
     AIR_MOLECULE_MASS,
     Environment,
@@ -28,7 +36,6 @@ from .materials import (
     ground_environment,
     space_environment,
 )
-from .protocol import CampaignConfig, _check_runs
 
 # key -> (type, default, unit, help)
 SCHEMA: dict[str, tuple[str, object, str, str]] = {
@@ -113,8 +120,35 @@ def _parse_floatlist(raw: str) -> tuple[float, ...]:
         count = _parse_int(parts[2])
         if count < 1:
             raise ConfigError("range count must be >= 1")
-        return tuple(float(v) for v in np.linspace(start, stop, count))
+        return _linspace(start, stop, count)
     return tuple(_parse_float(p) for p in raw.split(",") if p.strip())
+
+
+def _check_overflow(values: Iterable[float], operation: str) -> None:
+    """Raise as numpy does where an ``operation`` overflowed to infinity."""
+    if any(math.isinf(v) for v in values):
+        raise FloatingPointError(f"overflow encountered in {operation}")
+
+
+def _linspace(start: float, stop: float, count: int) -> tuple[float, ...]:
+    """``numpy.linspace(start, stop, count)`` for finite floats, in the same
+    operations and order, so with the same bits."""
+    delta = stop - start
+    _check_overflow([delta], "subtract")
+    div = count - 1
+    if div == 0:
+        offsets = [0.0 * delta]
+    elif (step := delta / div) == 0.0:
+        # numpy's branch for a span too small to divide (numpy gh-5437)
+        offsets = [(i / div) * delta for i in range(count)]
+    else:
+        offsets = [i * step for i in range(count)]
+    _check_overflow(offsets, "multiply")
+    points = [offset + start for offset in offsets]
+    _check_overflow(points, "add")
+    if div:
+        points[-1] = stop
+    return tuple(points)
 
 
 def _parse_int(raw: str) -> int:
@@ -191,7 +225,7 @@ class ConfigBuilder:
             if key not in self.explicit:
                 values[key] = value
         try:
-            check_time_grid(values["campaign.time_grid_s"])
+            grid_times(values["campaign.time_grid_s"])
         except DomainError as exc:
             raise ConfigError(f"campaign.time_grid_s: {exc}") from exc
         config = RunConfig(values)

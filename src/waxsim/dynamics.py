@@ -19,19 +19,27 @@ The quadratic localization form holds for wave-packet spreads small against
 the collapse correlation length; curves that leave that regime are flagged,
 not rejected (the quadratic form overestimates localization there, so the
 flagged results are conservative).
+
+The input rules every command applies also live here, in pure Python: the
+grid rule (:func:`grid_times`), the run and worker counts, the campaign plan
+(:class:`CampaignConfig`) and the detection threshold
+(:class:`DetectionConfig`). numpy is imported only by the functions that
+build arrays, :func:`check_time_grid` and :func:`expansion_curve`, so the
+config and the scalar commands start without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .constants import hbar
 from .decoherence import ChannelToggles, CSLParams, DecoherenceBudget, total_budget
 from .errors import DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Relative slack on the Heisenberg product at construction.
 _PURITY_TOLERANCE = 1e-9
@@ -261,21 +269,80 @@ class Scenario:
         return budget, x_var + (self.drift_velocity_std * times) ** 2 + self.measurement_noise**2
 
 
-def check_time_grid(time_grid: Sequence[float]) -> np.ndarray:
-    """The grid as a float array, if it is a valid grid of expansion times.
+def grid_times(time_grid: Sequence[float]) -> tuple[float, ...]:
+    """The grid as a tuple of floats, if it is a valid grid of expansion times.
 
     The one grid rule shared by the models and the config: non-empty,
     finite, non-negative and strictly increasing. Raises DomainError
     otherwise.
     """
-    times = np.asarray(list(time_grid), dtype=float)
-    if times.size == 0:
+    times = tuple(float(t) for t in time_grid)
+    if not times:
         raise DomainError("time_grid must be non-empty")
-    if not np.all(np.isfinite(times) & (times >= 0.0)):
+    if not all(math.isfinite(t) and t >= 0.0 for t in times):
         raise DomainError("time_grid must be finite and non-negative")
-    if np.any(np.diff(times) <= 0.0):
+    if any(later <= earlier for earlier, later in zip(times, times[1:])):
         raise DomainError("time_grid must be strictly increasing")
     return times
+
+
+def check_time_grid(time_grid: Sequence[float]) -> np.ndarray:
+    """The grid as a float array, if :func:`grid_times` accepts it."""
+    import numpy as np
+
+    return np.array(grid_times(time_grid))
+
+
+def _check_runs(runs: int, name: str) -> None:
+    """Reject fewer than 2 runs per grid time: a variance needs two."""
+    if runs < 2:
+        raise DomainError(f"{name} must be >= 2, got {runs}")
+
+
+def check_workers(workers: int | None, name: str = "workers") -> None:
+    """Reject a thread count below 1; ``None`` means the default."""
+    if workers is not None and workers < 1:
+        raise DomainError(f"{name} must be >= 1, got {workers}")
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    """Measurement plan for one campaign (:func:`waxsim.protocol.run_campaign`);
+    what is measured is a :class:`Scenario`.
+
+    Attributes
+    ----------
+    time_grid : tuple of float
+        Expansion times [s]; non-empty, non-negative, strictly increasing.
+    runs_per_time : int
+        Repetitions N per grid time, >= 2 so a variance is estimable.
+    rng_seed : int
+        Campaign seed, >= 0.
+    """
+
+    time_grid: tuple[float, ...]
+    runs_per_time: int
+    rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "time_grid", grid_times(self.time_grid))
+        _check_runs(self.runs_per_time, "runs_per_time")
+        if self.rng_seed < 0:
+            raise DomainError(f"rng_seed must be >= 0, got {self.rng_seed}")
+
+
+@dataclass(frozen=True)
+class DetectionConfig:
+    """Detection threshold and aggregation rule (:mod:`waxsim.inference`)."""
+
+    confidence_z: float = 3.0
+    aggregation: str = "best-time"
+
+    def __post_init__(self) -> None:
+        if self.confidence_z <= 0.0:
+            raise DomainError("confidence_z must be > 0")
+        if self.aggregation not in ("best-time", "chi-square-sum"):
+            raise DomainError(f"unknown aggregation {self.aggregation!r}")
 
 
 def expansion_curve(
@@ -294,6 +361,8 @@ def expansion_curve(
     active, an additional flag is raised once sigma exceeds a/3, where the
     small-separation quadratic form stops being quantitatively reliable.
     """
+    import numpy as np
+
     times = check_time_grid(time_grid)
     scenario = Scenario(particle, env, csl, toggles, trap_frequency, occupancy)
     budget, x_var = scenario.variance(times)

@@ -42,24 +42,10 @@ import numpy as np
 
 from .constants import LAMBDA_GRW, hbar
 from .decoherence import ChannelToggles, CSLParams, lambda_csl
-from .dynamics import Scenario, check_time_grid
+from .dynamics import DetectionConfig, Scenario, _check_runs, check_time_grid
 from .errors import DomainError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
-from .protocol import CampaignConfig, PositionSamples, _check_runs, _thread_map, run_campaign
-
-
-@dataclass(frozen=True)
-class DetectionConfig:
-    """Detection threshold and aggregation rule."""
-
-    confidence_z: float = 3.0
-    aggregation: str = "best-time"
-
-    def __post_init__(self) -> None:
-        if self.confidence_z <= 0.0:
-            raise DomainError("confidence_z must be > 0")
-        if self.aggregation not in ("best-time", "chi-square-sum"):
-            raise DomainError(f"unknown aggregation {self.aggregation!r}")
+from .protocol import CampaignConfig, PositionSamples, _thread_map, run_campaign
 
 
 @dataclass(frozen=True)

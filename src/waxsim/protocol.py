@@ -73,35 +73,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import Scenario, check_time_grid
+from .dynamics import CampaignConfig, Scenario, check_workers
 from .errors import DomainError, NumericalError
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Measurement plan for one campaign; what is measured is a
-    :class:`waxsim.dynamics.Scenario`.
-
-    Attributes
-    ----------
-    time_grid : tuple of float
-        Expansion times [s]; non-empty, non-negative, strictly increasing.
-    runs_per_time : int
-        Repetitions N per grid time, >= 2 so a variance is estimable.
-    rng_seed : int
-        Campaign seed, >= 0.
-    """
-
-    time_grid: tuple[float, ...]
-    runs_per_time: int
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "time_grid", tuple(float(t) for t in self.time_grid))
-        check_time_grid(self.time_grid)
-        _check_runs(self.runs_per_time, "runs_per_time")
-        if self.rng_seed < 0:
-            raise DomainError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,18 +206,6 @@ _MOMENTS = np.dtype([("n", np.int64), ("mean", np.float64), ("m2", np.float64)])
 # serially: on a 2-core host two threads were slower than one up to 168 k
 # draws (21 x 8000) and faster from 210 k (21 x 10000) on
 PARALLEL_MIN_DRAWS = 2**18
-
-
-def _check_runs(runs: int, name: str) -> None:
-    """Reject fewer than 2 runs per grid time: a variance needs two."""
-    if runs < 2:
-        raise DomainError(f"{name} must be >= 2, got {runs}")
-
-
-def check_workers(workers: int | None, name: str = "workers") -> None:
-    """Reject a thread count below 1; ``None`` means the default."""
-    if workers is not None and workers < 1:
-        raise DomainError(f"{name} must be >= 1, got {workers}")
 
 
 def _physical_memory() -> int | None:

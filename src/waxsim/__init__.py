@@ -6,126 +6,87 @@ models, simulates the release-expand-measure protocol as seeded Monte-Carlo
 campaigns, and computes the minimum collapse rate detectable for a given
 measurement budget.
 
-Importing the package loads numpy only; scipy is imported by the functions
-that use it (campaign sampling, chi-square thresholds, the quadrature
-oracle).
+Importing the package loads none of its modules, and so neither numpy nor
+scipy: each public name imports its module on first use (PEP 562). The
+scalar modules (``constants``, ``errors``, ``materials``, ``decoherence``,
+``dynamics``) load no numpy; ``dynamics`` imports it in its array functions,
+``protocol``, ``inference`` and ``validation`` at import. scipy is imported
+by the functions that use it (campaign sampling, chi-square thresholds, the
+quadrature oracle).
 """
-from .constants import LAMBDA_GRW, amu, c, g, hbar, kB
-from .decoherence import (
-    BlackbodyRates,
-    ChannelToggles,
-    CSLParams,
-    DecoherenceBudget,
-    lambda_blackbody,
-    lambda_csl,
-    lambda_gas,
-    sphere_geometry_factor,
-    thermal_wavelength,
-    total_budget,
-)
-from .dynamics import (
-    ExpansionCurve,
-    GaussianState,
-    Scenario,
-    evolve_free,
-    expansion_curve,
-    initial_state,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    NumericalError,
-    WaxsimError,
-)
-from .inference import (
-    DetectionConfig,
-    DetectionResult,
-    bisect_lambda_mc,
-    bisect_lambda_mc_sweep,
-    csl_sensitivity,
-    detection_power_mc,
-    min_detectable_lambda,
-    variance_excess,
-)
-from .materials import (
-    DEFAULT_TRAP_FREQUENCY,
-    Environment,
-    Particle,
-    drop_distance,
-    environment_preset,
-    fused_silica_particle,
-    ground_environment,
-    ground_state_width,
-    space_environment,
-    sphere_mass,
-)
-from .protocol import (
-    CampaignConfig,
-    PositionSamples,
-    WidthEstimate,
-    campaign_curve,
-    campaign_to_csv,
-    estimate_width,
-    run_campaign,
-)
-
-from .validation import csl_sphere_factor_bruteforce, evolve_numeric, rk4_integrate
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlackbodyRates",
-    "CSLParams",
-    "CampaignConfig",
-    "ChannelToggles",
-    "ConfigError",
-    "DEFAULT_TRAP_FREQUENCY",
-    "DecoherenceBudget",
-    "DetectionConfig",
-    "DetectionResult",
-    "DomainError",
-    "Environment",
-    "ExpansionCurve",
-    "GaussianState",
-    "LAMBDA_GRW",
-    "NumericalError",
-    "Particle",
-    "PositionSamples",
-    "Scenario",
-    "WaxsimError",
-    "WidthEstimate",
-    "amu",
-    "bisect_lambda_mc",
-    "bisect_lambda_mc_sweep",
-    "c",
-    "campaign_curve",
-    "campaign_to_csv",
-    "csl_sensitivity",
-    "csl_sphere_factor_bruteforce",
-    "detection_power_mc",
-    "drop_distance",
-    "environment_preset",
-    "estimate_width",
-    "evolve_free",
-    "evolve_numeric",
-    "expansion_curve",
-    "fused_silica_particle",
-    "g",
-    "ground_environment",
-    "ground_state_width",
-    "hbar",
-    "initial_state",
-    "kB",
-    "lambda_blackbody",
-    "lambda_csl",
-    "lambda_gas",
-    "min_detectable_lambda",
-    "rk4_integrate",
-    "run_campaign",
-    "space_environment",
-    "sphere_geometry_factor",
-    "sphere_mass",
-    "thermal_wavelength",
-    "total_budget",
-    "variance_excess",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "constants": ("LAMBDA_GRW", "amu", "c", "g", "hbar", "kB"),
+    "decoherence": (
+        "BlackbodyRates",
+        "ChannelToggles",
+        "CSLParams",
+        "DecoherenceBudget",
+        "lambda_blackbody",
+        "lambda_csl",
+        "lambda_gas",
+        "sphere_geometry_factor",
+        "thermal_wavelength",
+        "total_budget",
+    ),
+    "dynamics": (
+        "CampaignConfig",
+        "DetectionConfig",
+        "ExpansionCurve",
+        "GaussianState",
+        "Scenario",
+        "evolve_free",
+        "expansion_curve",
+        "initial_state",
+    ),
+    "errors": ("ConfigError", "DomainError", "NumericalError", "WaxsimError"),
+    "inference": (
+        "DetectionResult",
+        "bisect_lambda_mc",
+        "bisect_lambda_mc_sweep",
+        "csl_sensitivity",
+        "detection_power_mc",
+        "min_detectable_lambda",
+        "variance_excess",
+    ),
+    "materials": (
+        "DEFAULT_TRAP_FREQUENCY",
+        "Environment",
+        "Particle",
+        "drop_distance",
+        "environment_preset",
+        "fused_silica_particle",
+        "ground_environment",
+        "space_environment",
+        "sphere_mass",
+    ),
+    "protocol": (
+        "PositionSamples",
+        "WidthEstimate",
+        "campaign_curve",
+        "campaign_to_csv",
+        "estimate_width",
+        "run_campaign",
+    ),
+    "validation": ("csl_sphere_factor_bruteforce", "evolve_numeric", "rk4_integrate"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -18,25 +18,28 @@ is validated before any command runs. A reader closing
 stdout early (``waxsim campaign --dump-samples | head``) ends the run with
 exit 0. Model-validity warnings go to stderr and do not change the exit
 code.
+
+Each command imports only the layers it runs: ``rates``, ``feasibility``
+and ``--print-config`` are scalar Python and load no numpy; ``expand``
+loads numpy but not the sampling, inference or oracle layers; ``campaign``
+adds the sampling layer (:mod:`waxsim.protocol`) and ``bound`` the
+inference layer (:mod:`waxsim.inference`).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import sys
 from dataclasses import asdict
 from typing import Iterable
 
-import numpy as np
-
 from .config import SCHEMA, RunConfig, load_config
 from .decoherence import ChannelToggles, DecoherenceBudget, total_budget
-from .dynamics import expansion_curve
+from .dynamics import check_workers, expansion_curve
 from .errors import ConfigError, DomainError, NumericalError, WaxsimError
-from .inference import bisect_lambda_mc_sweep, min_detectable_lambda
 from .materials import drop_distance
-from .protocol import campaign_curve, campaign_to_csv, check_workers, run_campaign
 
 _TOGGLE_WORDS = {
     "none": ChannelToggles.none(),
@@ -215,6 +218,8 @@ def _cmd_expand(config: RunConfig, args) -> tuple[str, list[str]]:
 
 
 def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[str]]:
+    from .protocol import campaign_curve, campaign_to_csv, run_campaign
+
     plan, scenario = config.campaign(), config.scenario()
     if args.dump_samples:
         # the dump re-draws its tiles as it writes them; no width is merged
@@ -225,6 +230,8 @@ def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[st
 
 
 def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
+    from .inference import bisect_lambda_mc_sweep, min_detectable_lambda
+
     if args.oracle_seeds < 1:
         raise ConfigError(f"--oracle-seeds must be >= 1, got {args.oracle_seeds}")
     n_sweep = config.get("bound.n_sweep")
@@ -278,6 +285,19 @@ _COMMANDS = {
     "bound": _cmd_bound,
     "feasibility": _cmd_feasibility,
 }
+# the commands that compute on numpy arrays; the others are scalar Python,
+# which raises for a non-finite budget by itself
+_ARRAY_COMMANDS = frozenset(["expand", "campaign", "bound"])
+
+
+def _error_state(command: str) -> contextlib.AbstractContextManager:
+    """An array command's overflow, division by zero or nan raises, so that it
+    is a numerical failure, never an inf or nan in the output."""
+    if command not in _ARRAY_COMMANDS:
+        return contextlib.nullcontext()
+    import numpy as np
+
+    return np.errstate(over="raise", divide="raise", invalid="raise")
 
 
 def _emit(chunks: str | Iterable[str], output: str | None) -> None:
@@ -313,13 +333,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_join_dash_values(argv))
     try:
         check_workers(getattr(args, "workers", None), "--workers")
-        # an overflow, a division by zero or a nan is a numerical failure,
-        # never an inf or nan in the output
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            config = _resolve_config(args)
-            if args.print_config:
-                _emit(config.canonical_text(), args.output)
-                return 0
+        config = _resolve_config(args)
+        if args.print_config:
+            _emit(config.canonical_text(), args.output)
+            return 0
+        with _error_state(args.command):
             text, warnings = _COMMANDS[args.command](config, args)
             _emit(text, args.output)
     except (ConfigError, DomainError) as exc:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .constants import amu as _amu
 from .constants import g as _g
-from .constants import hbar as _hbar
 from .errors import DomainError
 
 #: Mean molecular mass of air [kg].
@@ -56,28 +55,6 @@ def sphere_mass(radius: float, density: float) -> float:
     if density <= 0.0:
         raise DomainError(f"density must be > 0, got {density}")
     return density * (4.0 / 3.0) * math.pi * radius**3
-
-
-def ground_state_width(mass: float, trap_frequency: float) -> float:
-    """Position spread of the motional ground state in a harmonic trap.
-
-    Parameters
-    ----------
-    mass : float
-        Particle mass [kg], > 0.
-    trap_frequency : float
-        Angular trap frequency [rad/s], > 0.
-
-    Returns
-    -------
-    float
-        sigma_0 = sqrt(hbar / (2 m omega)) [m].
-    """
-    if mass <= 0.0:
-        raise DomainError(f"mass must be > 0, got {mass}")
-    if trap_frequency <= 0.0:
-        raise DomainError(f"trap_frequency must be > 0, got {trap_frequency}")
-    return math.sqrt(_hbar / (2.0 * mass * trap_frequency))
 
 
 def drop_distance(free_fall_time: float) -> float:

@@ -13,7 +13,7 @@ from waxsim import (
     environment_preset,
     fused_silica_particle,
     ground_environment,
-    ground_state_width,
+    initial_state,
     space_environment,
     sphere_mass,
 )
@@ -48,29 +48,32 @@ def test_sphere_mass_rejects_nonpositive(radius, density):
         sphere_mass(radius, density)
 
 
+def ground_state_width(radius, density, trap_frequency):
+    """sigma_0 = sqrt(hbar / (2 m omega)), the width of the occupancy-0 state."""
+    return initial_state(Particle(radius, density), trap_frequency).sigma
+
+
 def test_ground_state_width_golden():
-    assert_allclose(
-        ground_state_width(SILICA_120NM_MASS, OMEGA), SIGMA0_120NM, rtol=1e-12
-    )
+    assert_allclose(ground_state_width(120e-9, 2200.0, OMEGA), SIGMA0_120NM, rtol=1e-12)
 
 
 def test_ground_state_width_scalings():
-    base = ground_state_width(1e-17, OMEGA)
-    assert_allclose(ground_state_width(4e-17, OMEGA), base / 2.0, rtol=1e-12)
-    assert_allclose(ground_state_width(1e-17, 4.0 * OMEGA), base / 2.0, rtol=1e-12)
+    base = ground_state_width(1e-7, 2000.0, OMEGA)
+    assert_allclose(ground_state_width(1e-7, 8000.0, OMEGA), base / 2.0, rtol=1e-12)
+    assert_allclose(ground_state_width(1e-7, 2000.0, 4.0 * OMEGA), base / 2.0, rtol=1e-12)
 
 
 def test_ground_state_width_identity():
-    m = 3.7e-18
-    w = ground_state_width(m, OMEGA)
-    assert_allclose(w**2 * (2.0 * m * OMEGA / hbar), 1.0, rtol=1e-12)
+    particle = Particle(9e-8, 1213.0)
+    w = initial_state(particle, OMEGA).sigma
+    assert_allclose(w**2 * (2.0 * particle.mass * OMEGA / hbar), 1.0, rtol=1e-12)
 
 
 def test_ground_state_width_rejects_nonpositive():
     with pytest.raises(DomainError):
-        ground_state_width(0.0, OMEGA)
+        ground_state_width(1e-7, 0.0, OMEGA)
     with pytest.raises(DomainError):
-        ground_state_width(1e-17, -1.0)
+        ground_state_width(1e-7, 2000.0, -1.0)
 
 
 def test_drop_distance_long_expansion_scale():

@@ -1,6 +1,9 @@
-"""Start-up cost: importing waxsim and running numpy-only commands load no scipy.
+"""Start-up cost: each command loads only the layers it runs.
 
-Each check runs in a fresh interpreter, since the pytest process itself has
+Importing waxsim loads none of its modules; the scalar commands (``rates``,
+``feasibility``, ``--print-config``) load no numpy, ``expand`` no sampling,
+inference or oracle layer, and the numpy-only commands no scipy. Each check
+runs in a fresh interpreter, since the pytest process itself has numpy and
 scipy loaded. The checks are on ``sys.modules``, not on timings.
 """
 import json
@@ -14,16 +17,17 @@ import waxsim
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(waxsim.__file__)))
 SCIPY_MODULES = ("scipy.stats", "scipy.interpolate", "scipy.special")
+LAYERS = ("waxsim.protocol", "waxsim.inference", "waxsim.validation")
 
 
-def scipy_loaded_after(code: str) -> list[str]:
-    """The SCIPY_MODULES in sys.modules after running ``code`` in a new process."""
+def loaded_after(code: str, modules: tuple[str, ...] = SCIPY_MODULES) -> list[str]:
+    """The ``modules`` in sys.modules after running ``code`` in a new process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     script = (
         f"{code}\n"
         "import json, sys\n"
-        f"print(json.dumps([m for m in {SCIPY_MODULES!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
@@ -32,27 +36,66 @@ def scipy_loaded_after(code: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def run_main(*argv: str) -> str:
+    """Code that runs ``cli.main(argv)`` into the null device."""
+    return (
+        "import os\n"
+        "from waxsim.cli import main\n"
+        f"assert main([*{list(argv)!r}, '-o', os.devnull]) == 0\n"
+    )
+
+
 def test_import_cli_loads_no_scipy():
-    assert scipy_loaded_after("import waxsim.cli") == []
+    assert loaded_after("import waxsim.cli") == []
+
+
+def test_import_waxsim_loads_no_module():
+    # dir() lists every public name before any is resolved, and loads nothing
+    code = (
+        "import sys, waxsim\n"
+        "assert set(waxsim.__all__) <= set(dir(waxsim))\n"
+        "assert sorted(m for m in sys.modules if 'waxsim' in m) == ['waxsim']\n"
+    )
+    assert loaded_after(code, ("numpy",)) == []
+
+
+@pytest.mark.parametrize("command", ["rates", "feasibility"])
+def test_scalar_commands_load_no_numpy(command):
+    assert loaded_after(run_main(command), ("numpy", *LAYERS)) == []
+
+
+def test_print_config_loads_no_numpy():
+    code = "".join(
+        run_main(command, "--print-config")
+        for command in ("rates", "expand", "campaign", "bound", "feasibility")
+    )
+    assert loaded_after(code, ("numpy", *LAYERS)) == []
+
+
+def test_expand_loads_no_sampling_inference_or_oracle():
+    assert loaded_after(run_main("expand"), ("numpy", *LAYERS)) == ["numpy"]
+
+
+def test_bound_without_oracle_check_loads_no_oracle():
+    loaded = loaded_after(run_main("bound"), (*LAYERS, *SCIPY_MODULES))
+    assert loaded == ["waxsim.protocol", "waxsim.inference"]
+
+
+def test_inference_loads_protocol():
+    # perfbench/tracing.py hooks run_campaign only if protocol is loaded when it installs
+    assert loaded_after("import waxsim.inference", LAYERS) == [
+        "waxsim.protocol", "waxsim.inference"
+    ]
 
 
 @pytest.mark.parametrize("command", ["rates", "expand", "bound", "feasibility"])
 def test_numpy_only_commands_load_no_scipy(command):
-    code = (
-        "import os\n"
-        "from waxsim.cli import main\n"
-        f"assert main([{command!r}, '-o', os.devnull]) == 0\n"
-    )
-    assert scipy_loaded_after(code) == []
+    assert loaded_after(run_main(command)) == []
 
 
 def test_campaign_loads_only_scipy_special():
-    code = (
-        "import os\n"
-        "from waxsim.cli import main\n"
-        "assert main(['campaign', '--campaign.runs_per_time', '10', '-o', os.devnull]) == 0\n"
-    )
-    assert scipy_loaded_after(code) == ["scipy.special"]
+    code = run_main("campaign", "--campaign.runs_per_time", "10")
+    assert loaded_after(code) == ["scipy.special"]
 
 
 def test_quadrature_oracle_resolves_lazily():
@@ -67,7 +110,7 @@ def test_quadrature_oracle_resolves_lazily():
         "assert 'scipy.interpolate' not in sys.modules\n"
         "csl_sphere_factor_bruteforce(1.0)\n"
     )
-    assert "scipy.interpolate" in scipy_loaded_after(code)
+    assert "scipy.interpolate" in loaded_after(code)
 
 
 def test_unknown_attribute_still_raises():
@@ -77,3 +120,4 @@ def test_unknown_attribute_still_raises():
 
 def test_every_public_name_resolves():
     assert [name for name in waxsim.__all__ if not hasattr(waxsim, name)] == []
+

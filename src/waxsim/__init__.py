@@ -83,9 +83,8 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    # not cached here, so a name always reads its module's current binding
+    return getattr(import_module(f".{module}", __name__), name)
 
 
 def __dir__() -> list[str]:

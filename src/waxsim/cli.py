@@ -20,7 +20,8 @@ exit 0. Model-validity warnings go to stderr and do not change the exit
 code.
 
 Each command imports only the layers it runs: ``rates``, ``feasibility``
-and ``--print-config`` are scalar Python and load no numpy; ``expand``
+and ``--print-config`` are scalar Python and load no numpy (unless the time
+grid is given as a ``start:stop:count`` range, which numpy parses); ``expand``
 loads numpy but not the sampling, inference or oracle layers; ``campaign``
 adds the sampling layer (:mod:`waxsim.protocol`) and ``bound`` the
 inference layer (:mod:`waxsim.inference`).
@@ -183,12 +184,19 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return load_config(text, path or "<config>", overrides)
 
 
+def _scalar(command):
+    """Mark a command that computes in scalar Python only."""
+    command.scalar = True
+    return command
+
+
 def _budget(config: RunConfig) -> DecoherenceBudget:
     return total_budget(
         config.particle(), config.environment(), config.csl(), config.toggles()
     )
 
 
+@_scalar
 def _cmd_rates(config: RunConfig, args) -> tuple[str, list[str]]:
     budget = _budget(config)
     rows = [
@@ -267,6 +275,7 @@ def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
     return "\n".join(lines) + "\n", warnings
 
 
+@_scalar
 def _cmd_feasibility(config: RunConfig, args) -> tuple[str, list[str]]:
     platform = config.get("feasibility.platform")
     height = config.get("feasibility.drop_height_m")
@@ -285,15 +294,13 @@ _COMMANDS = {
     "bound": _cmd_bound,
     "feasibility": _cmd_feasibility,
 }
-# the commands that compute on numpy arrays; the others are scalar Python,
-# which raises for a non-finite budget by itself
-_ARRAY_COMMANDS = frozenset(["expand", "campaign", "bound"])
 
 
-def _error_state(command: str) -> contextlib.AbstractContextManager:
-    """An array command's overflow, division by zero or nan raises, so that it
-    is a numerical failure, never an inf or nan in the output."""
-    if command not in _ARRAY_COMMANDS:
+def _error_state(command) -> contextlib.AbstractContextManager:
+    """A command's overflow, division by zero or nan raises, so that it is a
+    numerical failure, never an inf or nan in the output. A ``@_scalar``
+    command runs without numpy: scalar Python raises by itself."""
+    if getattr(command, "scalar", False):
         return contextlib.nullcontext()
     import numpy as np
 
@@ -337,8 +344,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.print_config:
             _emit(config.canonical_text(), args.output)
             return 0
-        with _error_state(args.command):
-            text, warnings = _COMMANDS[args.command](config, args)
+        command = _COMMANDS[args.command]
+        with _error_state(command):
+            text, warnings = command(config, args)
             _emit(text, args.output)
     except (ConfigError, DomainError) as exc:
         print(f"waxsim: error: {exc}", file=sys.stderr)

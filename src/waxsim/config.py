@@ -8,15 +8,11 @@ equal configuration.
 
 Float lists accept either a comma-separated list (``0,5,10``) or a linear
 range ``start:stop:count``; the canonical form is always the comma list.
-A range gives the floats of ``numpy.linspace(start, stop, count)``, computed
-in pure Python: point i is ``start + i * step`` with ``step = (stop - start)
-/ (count - 1)``, or ``start + (i / (count - 1)) * (stop - start)`` where
-``step`` underflows to 0, and the last point is ``stop``. A span, product or
-sum that overflows raises ``FloatingPointError`` ("overflow encountered in
-subtract", "multiply" or "add"), as ``linspace`` does where numpy raises on
-overflow; the CLI reports it as a numerical failure.
+A range gives the floats of ``numpy.linspace(start, stop, count)``, which
+is imported only to parse one; a span, product or sum that overflows raises
+``FloatingPointError`` and the CLI reports it as a numerical failure.
 
-Nothing here imports numpy: the rules that ``ConfigBuilder.finalize``
+Nothing else here imports numpy: the rules that ``ConfigBuilder.finalize``
 applies live in :mod:`waxsim.dynamics` and the other model modules, which
 are pure Python up to their array functions.
 """
@@ -120,35 +116,11 @@ def _parse_floatlist(raw: str) -> tuple[float, ...]:
         count = _parse_int(parts[2])
         if count < 1:
             raise ConfigError("range count must be >= 1")
-        return _linspace(start, stop, count)
+        import numpy as np
+
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return tuple(float(v) for v in np.linspace(start, stop, count))
     return tuple(_parse_float(p) for p in raw.split(",") if p.strip())
-
-
-def _check_overflow(values: Iterable[float], operation: str) -> None:
-    """Raise as numpy does where an ``operation`` overflowed to infinity."""
-    if any(math.isinf(v) for v in values):
-        raise FloatingPointError(f"overflow encountered in {operation}")
-
-
-def _linspace(start: float, stop: float, count: int) -> tuple[float, ...]:
-    """``numpy.linspace(start, stop, count)`` for finite floats, in the same
-    operations and order, so with the same bits."""
-    delta = stop - start
-    _check_overflow([delta], "subtract")
-    div = count - 1
-    if div == 0:
-        offsets = [0.0 * delta]
-    elif (step := delta / div) == 0.0:
-        # numpy's branch for a span too small to divide (numpy gh-5437)
-        offsets = [(i / div) * delta for i in range(count)]
-    else:
-        offsets = [i * step for i in range(count)]
-    _check_overflow(offsets, "multiply")
-    points = [offset + start for offset in offsets]
-    _check_overflow(points, "add")
-    if div:
-        points[-1] = stop
-    return tuple(points)
 
 
 def _parse_int(raw: str) -> int:

@@ -19,12 +19,12 @@ stdout early (``waxsim campaign --dump-samples | head``) ends the run with
 exit 0. Model-validity warnings go to stderr and do not change the exit
 code.
 
-Each command imports only the layers it runs: ``rates``, ``feasibility``
-and ``--print-config`` are scalar Python and load no numpy (unless the time
-grid is given as a ``start:stop:count`` range, which numpy parses); ``expand``
-loads numpy but not the sampling, inference or oracle layers; ``campaign``
-adds the sampling layer (:mod:`waxsim.protocol`) and ``bound`` the
-inference layer (:mod:`waxsim.inference`).
+Each command imports only the layers it runs: ``rates``, ``expand``,
+``feasibility`` and ``--print-config`` are scalar Python and load no numpy
+(unless the time grid is given as a ``start:stop:count`` range, which numpy
+parses); ``campaign`` loads numpy and the sampling layer
+(:mod:`waxsim.protocol`), and ``bound`` adds the inference layer
+(:mod:`waxsim.inference`).
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from dataclasses import asdict
 from typing import Iterable
 
 from .config import SCHEMA, RunConfig, load_config
-from .decoherence import ChannelToggles, DecoherenceBudget, total_budget
+from .decoherence import ChannelToggles
 from .dynamics import check_workers, expansion_curve
 from .errors import ConfigError, DomainError, NumericalError, WaxsimError
 from .materials import drop_distance
@@ -190,15 +190,9 @@ def _scalar(command):
     return command
 
 
-def _budget(config: RunConfig) -> DecoherenceBudget:
-    return total_budget(
-        config.particle(), config.environment(), config.csl(), config.toggles()
-    )
-
-
 @_scalar
 def _cmd_rates(config: RunConfig, args) -> tuple[str, list[str]]:
-    budget = _budget(config)
+    budget = config.scenario().budget
     rows = [
         ("blackbody_scattering", budget.blackbody_scattering),
         ("blackbody_absorption", budget.blackbody_absorption),
@@ -212,6 +206,7 @@ def _cmd_rates(config: RunConfig, args) -> tuple[str, list[str]]:
     return "\n".join(lines) + "\n", list(budget.warnings)
 
 
+@_scalar
 def _cmd_expand(config: RunConfig, args) -> tuple[str, list[str]]:
     curve = expansion_curve(
         config.particle(),
@@ -234,7 +229,7 @@ def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[st
         text = run_campaign(plan, scenario, run_counts=()).csv_chunks()
     else:
         text = campaign_to_csv(campaign_curve(plan, scenario, args.workers))
-    return text, list(_budget(config).warnings)
+    return text, list(scenario.budget.warnings)
 
 
 def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
@@ -254,7 +249,7 @@ def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
         for n in n_sweep
     ]
 
-    warnings = list(_budget(config).warnings)
+    warnings = list(scenario.budget.warnings)
     if args.oracle_check:
         seeds = list(range(1, args.oracle_seeds + 1))
         oracle = bisect_lambda_mc_sweep(
@@ -299,7 +294,9 @@ _COMMANDS = {
 def _error_state(command) -> contextlib.AbstractContextManager:
     """A command's overflow, division by zero or nan raises, so that it is a
     numerical failure, never an inf or nan in the output. A ``@_scalar``
-    command runs without numpy: scalar Python raises by itself."""
+    command runs without numpy and checks its own results: scalar Python
+    raises on ``**`` and on division by zero, but ``*``, ``/`` and ``+``
+    overflow to ``inf`` silently."""
     if getattr(command, "scalar", False):
         return contextlib.nullcontext()
     import numpy as np

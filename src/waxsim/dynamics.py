@@ -23,19 +23,21 @@ flagged results are conservative).
 The input rules every command applies also live here, in pure Python: the
 grid rule (:func:`grid_times`), the run and worker counts, the campaign plan
 (:class:`CampaignConfig`) and the detection threshold
-(:class:`DetectionConfig`). numpy is imported only by the functions that
-build arrays, :func:`check_time_grid` and :func:`expansion_curve`, so the
-config and the scalar commands start without it.
+(:class:`DetectionConfig`). numpy is imported only where an array is built:
+by :func:`check_time_grid` and on reading :attr:`ExpansionCurve.times` and
+:attr:`ExpansionCurve.sigmas`. The config, :func:`expansion_curve` and the
+commands ``rates``, ``expand`` and ``feasibility`` run without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .constants import hbar
 from .decoherence import ChannelToggles, CSLParams, DecoherenceBudget, total_budget
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
 
 if TYPE_CHECKING:
@@ -173,19 +175,38 @@ def evolve_free(
 
 @dataclass(frozen=True)
 class ExpansionCurve:
-    """Sampled wave-packet width sigma(t) and the budget that produced it."""
+    """Sampled wave-packet width sigma(t) and the budget that produced it.
 
-    times: np.ndarray
-    sigmas: np.ndarray
+    The samples are held as tuples of floats, so that a curve is built and
+    written without numpy; :attr:`times` and :attr:`sigmas` return them as
+    new float64 arrays.
+    """
+
+    time_values: tuple[float, ...]
+    sigma_values: tuple[float, ...]
     budget: DecoherenceBudget
     warnings: tuple[str, ...] = ()
+
+    @property
+    def times(self) -> np.ndarray:
+        """Grid times [s]."""
+        import numpy as np
+
+        return np.array(self.time_values)
+
+    @property
+    def sigmas(self) -> np.ndarray:
+        """Wave-packet width sqrt(<x^2>) at each grid time [m]."""
+        import numpy as np
+
+        return np.array(self.sigma_values)
 
     def to_csv(self) -> str:
         """CSV text: header ``t_s,sigma_m,lambda_total_m2s``, one row per sample."""
         total = repr(float(self.budget.total))
         lines = ["t_s,sigma_m,lambda_total_m2s"]
-        for t, s in zip(self.times, self.sigmas):
-            lines.append(f"{float(t)!r},{float(s)!r},{total}")
+        for t, s in zip(self.time_values, self.sigma_values):
+            lines.append(f"{t!r},{s!r},{total}")
         return "\n".join(lines) + "\n"
 
 
@@ -194,16 +215,18 @@ def _x_var_free(
 ) -> float | np.ndarray:
     """Closed-form x_var(t), for one time or elementwise over a time array.
 
-    The cube is three IEEE multiplies, ``(t * t * t)``, as in
-    :func:`waxsim.inference.csl_sensitivity`: numpy's array power rounds
-    ``t**3`` differently with the CPU's SIMD features, the scalar ``pow``
-    differently again, and both would make the bytes depend on the machine.
+    Each power of a time is a product of IEEE multiplies, ``(times * times)``
+    and ``(t * t * t)`` as in :func:`waxsim.inference.csl_sensitivity`, so a
+    Python float and each element of an array give the same bits. numpy's
+    array power rounds ``t**3`` differently with the CPU's SIMD features;
+    Python's ``t**2`` is the libm ``pow``, which may miss the product by 1
+    ulp, while numpy's array ``t**2`` is the product.
     """
     h2L = hbar * hbar * localization_rate
     return (
         state.x_var
         + 2.0 * state.xp_cov * times / mass
-        + state.p_var * times**2 / mass**2
+        + state.p_var * (times * times) / mass**2
         + (2.0 / 3.0) * h2L * (times * times * times) / mass**2
     )
 
@@ -254,19 +277,27 @@ class Scenario:
         if self.drift_velocity_std < 0.0:
             raise DomainError("drift_velocity_std must be >= 0")
 
-    def variance(self, times: np.ndarray) -> tuple[DecoherenceBudget, np.ndarray]:
-        """The budget and the per-draw variance at each time [m^2].
+    @cached_property
+    def budget(self) -> DecoherenceBudget:
+        """The localization budget of the selected channels."""
+        return total_budget(self.particle, self.environment, self.csl, self.toggles)
+
+    def variance(
+        self, times: float | np.ndarray
+    ) -> tuple[DecoherenceBudget, float | np.ndarray]:
+        """The budget and the per-draw variance [m^2], at one time or at each
+        time of an array; an element of an array gets the bits of its float.
 
         The one variance model, x_var(t) + (drift t)^2 + noise^2: campaigns
         (:func:`waxsim.protocol.run_campaign`) sample with it, the detection
         bound and its oracle (:mod:`waxsim.inference`) predict with it with
-        the collapse channel off, and :func:`expansion_curve` takes it with
-        both instrumental terms at 0.
+        the collapse channel off, and :func:`expansion_curve` takes it at each
+        grid time with both instrumental terms at 0.
         """
-        budget = total_budget(self.particle, self.environment, self.csl, self.toggles)
         state0 = initial_state(self.particle, self.trap_frequency, self.occupancy)
-        x_var = _x_var_free(state0, self.particle.mass, budget.total, times)
-        return budget, x_var + (self.drift_velocity_std * times) ** 2 + self.measurement_noise**2
+        x_var = _x_var_free(state0, self.particle.mass, self.budget.total, times)
+        drift = self.drift_velocity_std * times
+        return self.budget, x_var + drift * drift + self.measurement_noise**2
 
 
 def grid_times(time_grid: Sequence[float]) -> tuple[float, ...]:
@@ -360,20 +391,27 @@ def expansion_curve(
     channel validity warnings are propagated; if the collapse channel is
     active, an additional flag is raised once sigma exceeds a/3, where the
     small-separation quadratic form stops being quantitatively reliable.
+    Raises NumericalError if the variance at a grid time is not finite.
+
+    Scalar Python, one :meth:`Scenario.variance` per grid time: the same
+    bits as ``np.sqrt(scenario.variance(np.array(time_grid))[1])``.
     """
-    import numpy as np
-
-    times = check_time_grid(time_grid)
+    times = grid_times(time_grid)
     scenario = Scenario(particle, env, csl, toggles, trap_frequency, occupancy)
-    budget, x_var = scenario.variance(times)
-    sigmas = np.sqrt(x_var)
+    sigmas = []
+    for t in times:
+        variance = scenario.variance(t)[1]
+        if not math.isfinite(variance):
+            raise NumericalError(f"wave-packet variance at t = {t!r} s is {variance!r}")
+        sigmas.append(math.sqrt(variance))
 
+    budget = scenario.budget
     warnings = list(budget.warnings)
     if toggles.csl and csl is not None and csl.collapse_rate > 0.0:
         limit = csl.correlation_length / 3.0
-        if np.any(sigmas > limit):
+        if any(sigma > limit for sigma in sigmas):
             warnings.append(
                 "collapse localization outside quadratic validity: sigma exceeds "
                 "a/3, reported widths are conservative"
             )
-    return ExpansionCurve(times, sigmas, budget, tuple(warnings))
+    return ExpansionCurve(times, tuple(sigmas), budget, tuple(warnings))

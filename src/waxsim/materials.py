@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .constants import amu as _amu
 from .constants import g as _g
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 #: Mean molecular mass of air [kg].
 AIR_MOLECULE_MASS = 28.97 * _amu
@@ -68,11 +68,14 @@ def drop_distance(free_fall_time: float) -> float:
     Returns
     -------
     float
-        (1/2) g t^2 [m].
+        (1/2) g t^2 [m]. Raises NumericalError if it is not finite.
     """
     if free_fall_time < 0.0:
         raise DomainError(f"free_fall_time must be >= 0, got {free_fall_time}")
-    return 0.5 * _g * free_fall_time**2
+    drop = 0.5 * _g * free_fall_time**2
+    if not math.isfinite(drop):
+        raise NumericalError(f"drop distance at t = {free_fall_time!r} s is {drop!r}")
+    return drop
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from waxsim import (
     DomainError,
     GaussianState,
     NumericalError,
+    Scenario,
     evolve_free,
     evolve_numeric,
     expansion_curve,
@@ -259,6 +260,49 @@ class TestExpansionCurve:
         long = expansion_curve(silica, ground, csl, toggles, time_grid=[10.0])
         assert not any("quadratic validity" in w for w in short.warnings)
         assert any("quadratic validity" in w for w in long.warnings)
+
+    # the 0:20:7 grid, whose non-integer times round
+    GRID = np.linspace(0.0, 20.0, 7)
+    # at three of these times glibc's pow(t, 2) is 1 ulp off t * t; a
+    # scalar t**2 shows there in the ballistic term, a scalar (drift t)**2
+    # where the drift term carries the variance
+    RANDOM_GRID = np.sort(np.random.default_rng(0).uniform(0.0, 20.0, 1000))
+
+    def test_sigmas_match_the_array_variance_bit_for_bit(self, silica, ground):
+        curve = expansion_curve(silica, ground, occupancy=3.0, time_grid=self.GRID)
+        want = np.sqrt(Scenario(silica, ground, occupancy=3.0).variance(self.GRID)[1])
+        for values in (curve.times, curve.sigmas):
+            assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert np.array_equal(curve.times, self.GRID)
+        assert np.array_equal(curve.sigmas, want)
+
+    @pytest.mark.parametrize(
+        "grid, kwargs",
+        [
+            (GRID, dict(occupancy=3.0, measurement_noise=1e-9, drift_velocity_std=1e-10)),
+            (RANDOM_GRID, dict(toggles=ChannelToggles.none())),
+            (
+                RANDOM_GRID,
+                dict(
+                    toggles=ChannelToggles.none(), occupancy=3.0,
+                    measurement_noise=1e-9, drift_velocity_std=1.0,
+                ),
+            ),
+        ],
+        ids=["0:20:7", "ballistic", "drift"],
+    )
+    def test_scalar_variance_matches_each_array_element(self, silica, ground, grid, kwargs):
+        scenario = Scenario(silica, ground, **kwargs)
+        budget, want = scenario.variance(grid)
+        got = [scenario.variance(t) for t in grid.tolist()]
+        assert all(b is budget for b, _ in got)
+        assert all(type(v) is float for _, v in got)
+        assert np.array_equal(np.array([v for _, v in got]), want)
+
+    @pytest.mark.parametrize("grid", [[1e154], [1.3e154], [0.0, 1e200]])
+    def test_overflowing_grid_is_a_numerical_error(self, silica, ground, grid):
+        with pytest.raises(NumericalError, match="variance at t = .* is inf"):
+            expansion_curve(silica, ground, time_grid=grid)
 
     def test_csv_format(self, silica, ground):
         curve = expansion_curve(silica, ground, time_grid=[0.0, 1.0])

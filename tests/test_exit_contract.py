@@ -16,6 +16,10 @@ from waxsim.config import SCHEMA
 COMMANDS = ("rates", "expand", "campaign", "bound", "feasibility")
 FLOAT_VALUES = ("-1", "0", "1e-300", "1e-30", "1e30", "1e300")
 INT_VALUES = ("-1", "0")
+# squares that overflow past the float range (1e154, 1.3e154: t**2 is
+# finite, g t**2 / 2 is not), a square that overflows at once (1e200) and
+# a subnormal time whose square underflows to 0
+GRID_VALUES = ("1e154", "1.3e154", "1e200", "0,1e-320")
 BASE = ("--environment.preset", "custom", "--campaign.runs_per_time", "20")
 
 CASES = [
@@ -24,6 +28,10 @@ CASES = [
     for key, (kind, *_) in SCHEMA.items()
     if kind in ("float", "int", "intlist")
     for value in (FLOAT_VALUES if kind == "float" else INT_VALUES)
+] + [
+    (command, *BASE, f"--campaign.time_grid_s={grid}")
+    for command in COMMANDS
+    for grid in GRID_VALUES
 ] + [
     # the tile sums of squares overflow on the sampling threads
     ("campaign", "--campaign.drift_velocity_std_m_s", "1e150",

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from waxsim import (
     DomainError,
     Environment,
+    NumericalError,
     Particle,
     drop_distance,
     environment_preset,
@@ -89,6 +90,13 @@ def test_drop_distance_quadratic():
 def test_drop_distance_rejects_negative():
     with pytest.raises(DomainError):
         drop_distance(-0.1)
+
+
+@pytest.mark.parametrize("time", [1e154, 1.3e154])
+def test_drop_distance_overflow_is_a_numerical_error(time):
+    # t**2 is finite, but 0.5 * g * t**2 overflows to inf without raising
+    with pytest.raises(NumericalError):
+        drop_distance(time)
 
 
 def test_particle_mass_is_derived(silica):

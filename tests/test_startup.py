@@ -1,10 +1,10 @@
 """Start-up cost: each command loads only the layers it runs.
 
 Importing waxsim loads none of its modules; the scalar commands (``rates``,
-``feasibility``, ``--print-config``) load no numpy, ``expand`` no sampling,
-inference or oracle layer, and the numpy-only commands no scipy. Each check
-runs in a fresh interpreter, since the pytest process itself has numpy and
-scipy loaded. The checks are on ``sys.modules``, not on timings.
+``expand``, ``feasibility``, ``--print-config``) load no numpy and no
+sampling, inference or oracle layer, and at its defaults no command but
+``campaign`` loads scipy. Each check runs in a fresh interpreter, since the
+pytest process itself has numpy and scipy loaded. The checks are on ``sys.modules``, not on timings.
 """
 import json
 import os
@@ -59,7 +59,7 @@ def test_import_waxsim_loads_no_module():
     assert loaded_after(code, ("numpy",)) == []
 
 
-@pytest.mark.parametrize("command", ["rates", "feasibility"])
+@pytest.mark.parametrize("command", ["rates", "expand", "feasibility"])
 def test_scalar_commands_load_no_numpy(command):
     assert loaded_after(run_main(command), ("numpy", *LAYERS)) == []
 
@@ -73,7 +73,9 @@ def test_print_config_loads_no_numpy():
 
 
 def test_expand_loads_no_sampling_inference_or_oracle():
-    assert loaded_after(run_main("expand"), ("numpy", *LAYERS)) == ["numpy"]
+    # with the collapse channel on, which adds the a/3 check on the widths
+    code = run_main("expand", "--csl", "--csl.lambda_hz", "1e-8")
+    assert loaded_after(code, ("numpy", *LAYERS)) == []
 
 
 def test_bound_without_oracle_check_loads_no_oracle():

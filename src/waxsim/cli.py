@@ -127,8 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 metavar="N",
-                help="worker threads (default: available CPUs for large campaigns; "
-                "output is identical)",
+                help="worker threads for sampling, or processes for --dump-samples "
+                "(default: available CPUs for large campaigns; output is identical)",
             )
         return p
 
@@ -226,7 +226,7 @@ def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[st
     plan, scenario = config.campaign(), config.scenario()
     if args.dump_samples:
         # the dump re-draws its tiles as it writes them; no width is merged
-        text = run_campaign(plan, scenario, run_counts=()).csv_chunks()
+        text = run_campaign(plan, scenario, run_counts=()).csv_chunks(args.workers)
     else:
         text = campaign_to_csv(campaign_curve(plan, scenario, args.workers))
     return text, list(scenario.budget.warnings)
@@ -305,30 +305,36 @@ def _error_state(command) -> contextlib.AbstractContextManager:
 
 
 def _emit(chunks: str | Iterable[str], output: str | None) -> None:
-    """Write one string, or each string of an iterable, to ``output`` or stdout."""
+    """Write one string, or each string of an iterable, to ``output`` or stdout.
+
+    An iterable with a ``close`` method is closed before this returns, on
+    every path, and not at garbage collection: closing a pooled dump joins
+    its worker processes.
+    """
     if isinstance(chunks, str):
         chunks = (chunks,)
-    if output:
+    with contextlib.closing(chunks) if hasattr(chunks, "close") else contextlib.nullcontext():
+        if output:
+            try:
+                with open(output, "w", encoding="utf-8", newline="") as fh:
+                    fh.writelines(chunks)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output {output}: {exc.strerror or exc}") from exc
+            return
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise ConfigError("cannot write output <stdout>: stdout is closed")
         try:
-            with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(chunks)
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
         except OSError as exc:
-            raise ConfigError(f"cannot write output {output}: {exc.strerror or exc}") from exc
-        return
-    if sys.stdout is None:  # started with file descriptor 1 closed
-        raise ConfigError("cannot write output <stdout>: stdout is closed")
-    try:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
-    except OSError as exc:
-        # Python flushes stdout again at exit; point it at devnull so that
-        # the final flush cannot fail a second time
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        # a reader that closed the pipe early (``waxsim ... | head``) is no error
-        if not isinstance(exc, BrokenPipeError):
-            raise ConfigError(f"cannot write output <stdout>: {exc.strerror or exc}") from exc
+            # Python flushes stdout again at exit; point it at devnull so that
+            # the final flush cannot fail a second time
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            # a reader that closed the pipe early (``waxsim ... | head``) is no error
+            if not isinstance(exc, BrokenPipeError):
+                raise ConfigError(f"cannot write output <stdout>: {exc.strerror or exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -357,6 +363,15 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         reason = str(exc) or "allocation failed"
         print(f"waxsim: error: run too large for memory: {reason}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # only a pooled dump starts processes, and so loads this module
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        # a pool process died, killed for example by the out-of-memory killer
+        print(f"waxsim: error: a worker process died: {exc}", file=sys.stderr)
         return 2
     for message in warnings:
         print(f"waxsim: warning: {message}", file=sys.stderr)

@@ -43,7 +43,7 @@ import numpy as np
 from .constants import LAMBDA_GRW, hbar
 from .decoherence import ChannelToggles, CSLParams, lambda_csl
 from .dynamics import DetectionConfig, Scenario, _check_runs, check_time_grid
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
 from .protocol import CampaignConfig, PositionSamples, _thread_map, run_campaign
 
@@ -136,6 +136,11 @@ def _detection_setup(
     times = check_time_grid(time_grid)
     sens = csl_sensitivity(times, scenario.particle, scenario.csl)
     if not np.any(sens > 0.0):
+        if np.any(times > 0.0):  # sensitivity ~ t^3 underflows at tiny times
+            raise NumericalError(
+                "collapse-rate sensitivity underflows to 0 at every grid time "
+                f"(largest time {float(times[-1])!r} s)"
+            )
         raise DomainError(
             "no sensitivity to the collapse rate: grid has no positive times"
         )

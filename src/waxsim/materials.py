@@ -48,13 +48,22 @@ def sphere_mass(radius: float, density: float) -> float:
     Returns
     -------
     float
-        Mass [kg], density * (4/3) pi radius^3.
+        Mass [kg], density * (4/3) pi radius^3. Raises NumericalError if
+        it overflows.
     """
     if radius <= 0.0:
         raise DomainError(f"radius must be > 0, got {radius}")
     if density <= 0.0:
         raise DomainError(f"density must be > 0, got {density}")
-    return density * (4.0 / 3.0) * math.pi * radius**3
+    try:
+        mass = density * (4.0 / 3.0) * math.pi * radius**3
+    except OverflowError:  # float ** raises where * gives inf
+        mass = math.inf
+    if not math.isfinite(mass):
+        raise NumericalError(
+            f"particle mass overflows at radius {radius!r} m, density {density!r} kg/m^3"
+        )
+    return mass
 
 
 def drop_distance(free_fall_time: float) -> float:
@@ -72,7 +81,10 @@ def drop_distance(free_fall_time: float) -> float:
     """
     if free_fall_time < 0.0:
         raise DomainError(f"free_fall_time must be >= 0, got {free_fall_time}")
-    drop = 0.5 * _g * free_fall_time**2
+    try:
+        drop = 0.5 * _g * free_fall_time**2
+    except OverflowError:  # float ** raises where * gives inf
+        drop = math.inf
     if not math.isfinite(drop):
         raise NumericalError(f"drop distance at t = {free_fall_time!r} s is {drop!r}")
     return drop

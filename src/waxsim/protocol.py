@@ -55,11 +55,18 @@ kernel, so they give the bits the campaign drew. ``np.asarray`` refuses a
 ``T x N`` array larger than physical memory.
 
 The raw-sample CSV is produced by ``PositionSamples.csv_chunks``, which
-re-draws the same tiles: the header, then one string per tile, so a caller
-that writes each chunk as it comes (``waxsim campaign --dump-samples``)
-holds O(tile) memory, whatever the campaign size. ``PositionSamples.to_csv``
-joins the chunks. With ``run_counts=()`` a campaign merges no variance and
-draws nothing, so a dump built on it draws each tile once.
+re-draws the same tiles: the header, then one string per tile, in tile
+order, so a caller that writes each chunk as it comes (``waxsim campaign
+--dump-samples``) holds O(tile) memory, whatever the campaign size.
+``PositionSamples.to_csv`` joins the chunks. With ``run_counts=()`` a
+campaign merges no variance and draws nothing, so a dump built on it draws
+each tile once. Formatting the floats is interpreter work that holds the
+GIL, so threads cannot share it: ``csv_chunks`` takes ``workers`` by the
+rule of ``run_campaign`` and, above 1, re-draws and formats the tiles on a
+pool of that many forked processes. It keeps at most ``workers`` tiles in
+flight and submits the next one as the caller takes a chunk, so memory
+stays O(workers tiles); the chunks are the ones the serial path yields.
+Where the platform cannot fork, the tiles are formatted serially.
 """
 from __future__ import annotations
 
@@ -67,6 +74,7 @@ import math
 import operator
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -161,25 +169,95 @@ class PositionSamples:
         """Each row's sample variance over all N runs (``KeyError`` if not asked for)."""
         return self.var_hats[self.samples.runs]
 
-    def csv_chunks(self) -> Iterator[str]:
-        """Raw-sample CSV in pieces: the header, then one string per tile.
+    def csv_chunks(self, workers: int | None = None) -> Iterator[str]:
+        """Raw-sample CSV in pieces: the header, then one string per tile, in tile order.
 
-        Each tile is re-drawn into one reused buffer, so a chunk holds at
-        most ``tile_runs`` lines and writing the chunks one by one needs
-        O(tile) memory.
+        ``workers`` follows the rule of :func:`run_campaign`: ``None`` is
+        the available CPUs for campaigns of at least ``PARALLEL_MIN_DRAWS``
+        draws and 1 below. Above 1, the tiles are re-drawn and formatted on
+        a pool of that many forked processes, at most ``workers`` tiles at
+        a time; with 1, or where the platform cannot fork, in this process.
+        The chunks are the same either way. A chunk holds at most
+        ``tile_runs`` lines, so writing the chunks one by one needs memory
+        for ``workers`` tiles of text. Close the iterator if it is not
+        read to its end: that shuts the pool down and joins its processes.
         """
+        check_workers(workers)
         yield "t_s,run_index,x_m\n"
         view = self.samples
-        buffer = np.empty(min(view.runs, view.tile_runs))
         t_reprs = [repr(float(t)) for t in self.times]
-        for k in range(len(view) * view.tiles_per_row):
-            i, a, xs = view.draw_tile(k, buffer)
-            t_repr = t_reprs[i]
-            yield "".join([f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs.tolist(), a)])
+        count = len(view) * view.tiles_per_row
+        if workers is None:
+            workers = _available_cpus() if view.size >= PARALLEL_MIN_DRAWS else 1
+        if workers > 1 and count > 1:
+            import multiprocessing
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                yield from _forked_tile_csv(view, t_reprs, count, workers)
+                return
+        for k in range(count):
+            yield _tile_csv(view, t_reprs, k)
 
     def to_csv(self) -> str:
         """Raw-sample CSV: header ``t_s,run_index,x_m``."""
         return "".join(self.csv_chunks())
+
+
+def _tile_csv(view: CampaignSamples, t_reprs: Sequence[str], k: int) -> str:
+    """CSV lines ``t_s,run_index,x_m`` of tile ``k``, re-drawn through the campaign's kernel."""
+    i, a, xs = view.draw_tile(k, np.empty(min(view.runs, view.tile_runs)))
+    t = t_reprs[i]
+    runs = [f",{r}," for r in range(a, a + xs.size)]
+    return t + ("\n" + t).join(map(operator.add, runs, map(repr, xs.tolist()))) + "\n"
+
+
+def _tile_task(errors: dict, view: CampaignSamples, t_reprs: Sequence[str], k: int) -> str:
+    """:func:`_tile_csv` in a pool process, under the caller's floating-point error state."""
+    with np.errstate(**errors):
+        return _tile_csv(view, t_reprs, k)
+
+
+def _forked_tile_csv(
+    view: CampaignSamples, t_reprs: Sequence[str], count: int, workers: int
+) -> Iterator[str]:
+    """``_tile_csv`` of tiles ``0 .. count - 1``, in order, on ``workers`` forked processes.
+
+    At most ``workers`` tiles are in flight: the next tile is submitted as
+    the caller takes a chunk, so a slow reader holds no queue of finished
+    text. Closing the generator cancels the tiles not yet started and
+    joins the processes.
+
+    Forked, not spawned: a forked child starts with numpy and scipy loaded,
+    where a spawned one would import them again for every dump. The pool
+    forks all its processes in the first ``submit``, before it starts its
+    own threads.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # loaded before the fork, so that no child imports it again
+    import scipy.special  # noqa: F401
+
+    errors = np.geterr()
+    window = min(workers, count)
+    # multiprocessing flushes sys.stdout and sys.stderr before it forks, so
+    # no child holds a copy of text the parent has yet to write
+    pool = ProcessPoolExecutor(window, multiprocessing.get_context("fork"))
+    try:
+        pending = deque(pool.submit(_tile_task, errors, view, t_reprs, k) for k in range(window))
+        for k in range(window, count + window):
+            chunk = pending.popleft().result()
+            if k < count:
+                pending.append(pool.submit(_tile_task, errors, view, t_reprs, k))
+            yield chunk
+    except OSError as exc:  # a fork or a pipe refused: out of processes, memory or files
+        # the pool joins only the processes of a started pool; stop those forked so far
+        for process in (pool._processes or {}).values():
+            process.terminate()
+            process.join()
+        raise DomainError(f"cannot start the dump's worker processes: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Config parsing, canonical echo, CLI subcommands and exit codes."""
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -371,6 +373,32 @@ class TestCli:
         assert "warning" in err
         assert out.startswith("channel,")
 
+    @pytest.mark.parametrize(
+        "grid, code, line",
+        [
+            ("1e-100", 3, "waxsim: numerical failure: collapse-rate sensitivity underflows "
+             "to 0 at every grid time (largest time 1e-100 s)"),
+            ("0", 2, "waxsim: error: no sensitivity to the collapse rate: "
+             "grid has no positive times"),
+        ],
+    )
+    def test_bound_without_sensitivity_names_the_cause(self, capsys, grid, code, line):
+        assert run_cli(capsys, "bound", f"--campaign.time_grid_s={grid}") == (code, "", line + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (("rates", "--particle.radius_m", "1e300"),
+             "particle mass overflows at radius 1e+300 m, density 2200.0 kg/m^3"),
+            (("expand", "--particle.radius_m", "1e300"),
+             "particle mass overflows at radius 1e+300 m, density 2200.0 kg/m^3"),
+            (("feasibility", "--campaign.time_grid_s", "1e200"),
+             "drop distance at t = 1e+200 s is inf"),
+        ],
+    )
+    def test_overflow_names_the_quantity_and_input(self, capsys, argv, reason):
+        assert run_cli(capsys, *argv) == (3, "", f"waxsim: numerical failure: {reason}\n")
+
     @pytest.mark.parametrize("command", ["rates", "expand", "campaign", "bound", "feasibility"])
     @pytest.mark.parametrize("grid", ["", "5,5,10", "10,5", "-1,5"])
     def test_bad_time_grid_exits_2_on_every_command(self, capsys, command, grid):
@@ -646,6 +674,12 @@ class TestCampaignBytes:
         extra = ["--campaign.runs_per_time", str(n)] + ["--dump-samples"] * dump
         assert self.digest(tmp_path, *extra) == self.PINNED[n, dump]
 
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    @pytest.mark.parametrize("n", [65539, 131073])
+    def test_pooled_dump_keeps_the_pinned_digest(self, tmp_path, n, workers):
+        extra = ["--campaign.runs_per_time", str(n), "--dump-samples", "--workers", workers]
+        assert self.digest(tmp_path, *extra) == self.PINNED[n, True]
+
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         # 2 x (2**19 + 1) draws: above the parallel threshold, 9 tiles per time
         size = ["--campaign.runs_per_time", str(2**19 + 1)]
@@ -707,6 +741,110 @@ class TestStreamedDump:
         out, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (0, b"")
         assert out == target.read_bytes()
+
+    def test_pooled_stdout_bytes_equal_output_file_bytes(self):
+        # stdout is block-buffered: the header waits in its buffer when the pool
+        # forks; the file digest is the pinned serial one
+        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--workers", "2"]
+        argv += ["--campaign.runs_per_time", str(2**16 + 3)]  # ragged last tiles
+        env = waxsim_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "waxsim", *argv], env=env, capture_output=True, timeout=120
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        assert digest == TestCampaignBytes.PINNED[2**16 + 3, True]
+
+    def test_finished_pooled_dump_leaves_no_process(self, tmp_path):
+        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "100"]
+        assert cli.main([*argv, "--workers", "2", "-o", str(tmp_path / "dump.csv")]) == 0
+        assert multiprocessing.active_children() == []
+
+    def test_closed_stdout_joins_the_pool_before_main_returns(self):
+        # 63,001 lines in tiles of 3,000, each larger than the pipe; the reader
+        # takes the header and closes it
+        script = (
+            "import multiprocessing, sys\n"
+            "from waxsim import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "sys.stderr.write(repr((code, multiprocessing.active_children())))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "campaign", "--dump-samples",
+             "--campaign.runs_per_time", "3000", "--workers", "2"],
+            env=waxsim_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"t_s,run_index,x_m\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"(0, [])")
+
+    def test_emit_closes_the_chunks_when_the_reader_leaves(self, tmp_path, monkeypatch):
+        # the caller still holds the generator, so only an explicit close runs its finally
+        closed = []
+
+        def chunks():
+            try:
+                yield "t_s,run_index,x_m\n"
+                yield "0.0,0,1.0\n"
+            finally:
+                closed.append(True)
+
+        class ClosedPipe:
+            def writelines(self, lines):
+                next(iter(lines))
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):  # _emit points it at devnull
+                return fh.fileno()
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            dump = chunks()
+            cli._emit(dump, None)
+            assert closed == [True]
+
+    def test_dead_pool_process_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch):
+        def broken_kernel(view, t_reprs, k):
+            raise BrokenProcessPool("a process in the pool died")
+
+        monkeypatch.setattr(protocol, "_tile_csv", broken_kernel)
+        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
+        code, out, err = run_cli(capsys, *argv, "--workers", "2", "-o", str(tmp_path / "d.csv"))
+        assert (code, out) == (2, "")
+        assert err == "waxsim: error: a worker process died: a process in the pool died\n"
+        assert multiprocessing.active_children() == []
+
+    def test_pool_process_that_exits_is_a_dead_pool(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(protocol, "_tile_csv", lambda view, t_reprs, k: os._exit(1))
+        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
+        code, out, err = run_cli(capsys, *argv, "--workers", "2", "-o", str(tmp_path / "d.csv"))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("waxsim: error: a worker process died: ")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("forks", [0, 1])
+    def test_refused_fork_exits_2_and_leaves_no_process(self, capsys, tmp_path, monkeypatch, forks):
+        # the host runs out of processes after `forks` of the pool's two
+        fork, calls = os.fork, []
+
+        def limited_fork():
+            calls.append(1)
+            if len(calls) > forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", limited_fork)
+        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
+        code, out, err = run_cli(capsys, *argv, "--workers", "2", "-o", str(tmp_path / "d.csv"))
+        assert (code, out) == (2, "")
+        assert err == (
+            "waxsim: error: cannot start the dump's worker processes: "
+            "[Errno 11] Resource temporarily unavailable\n"
+        )
+        assert multiprocessing.active_children() == []
 
     def test_dump_draws_each_tile_once(self, tmp_path, monkeypatch):
         import scipy.special

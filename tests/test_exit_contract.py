@@ -18,8 +18,9 @@ FLOAT_VALUES = ("-1", "0", "1e-300", "1e-30", "1e30", "1e300")
 INT_VALUES = ("-1", "0")
 # squares that overflow past the float range (1e154, 1.3e154: t**2 is
 # finite, g t**2 / 2 is not), a square that overflows at once (1e200) and
-# a subnormal time whose square underflows to 0
-GRID_VALUES = ("1e154", "1.3e154", "1e200", "0,1e-320")
+# a subnormal time whose square underflows to 0, and a time whose collapse
+# sensitivity (~t^3) underflows to 0
+GRID_VALUES = ("1e154", "1.3e154", "1e200", "0,1e-320", "1e-100")
 BASE = ("--environment.preset", "custom", "--campaign.runs_per_time", "20")
 
 CASES = [
@@ -37,6 +38,10 @@ CASES = [
     ("campaign", "--campaign.drift_velocity_std_m_s", "1e150",
      "--campaign.runs_per_time", "70000", "--workers", workers)
     for workers in ("1", "2")
+] + [
+    # the dump formats its tiles in pool processes
+    ("campaign", "--dump-samples", "--campaign.drift_velocity_std_m_s", "1e150",
+     "--campaign.runs_per_time", "20", "--workers", "2")
 ]
 
 

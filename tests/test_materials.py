@@ -1,6 +1,7 @@
 """Particle, environment and feasibility arithmetic."""
 import dataclasses
 import math
+import re
 
 import pytest
 from numpy.testing import assert_allclose
@@ -49,6 +50,14 @@ def test_sphere_mass_rejects_nonpositive(radius, density):
         sphere_mass(radius, density)
 
 
+@pytest.mark.parametrize("radius,density", [(1e300, 2200.0), (1e102, 2200.0), (1.2e-7, 1e308)])
+def test_sphere_mass_overflow_is_a_numerical_error(radius, density):
+    # radius**3 raises at 1e300; elsewhere the products overflow to inf silently
+    reason = f"particle mass overflows at radius {radius!r} m, density {density!r} kg/m^3"
+    with pytest.raises(NumericalError, match=re.escape(reason)):
+        sphere_mass(radius, density)
+
+
 def ground_state_width(radius, density, trap_frequency):
     """sigma_0 = sqrt(hbar / (2 m omega)), the width of the occupancy-0 state."""
     return initial_state(Particle(radius, density), trap_frequency).sigma
@@ -92,10 +101,11 @@ def test_drop_distance_rejects_negative():
         drop_distance(-0.1)
 
 
-@pytest.mark.parametrize("time", [1e154, 1.3e154])
+@pytest.mark.parametrize("time", [1e154, 1.3e154, 1e200])
 def test_drop_distance_overflow_is_a_numerical_error(time):
-    # t**2 is finite, but 0.5 * g * t**2 overflows to inf without raising
-    with pytest.raises(NumericalError):
+    # up to about 1.3e154 t**2 is finite, but 0.5 * g * t**2 overflows to inf
+    # without raising; at 1e200 t**2 itself raises OverflowError
+    with pytest.raises(NumericalError, match=re.escape(f"drop distance at t = {time!r} s is inf")):
         drop_distance(time)
 
 

@@ -367,6 +367,94 @@ class TestStreamingSerialization:
         assert np.asarray(samples).shape == (3, 100)
 
 
+class TestPooledDump:
+    """``csv_chunks(workers)`` above 1 formats the tiles in forked processes."""
+
+    @pytest.fixture
+    def data(self, silica, ground, monkeypatch):
+        # 3 times x 3 tiles of at most 4 runs; the last tile of each row is ragged
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        return run_campaign(make_config(runs_per_time=10), Scenario(silica, ground))
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        """The tile index of each task submitted to a process pool, in order."""
+        import concurrent.futures
+
+        tiles = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, *args):
+                tiles.append(args[-1])
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return tiles
+
+    @pytest.mark.parametrize("workers", [2, 3, 16])
+    def test_pooled_chunks_equal_serial_chunks(self, data, submitted, workers):
+        assert list(data.csv_chunks(workers)) == list(data.csv_chunks(1))
+        assert submitted == list(range(9))
+
+    def test_tiles_are_formatted_in_pool_processes(self, data, monkeypatch):
+        import os
+
+        monkeypatch.setattr(protocol, "_tile_csv", lambda view, t_reprs, k: f"{os.getpid()}\n")
+        pids = {int(chunk) for chunk in list(data.csv_chunks(2))[1:]}
+        assert 1 <= len(pids) <= 2
+        assert os.getpid() not in pids
+
+    def test_pool_holds_at_most_workers_tiles(self, data, submitted):
+        chunks = data.csv_chunks(2)
+        next(chunks)  # the header starts no pool
+        assert submitted == []
+        for taken in range(1, 10):
+            next(chunks)
+            assert len(submitted) == min(taken + 2, 9)
+        chunks.close()
+
+    def test_closing_early_joins_the_processes(self, data):
+        import multiprocessing
+
+        chunks = data.csv_chunks(2)
+        next(chunks), next(chunks)
+        assert multiprocessing.active_children() != []
+        chunks.close()
+        assert multiprocessing.active_children() == []
+
+    def test_pool_tasks_keep_the_callers_error_state(self, data, monkeypatch):
+        monkeypatch.setattr(
+            protocol, "_tile_csv", lambda view, t_reprs, k: f"{sorted(np.geterr().items())}\n"
+        )
+        with np.errstate(over="raise", under="warn", divide="ignore", invalid="raise"):
+            expected = f"{sorted(np.geterr().items())}\n"
+            assert set(list(data.csv_chunks(2))[1:]) == {expected}
+
+    def test_default_pools_on_more_than_one_cpu_only(self, data, submitted, monkeypatch):
+        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", data.samples.size)
+        monkeypatch.setattr(protocol, "_available_cpus", lambda: 1)
+        serial = list(data.csv_chunks())
+        assert submitted == []
+        monkeypatch.setattr(protocol, "_available_cpus", lambda: 2)
+        assert list(data.csv_chunks()) == serial
+        assert submitted == list(range(9))
+        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", data.samples.size + 1)
+        assert list(data.csv_chunks()) == serial
+        assert len(submitted) == 9
+
+    def test_no_fork_runs_serially(self, data, submitted, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert list(data.csv_chunks(2)) == list(data.csv_chunks(1))
+        assert submitted == []
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one(self, data, workers):
+        with pytest.raises(DomainError, match="workers must be >= 1"):
+            next(data.csv_chunks(workers))
+
+
 class TestMomentsEngine:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_runs(self, silica, ground, workers):

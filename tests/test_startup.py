@@ -100,6 +100,12 @@ def test_campaign_loads_only_scipy_special():
     assert loaded_after(code) == ["scipy.special"]
 
 
+def test_serial_commands_load_no_process_pool():
+    # only a pooled --dump-samples loads multiprocessing
+    code = run_main("campaign", "--dump-samples", "--campaign.runs_per_time", "10") + run_main("bound")
+    assert loaded_after(code, ("multiprocessing", "concurrent.futures.process")) == []
+
+
 def test_quadrature_oracle_resolves_lazily():
     # the oracles import at once; scipy.interpolate loads on the first call
     code = (

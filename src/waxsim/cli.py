@@ -221,12 +221,15 @@ def _cmd_expand(config: RunConfig, args) -> tuple[str, list[str]]:
 
 
 def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[str]]:
-    from .protocol import campaign_curve, campaign_to_csv, run_campaign
+    from .protocol import campaign_curve, campaign_to_csv, default_workers, run_campaign
 
     plan, scenario = config.campaign(), config.scenario()
     if args.dump_samples:
-        # the dump re-draws its tiles as it writes them; no width is merged
-        text = run_campaign(plan, scenario, run_counts=()).csv_chunks(args.workers)
+        # the dump re-draws its tiles as it writes them; no width is merged. The
+        # command line runs no other thread, so it may fork the dump's pool
+        data = run_campaign(plan, scenario, run_counts=())
+        workers = default_workers(data.samples.size) if args.workers is None else args.workers
+        text = data.csv_chunks(workers)
     else:
         text = campaign_to_csv(campaign_curve(plan, scenario, args.workers))
     return text, list(scenario.budget.warnings)

@@ -61,12 +61,15 @@ order, so a caller that writes each chunk as it comes (``waxsim campaign
 ``PositionSamples.to_csv`` joins the chunks. With ``run_counts=()`` a
 campaign merges no variance and draws nothing, so a dump built on it draws
 each tile once. Formatting the floats is interpreter work that holds the
-GIL, so threads cannot share it: ``csv_chunks`` takes ``workers`` by the
-rule of ``run_campaign`` and, above 1, re-draws and formats the tiles on a
-pool of that many forked processes. It keeps at most ``workers`` tiles in
-flight and submits the next one as the caller takes a chunk, so memory
-stays O(workers tiles); the chunks are the ones the serial path yields.
-Where the platform cannot fork, the tiles are formatted serially.
+GIL, so threads cannot share it: ``csv_chunks(workers)`` above 1 re-draws
+and formats the tiles on a pool of that many forked processes. It keeps
+at most ``workers`` tiles in flight and submits the next one as the caller
+takes a chunk, so memory stays O(workers tiles); the chunks are the ones
+the serial path yields. Where the platform cannot fork, the tiles are
+formatted serially. ``csv_chunks`` is serial by default, since forking a
+multi-threaded caller is unsafe; ``waxsim campaign --dump-samples``, which
+runs no other thread, takes the rule of ``run_campaign``
+(:func:`default_workers`).
 """
 from __future__ import annotations
 
@@ -169,52 +172,53 @@ class PositionSamples:
         """Each row's sample variance over all N runs (``KeyError`` if not asked for)."""
         return self.var_hats[self.samples.runs]
 
-    def csv_chunks(self, workers: int | None = None) -> Iterator[str]:
+    def csv_chunks(self, workers: int = 1) -> Iterator[str]:
         """Raw-sample CSV in pieces: the header, then one string per tile, in tile order.
 
-        ``workers`` follows the rule of :func:`run_campaign`: ``None`` is
-        the available CPUs for campaigns of at least ``PARALLEL_MIN_DRAWS``
-        draws and 1 below. Above 1, the tiles are re-drawn and formatted on
-        a pool of that many forked processes, at most ``workers`` tiles at
-        a time; with 1, or where the platform cannot fork, in this process.
-        The chunks are the same either way. A chunk holds at most
-        ``tile_runs`` lines, so writing the chunks one by one needs memory
-        for ``workers`` tiles of text. Close the iterator if it is not
-        read to its end: that shuts the pool down and joins its processes.
+        With ``workers`` 1, the default, the tiles are re-drawn and
+        formatted in this process, into one reused buffer. Above 1, they
+        are formatted on a pool of that many processes forked from this
+        one, at most ``workers`` tiles at a time; where the platform cannot
+        fork, serially. Forking a process that runs other threads can
+        deadlock a child on a lock one of them held, so pass ``workers``
+        above 1 only from a single-threaded caller (``waxsim campaign
+        --dump-samples`` takes :func:`default_workers`). The chunks are the
+        same either way. A chunk holds at most ``tile_runs`` lines, so
+        writing the chunks one by one needs memory for ``workers`` tiles of
+        text. Close the iterator if it is not read to its end: that shuts
+        the pool down and joins its processes.
         """
         check_workers(workers)
         yield "t_s,run_index,x_m\n"
         view = self.samples
         t_reprs = [repr(float(t)) for t in self.times]
         count = len(view) * view.tiles_per_row
-        if workers is None:
-            workers = _available_cpus() if view.size >= PARALLEL_MIN_DRAWS else 1
         if workers > 1 and count > 1:
             import multiprocessing
 
             if "fork" in multiprocessing.get_all_start_methods():
                 yield from _forked_tile_csv(view, t_reprs, count, workers)
                 return
+        buffer = np.empty(min(view.runs, view.tile_runs))
         for k in range(count):
-            yield _tile_csv(view, t_reprs, k)
+            yield _tile_csv(view, t_reprs, k, buffer)
 
     def to_csv(self) -> str:
         """Raw-sample CSV: header ``t_s,run_index,x_m``."""
         return "".join(self.csv_chunks())
 
 
-def _tile_csv(view: CampaignSamples, t_reprs: Sequence[str], k: int) -> str:
-    """CSV lines ``t_s,run_index,x_m`` of tile ``k``, re-drawn through the campaign's kernel."""
-    i, a, xs = view.draw_tile(k, np.empty(min(view.runs, view.tile_runs)))
-    t = t_reprs[i]
-    runs = [f",{r}," for r in range(a, a + xs.size)]
-    return t + ("\n" + t).join(map(operator.add, runs, map(repr, xs.tolist()))) + "\n"
+def _tile_csv(view: CampaignSamples, t_reprs: Sequence[str], k: int, out: np.ndarray) -> str:
+    """CSV lines ``t_s,run_index,x_m`` of tile ``k``, re-drawn into ``out``."""
+    i, a, xs = view.draw_tile(k, out)
+    t_repr = t_reprs[i]
+    return "".join([f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs.tolist(), a)])
 
 
 def _tile_task(errors: dict, view: CampaignSamples, t_reprs: Sequence[str], k: int) -> str:
     """:func:`_tile_csv` in a pool process, under the caller's floating-point error state."""
     with np.errstate(**errors):
-        return _tile_csv(view, t_reprs, k)
+        return _tile_csv(view, t_reprs, k, np.empty(min(view.runs, view.tile_runs)))
 
 
 def _forked_tile_csv(
@@ -240,24 +244,32 @@ def _forked_tile_csv(
 
     errors = np.geterr()
     window = min(workers, count)
-    # multiprocessing flushes sys.stdout and sys.stderr before it forks, so
-    # no child holds a copy of text the parent has yet to write
-    pool = ProcessPoolExecutor(window, multiprocessing.get_context("fork"))
+    forked_before = set(multiprocessing.active_children())
+    pool = None
     try:
-        pending = deque(pool.submit(_tile_task, errors, view, t_reprs, k) for k in range(window))
+        try:
+            pool = ProcessPoolExecutor(window, multiprocessing.get_context("fork"))
+            pending = deque(
+                pool.submit(_tile_task, errors, view, t_reprs, k) for k in range(window)
+            )
+        except OSError as exc:  # a fork or a pipe refused: out of processes, memory or files
+            # shutdown joins the processes of a started pool only: stop those forked so far
+            for process in set(multiprocessing.active_children()) - forked_before:
+                process.terminate()
+                process.join()
+            # multiprocessing flushes sys.stdout before it forks, so a reader of
+            # stdout that left shows here; the caller's write would see the same
+            if isinstance(exc, BrokenPipeError):
+                raise
+            raise DomainError(f"cannot start the dump's worker processes: {exc}") from exc
         for k in range(window, count + window):
             chunk = pending.popleft().result()
             if k < count:
                 pending.append(pool.submit(_tile_task, errors, view, t_reprs, k))
             yield chunk
-    except OSError as exc:  # a fork or a pipe refused: out of processes, memory or files
-        # the pool joins only the processes of a started pool; stop those forked so far
-        for process in (pool._processes or {}).values():
-            process.terminate()
-            process.join()
-        raise DomainError(f"cannot start the dump's worker processes: {exc}") from exc
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -302,6 +314,12 @@ def _check_memory(needed: int, what: str) -> None:
             f"campaign needs {needed / 1e9:.3g} GB of {what}, more than the "
             f"{physical / 1e9:.3g} GB of physical memory"
         )
+
+
+def default_workers(draws: int) -> int:
+    """The pool size ``workers=None`` stands for: the available CPUs for a
+    campaign of at least ``PARALLEL_MIN_DRAWS`` draws, 1 below."""
+    return _available_cpus() if draws >= PARALLEL_MIN_DRAWS else 1
 
 
 def _available_cpus() -> int:
@@ -438,7 +456,7 @@ def run_campaign(
                 cuts[i, s] = _tile_moments(tile[:kept], dev[:kept])
 
     if workers is None:
-        workers = _available_cpus() if view.size >= PARALLEL_MIN_DRAWS else 1
+        workers = default_workers(view.size)
     # one task per thread, each with its own tile and scratch buffers
     buffers = np.empty((min(workers, count), 2, min(n, tile_runs)))
     if workers > 1:

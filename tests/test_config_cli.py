@@ -674,8 +674,7 @@ class TestCampaignBytes:
         extra = ["--campaign.runs_per_time", str(n)] + ["--dump-samples"] * dump
         assert self.digest(tmp_path, *extra) == self.PINNED[n, dump]
 
-    @pytest.mark.parametrize("workers", ["2", "3"])
-    @pytest.mark.parametrize("n", [65539, 131073])
+    @pytest.mark.parametrize("n, workers", [(65539, "3"), (131073, "2")])
     def test_pooled_dump_keeps_the_pinned_digest(self, tmp_path, n, workers):
         extra = ["--campaign.runs_per_time", str(n), "--dump-samples", "--workers", workers]
         assert self.digest(tmp_path, *extra) == self.PINNED[n, True]
@@ -780,6 +779,43 @@ class TestStreamedDump:
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (0, b"(0, [])")
 
+    def test_reader_gone_before_pool_starts_is_no_error(self):
+        # stdout is block-buffered, so the header first reaches the pipe when
+        # the pool forks: multiprocessing flushes stdout before each fork
+        read, write = os.pipe()
+        os.close(read)
+        env = waxsim_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "100"]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "waxsim", *argv, "--workers", "2"],
+                env=env, stdout=write, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.parametrize("cpus, pooled", [(1, False), (2, True)])
+    def test_default_workers_pool_a_large_dump_on_more_than_one_cpu(
+        self, tmp_path, monkeypatch, cpus, pooled
+    ):
+        seen = []
+        csv_chunks = protocol.PositionSamples.csv_chunks
+
+        def recording(self, workers=1):
+            seen.append(workers)
+            return csv_chunks(self, workers)
+
+        monkeypatch.setattr(protocol.PositionSamples, "csv_chunks", recording)
+        monkeypatch.setattr(protocol, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", 2 * 10)
+        argv = [*TestCampaignBytes.BASE, "--dump-samples", "-o", str(tmp_path / "d.csv")]
+        for runs in ("9", "10"):  # 18 and 20 draws at the two grid times
+            assert cli.main([*argv, "--campaign.runs_per_time", runs]) == 0
+        assert seen == [1, 2 if pooled else 1]
+        assert multiprocessing.active_children() == []
+
     def test_emit_closes_the_chunks_when_the_reader_leaves(self, tmp_path, monkeypatch):
         # the caller still holds the generator, so only an explicit close runs its finally
         closed = []
@@ -806,7 +842,7 @@ class TestStreamedDump:
             assert closed == [True]
 
     def test_dead_pool_process_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch):
-        def broken_kernel(view, t_reprs, k):
+        def broken_kernel(view, t_reprs, k, out):
             raise BrokenProcessPool("a process in the pool died")
 
         monkeypatch.setattr(protocol, "_tile_csv", broken_kernel)
@@ -817,7 +853,7 @@ class TestStreamedDump:
         assert multiprocessing.active_children() == []
 
     def test_pool_process_that_exits_is_a_dead_pool(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(protocol, "_tile_csv", lambda view, t_reprs, k: os._exit(1))
+        monkeypatch.setattr(protocol, "_tile_csv", lambda view, t_reprs, k, out: os._exit(1))
         argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
         code, out, err = run_cli(capsys, *argv, "--workers", "2", "-o", str(tmp_path / "d.csv"))
         assert (code, out) == (2, "")

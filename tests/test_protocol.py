@@ -399,7 +399,7 @@ class TestPooledDump:
     def test_tiles_are_formatted_in_pool_processes(self, data, monkeypatch):
         import os
 
-        monkeypatch.setattr(protocol, "_tile_csv", lambda view, t_reprs, k: f"{os.getpid()}\n")
+        monkeypatch.setattr(protocol, "_tile_csv", lambda view, t_reprs, k, out: f"{os.getpid()}\n")
         pids = {int(chunk) for chunk in list(data.csv_chunks(2))[1:]}
         assert 1 <= len(pids) <= 2
         assert os.getpid() not in pids
@@ -424,23 +424,20 @@ class TestPooledDump:
 
     def test_pool_tasks_keep_the_callers_error_state(self, data, monkeypatch):
         monkeypatch.setattr(
-            protocol, "_tile_csv", lambda view, t_reprs, k: f"{sorted(np.geterr().items())}\n"
+            protocol, "_tile_csv", lambda view, t_reprs, k, out: f"{sorted(np.geterr().items())}\n"
         )
         with np.errstate(over="raise", under="warn", divide="ignore", invalid="raise"):
             expected = f"{sorted(np.geterr().items())}\n"
             assert set(list(data.csv_chunks(2))[1:]) == {expected}
 
-    def test_default_pools_on_more_than_one_cpu_only(self, data, submitted, monkeypatch):
-        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", data.samples.size)
-        monkeypatch.setattr(protocol, "_available_cpus", lambda: 1)
-        serial = list(data.csv_chunks())
-        assert submitted == []
-        monkeypatch.setattr(protocol, "_available_cpus", lambda: 2)
-        assert list(data.csv_chunks()) == serial
-        assert submitted == list(range(9))
-        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", data.samples.size + 1)
-        assert list(data.csv_chunks()) == serial
-        assert len(submitted) == 9
+    def test_library_default_is_serial(self, data, submitted, monkeypatch):
+        # forking a caller that runs other threads is unsafe; only the CLI pools by default
+        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", 0)
+        monkeypatch.setattr(protocol, "_available_cpus", lambda: 4)
+        assert protocol.default_workers(data.samples.size) == 4
+        assert list(data.csv_chunks()) == list(data.csv_chunks(1))
+        assert data.to_csv() == "".join(data.csv_chunks(4))
+        assert submitted == list(range(9))  # the explicit csv_chunks(4) only
 
     def test_no_fork_runs_serially(self, data, submitted, monkeypatch):
         import multiprocessing

@@ -102,7 +102,8 @@ def test_campaign_loads_only_scipy_special():
 
 def test_serial_commands_load_no_process_pool():
     # only a pooled --dump-samples loads multiprocessing
-    code = run_main("campaign", "--dump-samples", "--campaign.runs_per_time", "10") + run_main("bound")
+    dump = run_main("campaign", "--dump-samples", "--campaign.runs_per_time", "10")
+    code = dump + run_main("bound")
     assert loaded_after(code, ("multiprocessing", "concurrent.futures.process")) == []
 
 

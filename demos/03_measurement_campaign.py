@@ -36,7 +36,7 @@ plan = CampaignConfig(
     rng_seed=424242,
 )
 
-truth = np.sqrt(scenario.variance(np.array(plan.time_grid))[1])
+truth = np.sqrt(scenario.variance(np.array(plan.time_grid)))
 estimates = campaign_curve(plan, scenario)
 
 print(f"{'t [s]':>7}  {'sigma_hat [m]':>13}  {'err [m]':>10}  {'truth [m]':>11}  {'pull':>6}")

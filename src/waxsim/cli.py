@@ -13,11 +13,11 @@ Configuration comes from an optional file (``--config`` or the
 Every config key is addressable as ``--section.key value``. Exit codes:
 0 success, 2 usage or config error (including a run too large for memory and
 an output that cannot be written), 3 numerical failure (including an
-overflow, a division by zero or a nan anywhere in the run). Every config key
-is validated before any command runs. A reader closing
-stdout early (``waxsim campaign --dump-samples | head``) ends the run with
-exit 0. Model-validity warnings go to stderr and do not change the exit
-code.
+overflow, a division by zero or a nan anywhere in the run), 130 interrupted
+(SIGINT, Ctrl-C). Every config key is validated before any command runs. A
+reader closing stdout early (``waxsim campaign --dump-samples | head``) ends
+the run with exit 0. Model-validity warnings go to stderr and do not change
+the exit code.
 
 Each command imports only the layers it runs: ``rates``, ``expand``,
 ``feasibility`` and ``--print-config`` are scalar Python and load no numpy
@@ -40,7 +40,7 @@ from .config import SCHEMA, RunConfig, load_config
 from .decoherence import ChannelToggles
 from .dynamics import check_workers, expansion_curve
 from .errors import ConfigError, DomainError, NumericalError, WaxsimError
-from .materials import drop_distance
+from .materials import PRESETS, drop_distance
 
 _TOGGLE_WORDS = {
     "none": ChannelToggles.none(),
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output", metavar="PATH", help="write output here instead of stdout")
     common.add_argument(
         "--preset",
-        choices=("ground", "space", "custom"),
+        choices=PRESETS,
         help="environment preset (shorthand for --environment.preset)",
     )
     common.add_argument(
@@ -367,15 +367,9 @@ def main(argv: list[str] | None = None) -> int:
         reason = str(exc) or "allocation failed"
         print(f"waxsim: error: run too large for memory: {reason}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # only a pooled dump starts processes, and so loads this module
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not isinstance(exc, BrokenProcessPool):
-            raise
-        # a pool process died, killed for example by the out-of-memory killer
-        print(f"waxsim: error: a worker process died: {exc}", file=sys.stderr)
-        return 2
+    except KeyboardInterrupt:
+        print("waxsim: interrupted", file=sys.stderr)
+        return 130
     for message in warnings:
         print(f"waxsim: warning: {message}", file=sys.stderr)
     return 0

@@ -23,10 +23,13 @@ from typing import Iterable, Mapping
 
 from .constants import amu
 from .decoherence import ChannelToggles, CSLParams
-from .dynamics import CampaignConfig, DetectionConfig, Scenario, _check_runs, grid_times
+from .dynamics import (
+    AGGREGATIONS, CampaignConfig, DetectionConfig, Scenario, _check_runs, grid_times,
+)
 from .errors import ConfigError, DomainError
 from .materials import (
     AIR_MOLECULE_MASS,
+    PRESETS,
     Environment,
     Particle,
     ground_environment,
@@ -70,10 +73,7 @@ SCHEMA: dict[str, tuple[str, object, str, str]] = {
     "feasibility.drop_height_m": ("float", 100.0, "m", "available drop height"),
 }
 
-_ENUMS = {
-    "environment.preset": ("ground", "space", "custom"),
-    "detection.aggregation": ("best-time", "chi-square-sum"),
-}
+_ENUMS = {"environment.preset": PRESETS, "detection.aggregation": AGGREGATIONS}
 
 # keys a named environment preset supplies when not set explicitly
 _PRESET_VALUES = {

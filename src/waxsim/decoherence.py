@@ -216,8 +216,6 @@ def lambda_gas(particle: Particle, env: Environment) -> float:
     """
     if env.gas_pressure == 0.0:
         return 0.0
-    if env.gas_particle_mass <= 0.0:
-        raise DomainError("gas_particle_mass must be > 0 at nonzero pressure")
     if env.gas_temperature <= 0.0:
         raise DomainError("gas_temperature must be > 0 at nonzero pressure")
     vbar = _mean_gas_speed(env)
@@ -268,7 +266,7 @@ def lambda_csl(particle: Particle, csl: CSLParams) -> float:
 def total_budget(
     particle: Particle,
     env: Environment,
-    csl: CSLParams | None = None,
+    csl: CSLParams = CSLParams(collapse_rate=0.0),
     toggles: ChannelToggles = ChannelToggles(),
 ) -> DecoherenceBudget:
     """Assemble the per-channel localization budget with disabled channels at 0.
@@ -276,9 +274,9 @@ def total_budget(
     Parameters
     ----------
     particle, env : Particle, Environment
-    csl : CSLParams or None
-        Collapse parameters; ``None`` (or a disabled toggle) zeroes the
-        collapse channel.
+    csl : CSLParams
+        Collapse parameters; rate 0, the default, or a disabled toggle
+        zeroes the collapse channel.
     toggles : ChannelToggles
         Channel selection.
 
@@ -307,6 +305,6 @@ def total_budget(
                     "wavelength is not << radius"
                 )
     csl_rate = 0.0
-    if toggles.csl and csl is not None:
+    if toggles.csl:
         csl_rate = lambda_csl(particle, csl)
     return DecoherenceBudget(sc, ab, em, gas, csl_rate, tuple(warnings))

@@ -24,9 +24,9 @@ The input rules every command applies also live here, in pure Python: the
 grid rule (:func:`grid_times`), the run and worker counts, the campaign plan
 (:class:`CampaignConfig`) and the detection threshold
 (:class:`DetectionConfig`). numpy is imported only where an array is built:
-by :func:`check_time_grid` and on reading :attr:`ExpansionCurve.times` and
-:attr:`ExpansionCurve.sigmas`. The config, :func:`expansion_curve` and the
-commands ``rates``, ``expand`` and ``feasibility`` run without it.
+on reading :attr:`ExpansionCurve.times` and :attr:`ExpansionCurve.sigmas`.
+The config, :func:`expansion_curve` and the commands ``rates``, ``expand``
+and ``feasibility`` run without it.
 """
 from __future__ import annotations
 
@@ -239,11 +239,11 @@ class Scenario:
     ----------
     particle : Particle
     environment : Environment
-    csl : CSLParams or None
-        Collapse parameters; ``None`` zeroes the collapse channel, as in
-        :func:`waxsim.decoherence.total_budget`. The Monte-Carlo oracle of
-        :mod:`waxsim.inference` needs one and uses only its correlation
-        length and reference mass.
+    csl : CSLParams
+        Collapse parameters; rate 0, the default, or ``toggles.csl`` off
+        zeroes the collapse channel. The Monte-Carlo oracle of
+        :mod:`waxsim.inference` uses only its correlation length and
+        reference mass.
     toggles : ChannelToggles
         Channels in the budget. The detection bound predicts with the
         collapse channel off and its oracle simulates with it on, whatever
@@ -260,7 +260,7 @@ class Scenario:
 
     particle: Particle
     environment: Environment
-    csl: CSLParams | None = CSLParams(collapse_rate=0.0)
+    csl: CSLParams = CSLParams(collapse_rate=0.0)
     toggles: ChannelToggles = ChannelToggles()
     trap_frequency: float = DEFAULT_TRAP_FREQUENCY
     occupancy: float = 0.0
@@ -282,11 +282,9 @@ class Scenario:
         """The localization budget of the selected channels."""
         return total_budget(self.particle, self.environment, self.csl, self.toggles)
 
-    def variance(
-        self, times: float | np.ndarray
-    ) -> tuple[DecoherenceBudget, float | np.ndarray]:
-        """The budget and the per-draw variance [m^2], at one time or at each
-        time of an array; an element of an array gets the bits of its float.
+    def variance(self, times: float | np.ndarray) -> float | np.ndarray:
+        """The per-draw variance [m^2], at one time or at each time of an
+        array; an element of an array gets the bits of its float.
 
         The one variance model, x_var(t) + (drift t)^2 + noise^2: campaigns
         (:func:`waxsim.protocol.run_campaign`) sample with it, the detection
@@ -297,7 +295,7 @@ class Scenario:
         state0 = initial_state(self.particle, self.trap_frequency, self.occupancy)
         x_var = _x_var_free(state0, self.particle.mass, self.budget.total, times)
         drift = self.drift_velocity_std * times
-        return self.budget, x_var + drift * drift + self.measurement_noise**2
+        return x_var + drift * drift + self.measurement_noise**2
 
 
 def grid_times(time_grid: Sequence[float]) -> tuple[float, ...]:
@@ -315,13 +313,6 @@ def grid_times(time_grid: Sequence[float]) -> tuple[float, ...]:
     if any(later <= earlier for earlier, later in zip(times, times[1:])):
         raise DomainError("time_grid must be strictly increasing")
     return times
-
-
-def check_time_grid(time_grid: Sequence[float]) -> np.ndarray:
-    """The grid as a float array, if :func:`grid_times` accepts it."""
-    import numpy as np
-
-    return np.array(grid_times(time_grid))
 
 
 def _check_runs(runs: int, name: str) -> None:
@@ -362,6 +353,10 @@ class CampaignConfig:
             raise DomainError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
+#: The detection aggregation rules of :mod:`waxsim.inference`.
+AGGREGATIONS = ("best-time", "chi-square-sum")
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
     """Detection threshold and aggregation rule (:mod:`waxsim.inference`)."""
@@ -372,14 +367,14 @@ class DetectionConfig:
     def __post_init__(self) -> None:
         if self.confidence_z <= 0.0:
             raise DomainError("confidence_z must be > 0")
-        if self.aggregation not in ("best-time", "chi-square-sum"):
+        if self.aggregation not in AGGREGATIONS:
             raise DomainError(f"unknown aggregation {self.aggregation!r}")
 
 
 def expansion_curve(
     particle: Particle,
     env: Environment,
-    csl: CSLParams | None = None,
+    csl: CSLParams = CSLParams(collapse_rate=0.0),
     toggles: ChannelToggles = ChannelToggles(),
     trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
     occupancy: float = 0.0,
@@ -394,20 +389,20 @@ def expansion_curve(
     Raises NumericalError if the variance at a grid time is not finite.
 
     Scalar Python, one :meth:`Scenario.variance` per grid time: the same
-    bits as ``np.sqrt(scenario.variance(np.array(time_grid))[1])``.
+    bits as ``np.sqrt(scenario.variance(np.array(time_grid)))``.
     """
     times = grid_times(time_grid)
     scenario = Scenario(particle, env, csl, toggles, trap_frequency, occupancy)
     sigmas = []
     for t in times:
-        variance = scenario.variance(t)[1]
+        variance = scenario.variance(t)
         if not math.isfinite(variance):
             raise NumericalError(f"wave-packet variance at t = {t!r} s is {variance!r}")
         sigmas.append(math.sqrt(variance))
 
     budget = scenario.budget
     warnings = list(budget.warnings)
-    if toggles.csl and csl is not None and csl.collapse_rate > 0.0:
+    if toggles.csl and csl.collapse_rate > 0.0:
         limit = csl.correlation_length / 3.0
         if any(sigma > limit for sigma in sigmas):
             warnings.append(

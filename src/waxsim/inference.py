@@ -28,7 +28,7 @@ Both are closed-form because the excess is linear in lambda.
 ``bisect_lambda_mc`` validates the closed form end to end: it simulates
 one campaign per seed through :mod:`waxsim.protocol`, finds the exact rate
 at which each seed is detected at the same threshold, and returns the rate
-with 50 percent detection power, an order statistic of those rates.
+with 50 percent detection power: the lower median of those rates.
 ``bisect_lambda_mc_sweep`` does this for every N of a sweep from one
 campaign per seed at the largest N, reading each N from a run prefix.
 """
@@ -42,7 +42,7 @@ import numpy as np
 
 from .constants import LAMBDA_GRW, hbar
 from .decoherence import ChannelToggles, CSLParams, lambda_csl
-from .dynamics import DetectionConfig, Scenario, _check_runs, check_time_grid
+from .dynamics import DetectionConfig, Scenario, _check_runs, grid_times
 from .errors import DomainError, NumericalError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
 from .protocol import CampaignConfig, PositionSamples, _thread_map, run_campaign
@@ -133,7 +133,7 @@ def _detection_setup(
     best-time aggregation tests.
     """
     _check_runs(n_per_time, "n_per_time")
-    times = check_time_grid(time_grid)
+    times = np.array(grid_times(time_grid))
     sens = csl_sensitivity(times, scenario.particle, scenario.csl)
     if not np.any(sens > 0.0):
         if np.any(times > 0.0):  # sensitivity ~ t^3 underflows at tiny times
@@ -144,7 +144,7 @@ def _detection_setup(
         raise DomainError(
             "no sensitivity to the collapse rate: grid has no positive times"
         )
-    _, var_std = replace(scenario, toggles=replace(scenario.toggles, csl=False)).variance(times)
+    var_std = replace(scenario, toggles=replace(scenario.toggles, csl=False)).variance(times)
     se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
     per_time = np.full(times.size, np.inf)
     usable = sens > 0.0
@@ -318,10 +318,9 @@ def bisect_lambda_mc(
     scenario: Scenario,
     detection: DetectionConfig = DetectionConfig(),
     seeds: Sequence[int] = (),
-    power_target: float = 0.5,
     workers: int | None = None,
 ) -> float:
-    """Smallest collapse rate with Monte-Carlo detection power >= ``power_target``.
+    """Smallest collapse rate with Monte-Carlo detection power >= 1/2.
 
     Simulates each seed's campaign once, at collapse rate 0 with the
     collapse channel on. Under common random numbers a seed's sample
@@ -343,9 +342,10 @@ def bisect_lambda_mc(
 
     The power at lambda is the share of seeds whose critical rate is
     <= lambda, and the result is the smallest critical rate at which that
-    share reaches ``power_target``, in (0, 1]: an order statistic of the
-    per-seed rates. The campaigns are simulated, not modelled, so the
-    result stays an independent check of :func:`min_detectable_lambda`.
+    share reaches 1/2: the lower median of the per-seed rates, the
+    ``(len(seeds) + 1) // 2``-th smallest. The campaigns are simulated, not
+    modelled, so the result stays an independent check of
+    :func:`min_detectable_lambda`.
     ``workers`` changes only wall time (see :func:`bisect_lambda_mc_sweep`,
     whose one-N case this is).
 
@@ -355,7 +355,7 @@ def bisect_lambda_mc(
         The rate [Hz], >= 0.
     """
     return bisect_lambda_mc_sweep(
-        (n_per_time,), time_grid, scenario, detection, seeds, power_target, workers
+        (n_per_time,), time_grid, scenario, detection, seeds, workers
     )[0]
 
 
@@ -365,7 +365,6 @@ def bisect_lambda_mc_sweep(
     scenario: Scenario,
     detection: DetectionConfig = DetectionConfig(),
     seeds: Sequence[int] = (),
-    power_target: float = 0.5,
     workers: int | None = None,
 ) -> list[float]:
     """:func:`bisect_lambda_mc` at each N of ``n_sweep``, in sweep order.
@@ -381,8 +380,6 @@ def bisect_lambda_mc_sweep(
     pool of that many threads; otherwise it is passed to each
     :func:`waxsim.protocol.run_campaign` call. It changes only wall time.
     """
-    if not 0.0 < power_target <= 1.0:
-        raise DomainError(f"power_target must be in (0, 1], got {power_target}")
     if not n_sweep:
         raise DomainError("n_sweep must be non-empty")
     # only the standard error, and with it the best time, depends on N
@@ -402,7 +399,5 @@ def bisect_lambda_mc_sweep(
     per_seed = _over_seeds(
         critical_rates, seeds, 0.0, max(n_sweep), times, scenario, workers, n_sweep
     )
-    # the first order statistic whose share of seeds reaches the target
-    shares = np.arange(1, len(per_seed) + 1) / len(per_seed)
-    index = int(np.searchsorted(shares, power_target))
-    return [float(np.sort(rates)[index]) for rates in zip(*per_seed)]
+    # the lower median: the first order statistic whose share of seeds reaches 1/2
+    return [float(np.sort(rates)[(len(per_seed) - 1) // 2]) for rates in zip(*per_seed)]

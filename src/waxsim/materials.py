@@ -31,6 +31,9 @@ H2_MOLECULE_MASS = 2.01588 * _amu
 FUSED_SILICA_DENSITY = 2200.0
 FUSED_SILICA_THERMAL_PERMITTIVITY = 2.1 + 0.25j  # effective, thermal-photon band
 
+#: The names an :class:`Environment` preset may take.
+PRESETS = ("ground", "space", "custom")
+
 #: Default trap angular frequency [rad/s] (2*pi*100 kHz).
 DEFAULT_TRAP_FREQUENCY = 2.0 * math.pi * 1e5
 
@@ -170,7 +173,7 @@ class Environment:
             raise DomainError(
                 f"gas_temperature must be >= 0, got {self.gas_temperature}"
             )
-        if self.preset not in ("ground", "space", "custom"):
+        if self.preset not in PRESETS:
             raise DomainError(f"unknown preset {self.preset!r}")
         if self.preset == "ground" and self.temperature != 300.0:
             raise DomainError("ground preset requires temperature == 300 K")

@@ -229,7 +229,8 @@ def _forked_tile_csv(
     At most ``workers`` tiles are in flight: the next tile is submitted as
     the caller takes a chunk, so a slow reader holds no queue of finished
     text. Closing the generator cancels the tiles not yet started and
-    joins the processes.
+    joins the processes. A process that dies raises ``DomainError``; a
+    SIGINT (Ctrl-C) interrupts the caller only.
 
     Forked, not spawned: a forked child starts with numpy and scipy loaded,
     where a spawned one would import them again for every dump. The pool
@@ -237,7 +238,9 @@ def _forked_tile_csv(
     own threads.
     """
     import multiprocessing
+    import signal
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # loaded before the fork, so that no child imports it again
     import scipy.special  # noqa: F401
@@ -247,6 +250,9 @@ def _forked_tile_csv(
     forked_before = set(multiprocessing.active_children())
     pool = None
     try:
+        # forked with SIGINT blocked, which the children keep; a SIGINT that
+        # arrives meanwhile reaches this process when it is unblocked
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             pool = ProcessPoolExecutor(window, multiprocessing.get_context("fork"))
             pending = deque(
@@ -262,11 +268,15 @@ def _forked_tile_csv(
             if isinstance(exc, BrokenPipeError):
                 raise
             raise DomainError(f"cannot start the dump's worker processes: {exc}") from exc
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for k in range(window, count + window):
             chunk = pending.popleft().result()
             if k < count:
                 pending.append(pool.submit(_tile_task, errors, view, t_reprs, k))
             yield chunk
+    except BrokenProcessPool as exc:  # killed, for example by the out-of-memory killer
+        raise DomainError(f"a worker process died: {exc}") from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -413,7 +423,7 @@ def run_campaign(
     """
     check_workers(workers)
     times = np.asarray(plan.time_grid)
-    sigmas = np.sqrt(scenario.variance(times)[1])
+    sigmas = np.sqrt(scenario.variance(times))
     n = plan.runs_per_time
     counts = sorted({n} if run_counts is None else set(map(operator.index, run_counts)))
     for m in counts:

@@ -2,17 +2,18 @@
 import hashlib
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import waxsim.cli as cli
-from waxsim import protocol
+from waxsim import inference, protocol
 from waxsim.config import ConfigBuilder, default_config, load_config
 from waxsim.errors import ConfigError, DomainError, NumericalError
 from waxsim.dynamics import Scenario
@@ -527,6 +528,32 @@ class TestBoundCommand:
         assert len(err.strip().splitlines()) == 1
         assert "--oracle-seeds" in err
 
+    def test_oracle_mismatch_warns_once_per_n(self, capsys, monkeypatch):
+        # an oracle at 10 times each closed form: the CSV is unchanged and
+        # every row of the sweep warns
+        closed = []
+        real = inference.min_detectable_lambda
+
+        def recording(*args, **kwargs):
+            result = real(*args, **kwargs)
+            closed.append(result.lambda_min)
+            return result
+
+        monkeypatch.setattr(inference, "min_detectable_lambda", recording)
+        monkeypatch.setattr(
+            inference, "bisect_lambda_mc_sweep", lambda *args, **kwargs: [10 * c for c in closed]
+        )
+        code, out, err = run_cli(capsys, "bound", "--oracle-check")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == TestCommandBytes.PINNED["default", "bound"][0]
+        n_sweep = default_config().get("bound.n_sweep")
+        assert err.splitlines() == [
+            f"waxsim: warning: oracle check failed at N={n}: closed form "
+            f"{c:.3e} Hz vs Monte-Carlo {10 * c:.3e} Hz"
+            for n, c in zip(n_sweep, closed)
+        ]
+
 
 class TestOptionSpelling:
     def test_abbreviated_option_is_a_usage_error(self, capsys):
@@ -796,6 +823,30 @@ class TestStreamedDump:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (0, b"")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_interrupt_exits_130_with_one_line(self, workers):
+        # Ctrl-C sends SIGINT to the terminal's process group: here, the new
+        # session's, which holds the command and any pool process it forked
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "waxsim", "campaign", "--dump-samples",
+             "--campaign.runs_per_time", "300000", "--workers", workers],
+            env=waxsim_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.readline() == b"t_s,run_index,x_m\n"
+            # the first row is written once the pool, if any, has run a tile
+            assert proc.stdout.readline().startswith(b"0.0,0,")
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=60)
+        assert (proc.returncode, err) == (130, b"waxsim: interrupted\n")
+        with pytest.raises(ProcessLookupError):  # no process is left in the group
+            os.killpg(proc.pid, 0)
+
     @pytest.mark.parametrize("cpus, pooled", [(1, False), (2, True)])
     def test_default_workers_pool_a_large_dump_on_more_than_one_cpu(
         self, tmp_path, monkeypatch, cpus, pooled
@@ -850,6 +901,26 @@ class TestStreamedDump:
         code, out, err = run_cli(capsys, *argv, "--workers", "2", "-o", str(tmp_path / "d.csv"))
         assert (code, out) == (2, "")
         assert err == "waxsim: error: a worker process died: a process in the pool died\n"
+        assert multiprocessing.active_children() == []
+
+    def test_pool_broken_while_it_starts_exits_2_with_one_line(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the first submit forks the pool's processes, the second finds the pool broken
+        submit, calls = ProcessPoolExecutor.submit, []
+
+        def breaking_submit(pool, *args):
+            calls.append(1)
+            if len(calls) > 1:
+                raise BrokenProcessPool("a process in the pool died")
+            return submit(pool, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
+        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
+        code, out, err = run_cli(capsys, *argv, "--workers", "2", "-o", str(tmp_path / "d.csv"))
+        assert (code, out) == (2, "")
+        assert err == "waxsim: error: a worker process died: a process in the pool died\n"
+        assert len(calls) == 2
         assert multiprocessing.active_children() == []
 
     def test_pool_process_that_exits_is_a_dead_pool(self, capsys, tmp_path, monkeypatch):

@@ -189,7 +189,7 @@ class TestBudget:
 
     def test_gas_off_blackbody_on(self, silica, ground):
         toggles = ChannelToggles(gas=False, blackbody=True, csl=False)
-        budget = total_budget(silica, ground, None, toggles)
+        budget = total_budget(silica, ground, toggles=toggles)
         assert budget.gas_collisions == 0.0
         assert budget.csl == 0.0
         assert budget.total == (
@@ -200,7 +200,7 @@ class TestBudget:
 
     def test_single_channel(self, silica, ground):
         toggles = ChannelToggles(gas=True, blackbody=False, csl=False)
-        budget = total_budget(silica, ground, None, toggles)
+        budget = total_budget(silica, ground, toggles=toggles)
         assert budget.total == budget.gas_collisions
         assert budget.gas_collisions == lambda_gas(silica, ground)
 
@@ -227,5 +227,5 @@ class TestBudget:
             assert math.isfinite(value) and value >= 0.0
 
     def test_missing_csl_params_means_zero_channel(self, silica, ground):
-        budget = total_budget(silica, ground, None, ChannelToggles())
+        budget = total_budget(silica, ground, toggles=ChannelToggles())
         assert budget.csl == 0.0

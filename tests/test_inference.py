@@ -242,11 +242,6 @@ class TestMonteCarloOracle:
         with pytest.raises(DomainError, match="n_per_time"):
             detection_power_mc(1e-13, 1, GRID, in_space, seeds=range(1, 5))
 
-    @pytest.mark.parametrize("target", [0.0, -0.5, 1.5])
-    def test_power_target_outside_unit_interval_rejected(self, in_space, target):
-        with pytest.raises(DomainError, match="power_target"):
-            bisect_lambda_mc(60, GRID, in_space, seeds=range(1, 5), power_target=target)
-
     def test_empty_seeds_rejected(self, in_space):
         with pytest.raises(DomainError):
             bisect_lambda_mc(60, GRID, in_space, seeds=())

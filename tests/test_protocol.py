@@ -121,7 +121,7 @@ class TestStatistics:
         config = make_config(time_grid=(10.0,), runs_per_time=100_000, rng_seed=101)
         scenario = Scenario(silica, ground, measurement_noise=1e-6, drift_velocity_std=1e-7)
         data = run_campaign(config, scenario)
-        target = scenario.variance(np.array([10.0]))[1][0]
+        target = scenario.variance(np.array([10.0]))[0]
         sample_var = np.var(data.samples[0], ddof=1)
         se = target * math.sqrt(2.0 / (config.runs_per_time - 1))
         assert abs(sample_var - target) < 3.0 * se
@@ -196,7 +196,7 @@ class TestEstimateWidth:
         campaigns = 10_000
         covered = 0
         total = 0
-        truth = np.sqrt(Scenario(silica, ground).variance(np.array(grid))[1])
+        truth = np.sqrt(Scenario(silica, ground).variance(np.array(grid)))
         for seed in range(campaigns):
             config = make_config(time_grid=grid, runs_per_time=n, rng_seed=seed)
             data = run_campaign(config, Scenario(silica, ground))

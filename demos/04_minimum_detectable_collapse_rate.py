@@ -14,7 +14,7 @@ import numpy as np
 from waxsim import (
     CSLParams,
     Scenario,
-    bisect_lambda_mc,
+    bisect_lambda_mc_sweep,
     fused_silica_particle,
     min_detectable_lambda,
     space_environment,
@@ -44,7 +44,7 @@ for prev, curr in zip(results, results[1:]):
 n_check = 400
 closed = results[1].lambda_min
 scenario = Scenario(particle, environment, geometry)
-mc = bisect_lambda_mc(n_check, grid, scenario, seeds=range(1, 101))
+[mc] = bisect_lambda_mc_sweep([n_check], grid, scenario, seeds=range(1, 101))
 print()
 print(f"Monte-Carlo oracle at N = {n_check}: {mc:.3e} Hz "
       f"(closed form {closed:.3e} Hz, ratio {mc / closed:.2f})")

@@ -46,7 +46,6 @@ _EXPORTS = {
     "errors": ("ConfigError", "DomainError", "NumericalError", "WaxsimError"),
     "inference": (
         "DetectionResult",
-        "bisect_lambda_mc",
         "bisect_lambda_mc_sweep",
         "csl_sensitivity",
         "detection_power_mc",
@@ -58,7 +57,6 @@ _EXPORTS = {
         "Environment",
         "Particle",
         "drop_distance",
-        "environment_preset",
         "fused_silica_particle",
         "ground_environment",
         "space_environment",

@@ -1,6 +1,21 @@
+"""``python -m waxsim`` and the ``waxsim`` console script: a Ctrl-C (SIGINT)
+from the first import of :mod:`waxsim.cli` on prints one line and exits 130."""
 import sys
 
-from .cli import main
+
+def main() -> int:
+    try:
+        from .cli import main as cli_main
+
+        return cli_main()
+    except KeyboardInterrupt:
+        # raised in exec() of a string (a dataclass method made at import), the
+        # interrupt sets CPython's unhandled-interrupt flag, which would turn
+        # exit 130 of ``python -m`` into death by SIGINT; exec("") clears it
+        exec("")
+        print("waxsim: interrupted", file=sys.stderr)
+        return 130
+
 
 if __name__ == "__main__":
     sys.exit(main())

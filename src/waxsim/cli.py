@@ -14,10 +14,11 @@ Every config key is addressable as ``--section.key value``. Exit codes:
 0 success, 2 usage or config error (including a run too large for memory and
 an output that cannot be written), 3 numerical failure (including an
 overflow, a division by zero or a nan anywhere in the run), 130 interrupted
-(SIGINT, Ctrl-C). Every config key is validated before any command runs. A
-reader closing stdout early (``waxsim campaign --dump-samples | head``) ends
-the run with exit 0. Model-validity warnings go to stderr and do not change
-the exit code.
+(SIGINT, Ctrl-C, from the first import of this module on, caught by
+:func:`waxsim.__main__.main`). Every config key is validated before any
+command runs. A reader closing stdout early (``waxsim campaign
+--dump-samples | head``) ends the run with exit 0. Model-validity warnings
+go to stderr and do not change the exit code.
 
 Each command imports only the layers it runs: ``rates``, ``expand``,
 ``feasibility`` and ``--print-config`` are scalar Python and load no numpy
@@ -256,7 +257,7 @@ def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
     if args.oracle_check:
         seeds = list(range(1, args.oracle_seeds + 1))
         oracle = bisect_lambda_mc_sweep(
-            n_sweep, grid, scenario, detection, seeds, workers=args.workers
+            n_sweep, grid, scenario, detection, seeds=seeds, workers=args.workers
         )
         for n, res, mc in zip(n_sweep, results, oracle):
             if not (0.5 <= mc / res.lambda_min <= 2.0):
@@ -367,13 +368,6 @@ def main(argv: list[str] | None = None) -> int:
         reason = str(exc) or "allocation failed"
         print(f"waxsim: error: run too large for memory: {reason}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        print("waxsim: interrupted", file=sys.stderr)
-        return 130
     for message in warnings:
         print(f"waxsim: warning: {message}", file=sys.stderr)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

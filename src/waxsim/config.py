@@ -321,10 +321,6 @@ class RunConfig:
         )
 
 
-def default_config() -> RunConfig:
-    return ConfigBuilder().finalize()
-
-
 def load_config(
     file_text: str | None = None,
     source: str = "<config>",

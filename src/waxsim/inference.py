@@ -25,12 +25,12 @@ errors:
     the threshold is rejected.
 
 Both are closed-form because the excess is linear in lambda.
-``bisect_lambda_mc`` validates the closed form end to end: it simulates
-one campaign per seed through :mod:`waxsim.protocol`, finds the exact rate
-at which each seed is detected at the same threshold, and returns the rate
-with 50 percent detection power: the lower median of those rates.
-``bisect_lambda_mc_sweep`` does this for every N of a sweep from one
-campaign per seed at the largest N, reading each N from a run prefix.
+``bisect_lambda_mc_sweep`` validates the closed form end to end: it
+simulates one campaign per seed through :mod:`waxsim.protocol`, finds the
+exact rate at which each seed is detected at the same threshold, and
+returns the rate with 50 percent detection power: the lower median of
+those rates. It does this for every N of a sweep from one campaign per
+seed at the largest N, reading each N from a run prefix.
 """
 from __future__ import annotations
 
@@ -249,7 +249,8 @@ def detection_power_mc(
     time_grid: Sequence[float],
     scenario: Scenario,
     detection: DetectionConfig = DetectionConfig(),
-    seeds: Sequence[int] = (),
+    *,
+    seeds: Sequence[int],
 ) -> float:
     """Monte-Carlo detection probability at a given collapse rate.
 
@@ -312,73 +313,48 @@ def _critical_rate(
     return max(upper, 0.0)
 
 
-def bisect_lambda_mc(
-    n_per_time: int,
-    time_grid: Sequence[float],
-    scenario: Scenario,
-    detection: DetectionConfig = DetectionConfig(),
-    seeds: Sequence[int] = (),
-    workers: int | None = None,
-) -> float:
-    """Smallest collapse rate with Monte-Carlo detection power >= 1/2.
-
-    Simulates each seed's campaign once, at collapse rate 0 with the
-    collapse channel on. Under common random numbers a seed's sample
-    variance at rate lambda is ``w_t * (v0_t + lambda * sens_t)``, where
-    ``w_t = var_hat_t / true_sigma_t**2`` does not depend on lambda, ``v0_t``
-    is the true variance at rate 0 and ``sens_t`` is :func:`csl_sensitivity`.
-    Each seed therefore has an exact critical rate, the smallest lambda it
-    detects:
-
-    ``best-time``
-        ``(z se_t + var_std_t - w_t v0_t) / (w_t sens_t)`` at the time
-        :func:`min_detectable_lambda` reports as ``best_time``, clipped at 0.
-        Testing only that time, chosen from the model before any data, is
-        the decision rule the closed form prices; the smallest rate over all
-        times would be a look-elsewhere test with a higher false-alarm rate.
-    ``chi-square-sum``
-        the upper root of ``sum_t ((w_t v0_t - var_std_t + lambda w_t
-        sens_t) / se_t)^2 = q``, or 0 when there is no real root.
-
-    The power at lambda is the share of seeds whose critical rate is
-    <= lambda, and the result is the smallest critical rate at which that
-    share reaches 1/2: the lower median of the per-seed rates, the
-    ``(len(seeds) + 1) // 2``-th smallest. The campaigns are simulated, not
-    modelled, so the result stays an independent check of
-    :func:`min_detectable_lambda`.
-    ``workers`` changes only wall time (see :func:`bisect_lambda_mc_sweep`,
-    whose one-N case this is).
-
-    Returns
-    -------
-    float
-        The rate [Hz], >= 0.
-    """
-    return bisect_lambda_mc_sweep(
-        (n_per_time,), time_grid, scenario, detection, seeds, workers
-    )[0]
-
-
 def bisect_lambda_mc_sweep(
     n_sweep: Sequence[int],
     time_grid: Sequence[float],
     scenario: Scenario,
     detection: DetectionConfig = DetectionConfig(),
-    seeds: Sequence[int] = (),
+    *,
+    seeds: Sequence[int],
     workers: int | None = None,
 ) -> list[float]:
-    """:func:`bisect_lambda_mc` at each N of ``n_sweep``, in sweep order.
+    """Smallest collapse rate with Monte-Carlo detection power >= 1/2, at
+    each N of ``n_sweep``, in sweep order.
 
-    Each seed's campaign is simulated once, at the largest N. Run r of grid
-    time i is the r-th draw of the stream keyed by (seed, i) whatever the
-    campaign size, so the first N runs of that campaign are the N-run
-    campaign of the same seed, and each N reads its row variances from that
-    run prefix (see :func:`waxsim.protocol.run_campaign`). Every rate is
-    bit-identical to a separate :func:`bisect_lambda_mc` call.
+    Simulates each seed's campaign once, at the largest N and at collapse
+    rate 0 with the collapse channel on. Under common random numbers a
+    seed's sample variance at rate lambda is ``w_t * (v0_t + lambda *
+    sens_t)``, where ``v0_t`` is the true variance at rate 0, ``w_t =
+    var_hat_t / v0_t`` does not depend on lambda and ``sens_t`` is
+    :func:`csl_sensitivity`. So each seed has an exact critical rate, the
+    smallest lambda it detects:
 
-    An explicit ``workers`` above 1 simulates the seeds' campaigns on one
-    pool of that many threads; otherwise it is passed to each
-    :func:`waxsim.protocol.run_campaign` call. It changes only wall time.
+    ``best-time``
+        ``(z se_t + var_std_t - w_t v0_t) / (w_t sens_t)``, clipped at 0, at
+        the ``best_time`` of :func:`min_detectable_lambda`. Testing only that
+        time, chosen before any data, is the rule the closed form prices;
+        the smallest rate over all times would be a look-elsewhere test.
+    ``chi-square-sum``
+        the upper root of ``sum_t ((w_t v0_t - var_std_t + lambda w_t
+        sens_t) / se_t)^2 = q``, or 0 when there is no real root.
+
+    Each N's result is the lower median of the per-seed rates, the smallest
+    rate that half the seeds detect. The campaigns are simulated, not
+    modelled, so the result is an independent check of the closed form.
+
+    Run r of grid time i is the r-th draw of the stream keyed by (seed, i)
+    at any campaign size, so each N reads its variances from a run prefix
+    (see :func:`waxsim.protocol.run_campaign`), and every rate is
+    bit-identical to the one-N sweep ``bisect_lambda_mc_sweep((n,), ...)[0]``.
+
+    ``seeds`` must be non-empty. ``workers`` above 1 simulates the seeds'
+    campaigns on one pool of that many threads; otherwise it goes to each
+    :func:`waxsim.protocol.run_campaign`. It changes only wall time.
+    Returns the rates [Hz], each >= 0.
     """
     if not n_sweep:
         raise DomainError("n_sweep must be non-empty")
@@ -390,7 +366,7 @@ def bisect_lambda_mc_sweep(
         )
 
     def critical_rates(data: PositionSamples) -> list[float]:
-        v0 = data.true_sigmas**2
+        v0 = data.samples.sigmas**2
         return [
             _critical_rate(data.var_hats[n], v0, sens, var_std, se_var[n], detection, q, best[n])
             for n in n_sweep

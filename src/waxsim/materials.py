@@ -213,12 +213,3 @@ def space_environment(
         gas_temperature=temperature if gas_temperature is None else gas_temperature,
         preset="space",
     )
-
-
-def environment_preset(name: str) -> Environment:
-    """Look up an environment preset by name (``ground`` or ``space``)."""
-    if name == "ground":
-        return ground_environment()
-    if name == "space":
-        return space_environment()
-    raise DomainError(f"no environment preset named {name!r}")

@@ -57,19 +57,19 @@ kernel, so they give the bits the campaign drew. ``np.asarray`` refuses a
 The raw-sample CSV is produced by ``PositionSamples.csv_chunks``, which
 re-draws the same tiles: the header, then one string per tile, in tile
 order, so a caller that writes each chunk as it comes (``waxsim campaign
---dump-samples``) holds O(tile) memory, whatever the campaign size.
-``PositionSamples.to_csv`` joins the chunks. With ``run_counts=()`` a
-campaign merges no variance and draws nothing, so a dump built on it draws
-each tile once. Formatting the floats is interpreter work that holds the
-GIL, so threads cannot share it: ``csv_chunks(workers)`` above 1 re-draws
-and formats the tiles on a pool of that many forked processes. It keeps
-at most ``workers`` tiles in flight and submits the next one as the caller
-takes a chunk, so memory stays O(workers tiles); the chunks are the ones
-the serial path yields. Where the platform cannot fork, the tiles are
-formatted serially. ``csv_chunks`` is serial by default, since forking a
-multi-threaded caller is unsafe; ``waxsim campaign --dump-samples``, which
-runs no other thread, takes the rule of ``run_campaign``
-(:func:`default_workers`).
+--dump-samples``) holds O(tile) memory, whatever the campaign size;
+``"".join(csv_chunks())`` is the whole CSV as one string. With
+``run_counts=()`` a campaign merges no variance and draws nothing, so a
+dump built on it draws each tile once. Formatting the floats is interpreter
+work that holds the GIL, so threads cannot share it:
+``csv_chunks(workers)`` above 1 re-draws and formats the tiles on a pool of
+that many forked processes. It keeps at most ``workers`` tiles in flight
+and submits the next one as the caller takes a chunk, so memory stays
+O(workers tiles); the chunks are the ones the serial path yields. Where the
+platform cannot fork, the tiles are formatted serially. ``csv_chunks`` is
+serial by default, since forking a multi-threaded caller is unsafe;
+``waxsim campaign --dump-samples``, which runs no other thread, takes the
+rule of ``run_campaign`` (:func:`default_workers`).
 """
 from __future__ import annotations
 
@@ -155,7 +155,7 @@ class PositionSamples:
     """Synthetic position records, one row of ``samples`` per grid time.
 
     ``samples`` is a :class:`CampaignSamples` view that re-draws the
-    positions when read. ``true_sigmas`` holds the total standard deviation
+    positions when read; its ``sigmas`` holds the total standard deviation
     each row was drawn with (model width plus drift and readout terms).
     ``var_hats`` maps each run count ``m`` the campaign was asked for to
     every row's unbiased (ddof=1) sample variance of runs ``[0, m)``,
@@ -164,7 +164,6 @@ class PositionSamples:
 
     times: np.ndarray
     samples: CampaignSamples  # shape (len(times), runs_per_time)
-    true_sigmas: np.ndarray
     var_hats: dict[int, np.ndarray]
 
     @property
@@ -202,10 +201,6 @@ class PositionSamples:
         buffer = np.empty(min(view.runs, view.tile_runs))
         for k in range(count):
             yield _tile_csv(view, t_reprs, k, buffer)
-
-    def to_csv(self) -> str:
-        """Raw-sample CSV: header ``t_s,run_index,x_m``."""
-        return "".join(self.csv_chunks())
 
 
 def _tile_csv(view: CampaignSamples, t_reprs: Sequence[str], k: int, out: np.ndarray) -> str:
@@ -431,7 +426,7 @@ def run_campaign(
             raise DomainError(f"run counts must lie in [2, {n}], got {m}")
     view = CampaignSamples(plan.rng_seed, sigmas, n, TILE_RUNS)
     if not counts:
-        return PositionSamples(times, view, sigmas, {})
+        return PositionSamples(times, view, {})
     per_row, tile_runs = view.tiles_per_row, view.tile_runs
     count = times.size * per_row
     _check_memory(
@@ -485,7 +480,7 @@ def run_campaign(
     var_hats = {m: np.array([row_variance(i, m) for i in range(times.size)]) for m in counts}
     if not all(np.all(np.isfinite(v)) for v in var_hats.values()):
         raise NumericalError("sample variance overflows double precision")
-    return PositionSamples(times, view, sigmas, var_hats)
+    return PositionSamples(times, view, var_hats)
 
 
 def _thread_map(func: Callable, items: Iterable, workers: int) -> list:

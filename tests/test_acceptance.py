@@ -25,7 +25,7 @@ from waxsim import (
     initial_state,
     lambda_blackbody,
     min_detectable_lambda,
-    bisect_lambda_mc,
+    bisect_lambda_mc_sweep,
     detection_power_mc,
     space_environment,
     sphere_geometry_factor,
@@ -179,13 +179,14 @@ def test_criterion_08_monte_carlo_power_oracle(silica, space):
     started = time.perf_counter()
     seeds = range(1, 101)
     scenario = Scenario(silica, space, GEOMETRY)
-    for n in (60, 120, 240, 480, 960):
-        for t_max in (30.0, 100.0):
-            grid = tuple(np.geomspace(1.0, t_max, 6))
+    n_sweep = (60, 120, 240, 480, 960)
+    for t_max in (30.0, 100.0):
+        grid = tuple(np.geomspace(1.0, t_max, 6))
+        oracle = bisect_lambda_mc_sweep(n_sweep, grid, scenario, seeds=seeds)
+        for n, mc in zip(n_sweep, oracle):
             closed = min_detectable_lambda(
                 n, grid, silica, space, GEOMETRY
             ).lambda_min
-            mc = bisect_lambda_mc(n, grid, scenario, seeds=seeds)
             assert 0.5 <= mc / closed <= 2.0, (n, t_max, closed, mc)
 
     grid = tuple(np.geomspace(1.0, 100.0, 6))

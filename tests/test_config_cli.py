@@ -2,6 +2,7 @@
 import hashlib
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 import waxsim.cli as cli
 from waxsim import inference, protocol
-from waxsim.config import ConfigBuilder, default_config, load_config
+from waxsim.config import ConfigBuilder, load_config
 from waxsim.errors import ConfigError, DomainError, NumericalError
 from waxsim.dynamics import Scenario
 from waxsim.protocol import CampaignConfig, run_campaign
@@ -75,7 +76,7 @@ def csv_column(text, name):
 
 class TestConfigParsing:
     def test_defaults_build_domain_objects(self):
-        cfg = default_config()
+        cfg = load_config()
         assert cfg.particle().radius == 120e-9
         assert cfg.environment().preset == "ground"
         assert cfg.campaign().runs_per_time == 1000
@@ -326,7 +327,7 @@ class TestCli:
     def test_print_config_reparses_to_an_equal_config(self, capsys, tmp_path):
         path = tmp_path / "noisy.cfg"
         path.write_text(NOISY_CONFIG)
-        cases = (([], default_config()), (["--config", str(path)], load_config(NOISY_CONFIG)))
+        cases = (([], load_config()), (["--config", str(path)], load_config(NOISY_CONFIG)))
         for extra, expected in cases:
             code, out, _ = run_cli(capsys, "bound", "--print-config", *extra)
             assert code == 0
@@ -547,7 +548,7 @@ class TestBoundCommand:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == TestCommandBytes.PINNED["default", "bound"][0]
-        n_sweep = default_config().get("bound.n_sweep")
+        n_sweep = load_config().get("bound.n_sweep")
         assert err.splitlines() == [
             f"waxsim: warning: oracle check failed at N={n}: closed form "
             f"{c:.3e} Hz vs Monte-Carlo {10 * c:.3e} Hz"
@@ -978,3 +979,26 @@ class TestStreamedDump:
                 tracemalloc.stop()
 
         assert emit_peak(6) <= 1.25 * emit_peak(2)
+
+
+class TestStartupInterrupt:
+    """Ctrl-C before ``cli.main`` runs, while ``waxsim.cli`` is imported."""
+
+    HOOK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "interrupt_hook")
+
+    @staticmethod
+    def console_script():
+        """The code of the ``waxsim`` console script that pyproject.toml declares."""
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
+            module, func = re.search(r'^waxsim = "([\w.]+):(\w+)"$', fh.read(), re.M).groups()
+        return f"import sys\nfrom {module} import {func}\nsys.exit({func}())\n"
+
+    @pytest.mark.parametrize("entry", ["module", "console-script"])
+    def test_interrupted_import_exits_130_with_one_line(self, entry):
+        env = waxsim_env()
+        env["PYTHONPATH"] = os.pathsep.join((self.HOOK, env["PYTHONPATH"]))
+        start = ["-m", "waxsim"] if entry == "module" else ["-c", self.console_script()]
+        proc = subprocess.run(
+            [sys.executable, *start, "rates"], env=env, capture_output=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"", b"waxsim: interrupted\n")

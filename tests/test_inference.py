@@ -12,7 +12,6 @@ from waxsim import (
     DetectionResult,
     DomainError,
     Scenario,
-    bisect_lambda_mc,
     bisect_lambda_mc_sweep,
     detection_power_mc,
     ground_environment,
@@ -23,7 +22,7 @@ from waxsim import (
 import waxsim.cli as cli
 import waxsim.inference as inference
 from waxsim import protocol
-from waxsim.config import default_config
+from waxsim.config import load_config
 from waxsim.constants import LAMBDA_GRW
 from waxsim.inference import _chi_square_quantile
 
@@ -221,7 +220,7 @@ class TestMonteCarloOracle:
     def test_agrees_with_closed_form_within_factor_two(self, silica, space, in_space):
         n = 120
         closed = min_detectable_lambda(n, GRID, silica, space, GEOMETRY).lambda_min
-        mc = bisect_lambda_mc(n, GRID, in_space, seeds=range(1, 121))
+        mc = bisect_lambda_mc_sweep((n,), GRID, in_space, seeds=range(1, 121))[0]
         assert 0.5 <= mc / closed <= 2.0
 
     def test_power_extremes(self, silica, space, in_space):
@@ -236,7 +235,7 @@ class TestMonteCarloOracle:
     # the standard error sqrt(2 / (N - 1)) has no value at N = 1
     def test_oracle_rejects_single_run_per_time(self, in_space):
         with pytest.raises(DomainError, match="n_per_time"):
-            bisect_lambda_mc(1, GRID, in_space, seeds=range(1, 5))
+            bisect_lambda_mc_sweep((1,), GRID, in_space, seeds=range(1, 5))
 
     def test_power_rejects_single_run_per_time(self, in_space):
         with pytest.raises(DomainError, match="n_per_time"):
@@ -244,11 +243,22 @@ class TestMonteCarloOracle:
 
     def test_empty_seeds_rejected(self, in_space):
         with pytest.raises(DomainError):
-            bisect_lambda_mc(60, GRID, in_space, seeds=())
+            bisect_lambda_mc_sweep((60,), GRID, in_space, seeds=())
+        with pytest.raises(DomainError):
+            detection_power_mc(1e-13, 60, GRID, in_space, seeds=())
+
+    def test_seeds_are_a_required_keyword(self, in_space):
+        # no default: an empty seed list has no detection power to estimate
+        with pytest.raises(TypeError, match="seeds"):
+            bisect_lambda_mc_sweep((60,), GRID, in_space)
+        with pytest.raises(TypeError, match="seeds"):
+            detection_power_mc(1e-13, 60, GRID, in_space)
+        with pytest.raises(TypeError):
+            bisect_lambda_mc_sweep((60,), GRID, in_space, DetectionConfig(), range(4))
 
     def test_no_positive_times_rejected(self, in_space):
         with pytest.raises(DomainError):
-            bisect_lambda_mc(60, (0.0,), in_space, seeds=range(4))
+            bisect_lambda_mc_sweep((60,), (0.0,), in_space, seeds=range(4))
 
 
 class TestExactOracle:
@@ -256,14 +266,14 @@ class TestExactOracle:
     def test_result_is_where_simulated_power_reaches_half(self, aggregation):
         # the oracle works from one campaign per seed at rate 0; the power is
         # re-simulated at each rate here, as an independent reference
-        config = default_config()
+        config = load_config()
         model = dict(
             time_grid=config.get("campaign.time_grid_s"),
             scenario=config.scenario(),
             detection=DetectionConfig(aggregation=aggregation),
         )
         n, seeds = 400, range(1, 17)
-        rate = bisect_lambda_mc(n, seeds=seeds, **model)
+        rate = bisect_lambda_mc_sweep((n,), seeds=seeds, **model)[0]
         above = detection_power_mc(rate * (1.0 + 1e-9), n, seeds=seeds, **model)
         below = detection_power_mc(rate * (1.0 - 1e-9), n, seeds=seeds, **model)
         assert above >= 0.5 > below
@@ -278,7 +288,7 @@ class TestExactOracle:
 
         monkeypatch.setattr(inference, "run_campaign", counting)
         seeds = range(1, 41)
-        bisect_lambda_mc(120, GRID, in_space, seeds=seeds)
+        bisect_lambda_mc_sweep((120,), GRID, in_space, seeds=seeds)
         assert calls == list(seeds)
 
 
@@ -289,7 +299,7 @@ class TestOracleSweep:
 
     @staticmethod
     def model(aggregation="best-time"):
-        config = default_config()
+        config = load_config()
         return dict(
             time_grid=config.get("campaign.time_grid_s"),
             scenario=config.scenario(),
@@ -297,7 +307,7 @@ class TestOracleSweep:
         )
 
     def per_n(self, n_sweep, **model):
-        return [bisect_lambda_mc(n, seeds=self.SEEDS, **model) for n in n_sweep]
+        return [bisect_lambda_mc_sweep((n,), seeds=self.SEEDS, **model)[0] for n in n_sweep]
 
     @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -342,7 +352,7 @@ class TestOracleSweep:
         monkeypatch.setattr(inference, "run_campaign", counting)
         assert cli.main(["bound", "--oracle-check", "--oracle-seeds", "4"]) == 0
         capsys.readouterr()
-        largest = max(default_config().get("bound.n_sweep"))
+        largest = max(load_config().get("bound.n_sweep"))
         assert calls == [(seed, largest) for seed in range(1, 5)]
 
 
@@ -351,7 +361,7 @@ class TestPreRegisteredTime:
 
     @staticmethod
     def default():
-        config = default_config()
+        config = load_config()
         return config, config.get("campaign.time_grid_s"), config.scenario(), config.detection()
 
     def test_oracle_matches_the_closed_form_on_the_default_config(self):

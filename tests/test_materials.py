@@ -12,7 +12,6 @@ from waxsim import (
     NumericalError,
     Particle,
     drop_distance,
-    environment_preset,
     fused_silica_particle,
     ground_environment,
     initial_state,
@@ -138,13 +137,6 @@ def test_space_preset_invariants(space):
     assert space.preset == "space"
     assert 30.0 <= space.temperature <= 40.0
     assert space.gas_pressure <= 1e-12
-
-
-def test_preset_lookup_by_name():
-    assert environment_preset("ground") == ground_environment()
-    assert environment_preset("space") == space_environment()
-    with pytest.raises(DomainError):
-        environment_preset("orbit")
 
 
 def test_preset_invariants_enforced():

@@ -5,11 +5,14 @@ Importing waxsim loads none of its modules; the scalar commands (``rates``,
 sampling, inference or oracle layer, and at its defaults no command but
 ``campaign`` loads scipy. Each check runs in a fresh interpreter, since the
 pytest process itself has numpy and scipy loaded. The checks are on ``sys.modules``, not on timings.
+The interpreters are independent, so the ``loaded`` fixture runs them
+concurrently and each test reads its own.
 """
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -45,71 +48,49 @@ def run_main(*argv: str) -> str:
     )
 
 
-def test_import_cli_loads_no_scipy():
-    assert loaded_after("import waxsim.cli") == []
+SCALAR_COMMANDS = ("rates", "expand", "feasibility")
+NUMPY_ONLY_COMMANDS = ("rates", "expand", "bound", "feasibility")
 
-
-def test_import_waxsim_loads_no_module():
+# probe name -> (code, modules) of one fresh interpreter
+PROBES = {
+    "import cli": ("import waxsim.cli", SCIPY_MODULES),
     # dir() lists every public name before any is resolved, and loads nothing
-    code = (
+    "import waxsim": (
         "import sys, waxsim\n"
         "assert set(waxsim.__all__) <= set(dir(waxsim))\n"
-        "assert sorted(m for m in sys.modules if 'waxsim' in m) == ['waxsim']\n"
-    )
-    assert loaded_after(code, ("numpy",)) == []
-
-
-@pytest.mark.parametrize("command", ["rates", "expand", "feasibility"])
-def test_scalar_commands_load_no_numpy(command):
-    assert loaded_after(run_main(command), ("numpy", *LAYERS)) == []
-
-
-def test_print_config_loads_no_numpy():
-    code = "".join(
-        run_main(command, "--print-config")
-        for command in ("rates", "expand", "campaign", "bound", "feasibility")
-    )
-    assert loaded_after(code, ("numpy", *LAYERS)) == []
-
-
-def test_expand_loads_no_sampling_inference_or_oracle():
+        "assert sorted(m for m in sys.modules if 'waxsim' in m) == ['waxsim']\n",
+        ("numpy",),
+    ),
+    **{
+        f"scalar {command}": (run_main(command), ("numpy", *LAYERS))
+        for command in SCALAR_COMMANDS
+    },
+    "print-config": (
+        "".join(
+            run_main(command, "--print-config")
+            for command in ("rates", "expand", "campaign", "bound", "feasibility")
+        ),
+        ("numpy", *LAYERS),
+    ),
     # with the collapse channel on, which adds the a/3 check on the widths
-    code = run_main("expand", "--csl", "--csl.lambda_hz", "1e-8")
-    assert loaded_after(code, ("numpy", *LAYERS)) == []
-
-
-def test_bound_without_oracle_check_loads_no_oracle():
-    loaded = loaded_after(run_main("bound"), (*LAYERS, *SCIPY_MODULES))
-    assert loaded == ["waxsim.protocol", "waxsim.inference"]
-
-
-def test_inference_loads_protocol():
-    # perfbench/tracing.py hooks run_campaign only if protocol is loaded when it installs
-    assert loaded_after("import waxsim.inference", LAYERS) == [
-        "waxsim.protocol", "waxsim.inference"
-    ]
-
-
-@pytest.mark.parametrize("command", ["rates", "expand", "bound", "feasibility"])
-def test_numpy_only_commands_load_no_scipy(command):
-    assert loaded_after(run_main(command)) == []
-
-
-def test_campaign_loads_only_scipy_special():
-    code = run_main("campaign", "--campaign.runs_per_time", "10")
-    assert loaded_after(code) == ["scipy.special"]
-
-
-def test_serial_commands_load_no_process_pool():
+    "expand with csl": (
+        run_main("expand", "--csl", "--csl.lambda_hz", "1e-8"), ("numpy", *LAYERS)
+    ),
+    "bound": (run_main("bound"), (*LAYERS, *SCIPY_MODULES)),
+    "import inference": ("import waxsim.inference", LAYERS),
+    **{
+        f"scipy {command}": (run_main(command), SCIPY_MODULES)
+        for command in NUMPY_ONLY_COMMANDS
+    },
+    "campaign": (run_main("campaign", "--campaign.runs_per_time", "10"), SCIPY_MODULES),
     # only a pooled --dump-samples loads multiprocessing
-    dump = run_main("campaign", "--dump-samples", "--campaign.runs_per_time", "10")
-    code = dump + run_main("bound")
-    assert loaded_after(code, ("multiprocessing", "concurrent.futures.process")) == []
-
-
-def test_quadrature_oracle_resolves_lazily():
+    "serial commands": (
+        run_main("campaign", "--dump-samples", "--campaign.runs_per_time", "10")
+        + run_main("bound"),
+        ("multiprocessing", "concurrent.futures.process"),
+    ),
     # the oracles import at once; scipy.interpolate loads on the first call
-    code = (
+    "quadrature oracle": (
         "import sys\n"
         "import waxsim\n"
         "from waxsim import csl_sphere_factor_bruteforce\n"
@@ -117,9 +98,70 @@ def test_quadrature_oracle_resolves_lazily():
         "assert waxsim.csl_sphere_factor_bruteforce is csl_sphere_factor_bruteforce is direct\n"
         "assert 'csl_sphere_factor_bruteforce' in waxsim.__all__\n"
         "assert 'scipy.interpolate' not in sys.modules\n"
-        "csl_sphere_factor_bruteforce(1.0)\n"
-    )
-    assert "scipy.interpolate" in loaded_after(code)
+        "csl_sphere_factor_bruteforce(1.0)\n",
+        SCIPY_MODULES,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    """``loaded(name)``: :func:`loaded_after` of probe ``name``.
+
+    Every probe starts when the first test asks for one, at most two per
+    CPU at a time; a probe's failure fails only the tests that read it.
+    """
+    workers = min(len(PROBES), 2 * (os.cpu_count() or 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {name: pool.submit(loaded_after, *probe) for name, probe in PROBES.items()}
+        yield lambda name: futures[name].result()
+
+
+def test_import_cli_loads_no_scipy(loaded):
+    assert loaded("import cli") == []
+
+
+def test_import_waxsim_loads_no_module(loaded):
+    assert loaded("import waxsim") == []
+
+
+@pytest.mark.parametrize("command", SCALAR_COMMANDS)
+def test_scalar_commands_load_no_numpy(loaded, command):
+    assert loaded(f"scalar {command}") == []
+
+
+def test_print_config_loads_no_numpy(loaded):
+    assert loaded("print-config") == []
+
+
+def test_expand_loads_no_sampling_inference_or_oracle(loaded):
+    assert loaded("expand with csl") == []
+
+
+def test_bound_without_oracle_check_loads_no_oracle(loaded):
+    assert loaded("bound") == ["waxsim.protocol", "waxsim.inference"]
+
+
+def test_inference_loads_protocol(loaded):
+    # perfbench/tracing.py hooks run_campaign only if protocol is loaded when it installs
+    assert loaded("import inference") == ["waxsim.protocol", "waxsim.inference"]
+
+
+@pytest.mark.parametrize("command", NUMPY_ONLY_COMMANDS)
+def test_numpy_only_commands_load_no_scipy(loaded, command):
+    assert loaded(f"scipy {command}") == []
+
+
+def test_campaign_loads_only_scipy_special(loaded):
+    assert loaded("campaign") == ["scipy.special"]
+
+
+def test_serial_commands_load_no_process_pool(loaded):
+    assert loaded("serial commands") == []
+
+
+def test_quadrature_oracle_resolves_lazily(loaded):
+    assert "scipy.interpolate" in loaded("quadrature oracle")
 
 
 def test_unknown_attribute_still_raises():
@@ -129,4 +171,3 @@ def test_unknown_attribute_still_raises():
 
 def test_every_public_name_resolves():
     assert [name for name in waxsim.__all__ if not hasattr(waxsim, name)] == []
-

@@ -1,13 +1,21 @@
 """``python -m waxsim`` and the ``waxsim`` console script: a Ctrl-C (SIGINT)
-from the first import of :mod:`waxsim.cli` on prints one line and exits 130."""
+from the first import of :mod:`waxsim.cli` on prints one line and exits 130.
+Once the command has returned, its output is complete and SIGINT is
+ignored, so the process exits with the command's own code."""
 import sys
 
 
 def main() -> int:
     try:
+        import signal
+
         from .cli import main as cli_main
 
-        return cli_main()
+        code = cli_main()
+        # a SIGINT during interpreter shutdown would otherwise end the
+        # process by SIGINT, or print an ignored KeyboardInterrupt
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        return code
     except KeyboardInterrupt:
         # raised in exec() of a string (a dataclass method made at import), the
         # interrupt sets CPython's unhandled-interrupt flag, which would turn

@@ -148,7 +148,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cross-check each row against the Monte-Carlo power oracle",
     )
     p_bound.add_argument(
-        "--oracle-seeds", type=int, default=64, metavar="N", help="seeds per oracle power estimate"
+        "--oracle-seeds",
+        type=int,
+        default=64,
+        metavar="N",
+        help="campaigns the Monte-Carlo oracle simulates",
     )
     add_command("feasibility", "drop-distance report")
     return parser

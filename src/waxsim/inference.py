@@ -30,7 +30,9 @@ simulates one campaign per seed through :mod:`waxsim.protocol`, finds the
 exact rate at which each seed is detected at the same threshold, and
 returns the rate with 50 percent detection power: the lower median of
 those rates. It does this for every N of a sweep from one campaign per
-seed at the largest N, reading each N from a run prefix.
+seed at the largest N, reading each N from a run prefix. For best-time
+aggregation each campaign draws only the pre-registered time's row, the
+one the test reads.
 """
 from __future__ import annotations
 
@@ -216,13 +218,15 @@ def _over_seeds(
     scenario: Scenario,
     workers: int | None = None,
     run_counts: Sequence[int] | None = None,
+    rows: Sequence[int] | None = None,
 ) -> list:
     """``read`` of one simulated campaign per seed, in seed order.
 
     The campaigns simulate ``scenario`` with the collapse channel on at
-    ``collapse_rate``. An explicit ``workers`` above 1 runs the seeds'
-    campaigns on one pool of that many threads, each campaign serial;
-    otherwise the seeds run one after another and ``workers`` goes to each
+    ``collapse_rate`` and draw the grid ``rows`` (every row by default).
+    An explicit ``workers`` above 1 runs the seeds' campaigns on one pool
+    of that many threads, each campaign serial; otherwise the seeds run
+    one after another and ``workers`` goes to each
     :func:`waxsim.protocol.run_campaign`.
     """
     if not seeds:
@@ -236,7 +240,7 @@ def _over_seeds(
 
     def one(seed: int) -> object:
         plan = CampaignConfig(times, n_per_time, int(seed))
-        return read(run_campaign(plan, simulated, 1 if pooled else workers, run_counts))
+        return read(run_campaign(plan, simulated, 1 if pooled else workers, run_counts, rows))
 
     if pooled:
         return _thread_map(one, seeds, workers)
@@ -282,7 +286,6 @@ def _critical_rate(
     se_var: np.ndarray,
     detection: DetectionConfig,
     q: float | None,
-    best: int,
 ) -> float:
     """Smallest rate at which one seed's campaign is detected.
 
@@ -291,13 +294,14 @@ def _critical_rate(
     variance at rate lambda is ``w * (v0 + lambda * sens)``, ``w = var_hat /
     v0``, so the z-score at each time is linear in lambda:
     ``(a + lambda * b) / se_var`` with ``a = var_hat - var_std`` and
-    ``b = w * sens``. Best-time aggregation tests grid index ``best`` only,
-    where ``sens`` is positive.
+    ``b = w * sens``. For best-time aggregation (``q`` is ``None``) every
+    argument is the scalar at the one time tested, where ``sens`` is
+    positive; for chi-square-sum each is an array over the grid.
     """
     a = var_hat - var_std
     b = var_hat / v0 * sens
     if q is None:
-        return max(float((detection.confidence_z * se_var[best] - a[best]) / b[best]), 0.0)
+        return max(float((detection.confidence_z * se_var - a) / b), 0.0)
     # upper root of sum_t ((a + lambda b) / se)^2 = q, written
     # A lambda^2 + 2 B lambda + C = 0 and solved without cancellation
     a, b = a / se_var, b / se_var
@@ -350,6 +354,10 @@ def bisect_lambda_mc_sweep(
     at any campaign size, so each N reads its variances from a run prefix
     (see :func:`waxsim.protocol.run_campaign`), and every rate is
     bit-identical to the one-N sweep ``bisect_lambda_mc_sweep((n,), ...)[0]``.
+    For ``best-time`` each campaign draws only the rows of the sweep's best
+    times (``rows`` of :func:`waxsim.protocol.run_campaign`), each as the
+    full campaign draws it, so the rates are those of the full campaign;
+    ``chi-square-sum`` reads, and draws, every row.
 
     ``seeds`` must be non-empty. ``workers`` above 1 simulates the seeds'
     campaigns on one pool of that many threads; otherwise it goes to each
@@ -365,15 +373,28 @@ def bisect_lambda_mc_sweep(
             n, time_grid, detection, scenario
         )
 
+    # the grid index each N reads, or all of them, and its place in var_hats
+    if q is None:
+        # best-time tests each N at its best time alone: draw only those rows
+        rows = sorted(set(best.values()))
+        at_grid, at_drawn = best, {n: rows.index(best[n]) for n in n_sweep}
+    else:
+        rows = None
+        at_grid = at_drawn = dict.fromkeys(n_sweep, slice(None))
+
     def critical_rates(data: PositionSamples) -> list[float]:
-        v0 = data.samples.sigmas**2
-        return [
-            _critical_rate(data.var_hats[n], v0, sens, var_std, se_var[n], detection, q, best[n])
-            for n in n_sweep
-        ]
+        rates = []
+        for n in n_sweep:
+            i = at_grid[n]
+            sigma = data.samples.sigmas[i]
+            rates.append(_critical_rate(
+                data.var_hats[n][at_drawn[n]], sigma * sigma, sens[i], var_std[i],
+                se_var[n][i], detection, q,
+            ))
+        return rates
 
     per_seed = _over_seeds(
-        critical_rates, seeds, 0.0, max(n_sweep), times, scenario, workers, n_sweep
+        critical_rates, seeds, 0.0, max(n_sweep), times, scenario, workers, n_sweep, rows
     )
     # the lower median: the first order statistic whose share of seeds reaches 1/2
     return [float(np.sort(rates)[(len(per_seed) - 1) // 2]) for rates in zip(*per_seed)]

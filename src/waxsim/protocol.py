@@ -44,6 +44,12 @@ bit-identical to that campaign's.
 The Monte-Carlo oracle draws each seed once at the largest N of a sweep
 and reads every N from a prefix.
 
+Selected rows: ``run_campaign(..., rows=idx)`` draws and merges only the
+grid rows in ``idx``. Each keeps its stream ``(seed, i)``, so its
+variances are bit-identical to the same row of the full campaign, while
+the ``samples`` view still re-draws every row. The best-time oracle tests
+one pre-registered time, so it draws only that time's row.
+
 Memory contract: ``run_campaign`` keeps no sample array. Each worker draws
 its tiles into one reused tile buffer and keeps only the tile's moments, a
 24-byte record per tile; that table is the only allocation that grows with
@@ -158,8 +164,9 @@ class PositionSamples:
     positions when read; its ``sigmas`` holds the total standard deviation
     each row was drawn with (model width plus drift and readout terms).
     ``var_hats`` maps each run count ``m`` the campaign was asked for to
-    every row's unbiased (ddof=1) sample variance of runs ``[0, m)``,
-    merged from tile moments.
+    each drawn row's unbiased (ddof=1) sample variance of runs ``[0, m)``,
+    merged from tile moments, in ascending grid order; every row unless the
+    campaign was given ``rows``.
     """
 
     times: np.ndarray
@@ -168,7 +175,7 @@ class PositionSamples:
 
     @property
     def var_hat(self) -> np.ndarray:
-        """Each row's sample variance over all N runs (``KeyError`` if not asked for)."""
+        """Each drawn row's sample variance over all N runs (``KeyError`` if not asked for)."""
         return self.var_hats[self.samples.runs]
 
     def csv_chunks(self, workers: int = 1) -> Iterator[str]:
@@ -377,6 +384,7 @@ def run_campaign(
     scenario: Scenario,
     workers: int | None = None,
     run_counts: Sequence[int] | None = None,
+    rows: Sequence[int] | None = None,
 ) -> PositionSamples:
     """Generate the synthetic position dataset for one campaign.
 
@@ -388,7 +396,8 @@ def run_campaign(
     workers : int, optional
         Thread count; more than 1 always samples on a pool of that many
         threads. The default is the available CPUs for campaigns of at
-        least ``PARALLEL_MIN_DRAWS`` draws and 1 below. Output is
+        least ``PARALLEL_MIN_DRAWS`` draws (drawn rows x N) and 1 below.
+        Output is
         byte-identical to the serial path.
     run_counts : sequence of int, optional
         The run counts ``m``, each in ``[2, N]``, at which to merge each
@@ -397,19 +406,25 @@ def run_campaign(
         campaign with the same seed, because it merges the same tiles in
         the same order. An empty sequence draws nothing: the result is
         only the re-drawing view.
+    rows : sequence of int, optional
+        The grid indices to draw, each in ``[0, T)``; the default is every
+        row. Each row keeps its Philox key ``(seed, i)``, so its variances
+        are bit-identical to the same row of the full campaign.
 
     Returns
     -------
     PositionSamples
-        With each requested run count's row variances and a view that
-        re-draws the ``T x N`` samples on demand.
+        With each requested run count's variances, one per drawn row in
+        ascending grid order, and a view that re-draws the full ``T x N``
+        samples on demand.
 
     Raises
     ------
     DomainError
-        If ``workers`` is below 1, a run count lies outside ``[2, N]``, or
-        the per-tile moment table would not fit in the host's physical
-        memory.
+        If ``workers`` is below 1, a run count lies outside ``[2, N]``,
+        ``rows`` is empty or holds a non-integer or an index outside
+        ``[0, T)``, or the per-tile moment table would not fit in the
+        host's physical memory.
     NumericalError
         If a row's sample variance overflows double precision.
 
@@ -424,13 +439,15 @@ def run_campaign(
     for m in counts:
         if not 2 <= m <= n:
             raise DomainError(f"run counts must lie in [2, {n}], got {m}")
+    drawn = _grid_rows(rows, times.size)
     view = CampaignSamples(plan.rng_seed, sigmas, n, TILE_RUNS)
     if not counts:
         return PositionSamples(times, view, {})
     per_row, tile_runs = view.tiles_per_row, view.tile_runs
-    count = times.size * per_row
+    # tile p of this campaign is tile p % per_row of row drawn[p // per_row]
+    count = len(drawn) * per_row
     _check_memory(
-        count * _MOMENTS.itemsize, f"tile moments ({times.size} x {per_row} tiles)"
+        count * _MOMENTS.itemsize, f"tile moments ({len(drawn)} x {per_row} tiles)"
     )
     moments = np.empty(count, _MOMENTS)
     # run count m ends in tile column (m - 1) // tile_runs; if it ends before
@@ -443,7 +460,7 @@ def run_campaign(
         if kept < min(tile_runs, n - j * tile_runs):
             slot[m] = len(slot)
             cut_at.setdefault(j, []).append((slot[m], kept))
-    cuts = np.empty((times.size, len(slot)), _MOMENTS)
+    cuts = np.empty((len(drawn), len(slot)), _MOMENTS)
     undrawn = iter(range(count))
     lock = threading.Lock()
 
@@ -452,16 +469,17 @@ def run_campaign(
         out, dev = buffers
         while True:
             with lock:
-                k = next(undrawn, None)
-            if k is None:
+                p = next(undrawn, None)
+            if p is None:
                 return
-            i, a, tile = view.draw_tile(k, out)
-            moments[k] = _tile_moments(tile, dev[: tile.size])
-            for s, kept in cut_at.get(a // tile_runs, ()):
-                cuts[i, s] = _tile_moments(tile[:kept], dev[:kept])
+            r, j = divmod(p, per_row)
+            _, _, tile = view.draw_tile(drawn[r] * per_row + j, out)
+            moments[p] = _tile_moments(tile, dev[: tile.size])
+            for s, kept in cut_at.get(j, ()):
+                cuts[r, s] = _tile_moments(tile[:kept], dev[:kept])
 
     if workers is None:
-        workers = default_workers(view.size)
+        workers = default_workers(len(drawn) * n)
     # one task per thread, each with its own tile and scratch buffers
     buffers = np.empty((min(workers, count), 2, min(n, tile_runs)))
     if workers > 1:
@@ -469,18 +487,34 @@ def run_campaign(
     else:
         drain(buffers[0])
 
-    def row_variance(i: int, m: int) -> float:
-        """Row ``i``'s variance of runs ``[0, m)``, from the m-run campaign's tiles."""
+    def row_variance(r: int, m: int) -> float:
+        """Drawn row ``r``'s variance of runs ``[0, m)``, from the m-run campaign's tiles."""
         j = column[m]
-        tiles = moments[i * per_row : i * per_row + j + 1].tolist()
+        tiles = moments[r * per_row : r * per_row + j + 1].tolist()
         if m in slot:
-            tiles[j] = cuts[i, slot[m]].item()
+            tiles[j] = cuts[r, slot[m]].item()
         return _merged_moments(tiles)[2] / (m - 1)
 
-    var_hats = {m: np.array([row_variance(i, m) for i in range(times.size)]) for m in counts}
+    var_hats = {m: np.array([row_variance(r, m) for r in range(len(drawn))]) for m in counts}
     if not all(np.all(np.isfinite(v)) for v in var_hats.values()):
         raise NumericalError("sample variance overflows double precision")
     return PositionSamples(times, view, var_hats)
+
+
+def _grid_rows(rows: Sequence[int] | None, size: int) -> list[int]:
+    """``rows`` of :func:`run_campaign` as ascending distinct grid indices."""
+    if rows is None:
+        return list(range(size))
+    try:
+        drawn = sorted(set(map(operator.index, rows)))
+    except TypeError as exc:  # not a sequence, or an item that is not an integer
+        raise DomainError(f"rows must be a sequence of grid indices, got {rows!r}") from exc
+    if not drawn:
+        raise DomainError("rows must be non-empty")
+    if drawn[0] < 0 or drawn[-1] >= size:
+        bad = drawn[0] if drawn[0] < 0 else drawn[-1]
+        raise DomainError(f"rows must lie in [0, {size}), got {bad}")
+    return drawn
 
 
 def _thread_map(func: Callable, items: Iterable, workers: int) -> list:

@@ -1002,3 +1002,20 @@ class TestStartupInterrupt:
             [sys.executable, *start, "rates"], env=env, capture_output=True, timeout=60
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"", b"waxsim: interrupted\n")
+
+
+class TestShutdownInterrupt:
+    """Ctrl-C after ``cli.main`` has returned, while the interpreter shuts down."""
+
+    HOOK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "shutdown_interrupt_hook")
+
+    @pytest.mark.parametrize("entry", ["module", "console-script"])
+    def test_complete_output_exits_with_the_commands_code(self, entry):
+        env = waxsim_env()
+        env["PYTHONPATH"] = os.pathsep.join((self.HOOK, env["PYTHONPATH"]))
+        start = ["-m", "waxsim"] if entry == "module" else ["-c", TestStartupInterrupt.console_script()]
+        proc = subprocess.run(
+            [sys.executable, *start, "rates"], env=env, capture_output=True, timeout=60
+        )
+        rates = TestCommandBytes.PINNED[("default", "rates")][0]
+        assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), proc.stderr) == (0, rates, b"")

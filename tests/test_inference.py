@@ -356,6 +356,55 @@ class TestOracleSweep:
         assert calls == [(seed, largest) for seed in range(1, 5)]
 
 
+class TestOracleDraws:
+    """Best-time draws only the pre-registered time's row; chi-square-sum every
+    row. The default-config sweeps are pinned in hex from before best-time
+    drew one row."""
+
+    @staticmethod
+    def sweep(aggregation, seeds):
+        n_sweep = load_config().get("bound.n_sweep")
+        rates = bisect_lambda_mc_sweep(n_sweep, seeds=seeds, **TestOracleSweep.model(aggregation))
+        return [rate.hex() for rate in rates]
+
+    def tiles_drawn(self, monkeypatch, aggregation):
+        """The grid index of each tile drawn by an 8-seed default sweep."""
+        calls = []
+        real = protocol._draw_tile
+        monkeypatch.setattr(protocol, "_draw_tile", lambda *a: calls.append(a[2]) or real(*a))
+        self.sweep(aggregation, range(1, 9))
+        return calls
+
+    def test_best_time_draws_one_tile_per_seed(self, monkeypatch):
+        config = load_config()
+        assert max(config.get("bound.n_sweep")) <= protocol.TILE_RUNS
+        best = min_detectable_lambda(
+            6400, config.get("campaign.time_grid_s"), config.particle(),
+            config.environment(), config.csl(), trap_frequency=config.trap_frequency(),
+        ).best_time
+        grid = list(config.get("campaign.time_grid_s"))
+        assert self.tiles_drawn(monkeypatch, "best-time") == [grid.index(best)] * 8
+
+    def test_chi_square_sum_draws_every_row(self, monkeypatch):
+        assert sorted(self.tiles_drawn(monkeypatch, "chi-square-sum")) == sorted(list(range(21)) * 8)
+
+    def test_best_time_golden(self):
+        assert self.sweep("best-time", range(1, 65)) == [
+            "0x1.94d7df0559a6ap-22",
+            "0x1.9b2d36c8c28b5p-23",
+            "0x1.ae7abbf24da11p-24",
+            "0x1.8d43b95e62fc6p-25",
+        ]
+
+    def test_chi_square_sum_golden(self):
+        assert self.sweep("chi-square-sum", range(1, 17)) == [
+            "0x1.0dc86786f65edp-23",
+            "0x1.16ff83b58e7a7p-24",
+            "0x1.1da506821916bp-25",
+            "0x1.3c21e922fc814p-26",
+        ]
+
+
 class TestPreRegisteredTime:
     """Best-time aggregation tests only the time the closed form picks."""
 

@@ -576,3 +576,33 @@ class TestRunPrefixes:
             data.var_hat
         full = run_campaign(make_config(), Scenario(silica, ground))
         assert list(data.csv_chunks()) == list(full.csv_chunks())
+
+
+class TestSelectedRows:
+    """``rows``: draw and merge only some grid rows, each as the full campaign does."""
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_rows_equal_the_full_campaigns_rows(self, silica, ground, workers):
+        # two tiles per row; counts end mid-tile in either tile, on the tile
+        # boundary and in the ragged last tile
+        config = make_config(time_grid=(0.0, 1.0, 2.0, 5.0, 10.0), runs_per_time=70_001)
+        counts = (2, 40_000, protocol.TILE_RUNS, 66_000, 70_001)
+        full = run_campaign(config, Scenario(silica, ground), run_counts=counts)
+        data = run_campaign(
+            config, Scenario(silica, ground), workers=workers, run_counts=counts, rows=(3, 1, 3)
+        )
+        for m in counts:
+            assert data.var_hats[m].tobytes() == full.var_hats[m][[1, 3]].tobytes()
+        assert data.samples.shape == (5, 70_001)
+        assert np.array_equal(data.samples.sigmas, full.samples.sigmas)
+
+    def test_every_row_is_the_default(self, silica, ground):
+        config = make_config()
+        full = run_campaign(config, Scenario(silica, ground), rows=range(3))
+        assert np.array_equal(full.var_hat, run_campaign(config, Scenario(silica, ground)).var_hat)
+
+    # empty, out of [0, 3), not integers, not a sequence
+    @pytest.mark.parametrize("rows", [(), [-1], (0, 3), (1.0,), ("0",), 2])
+    def test_bad_rows_rejected(self, silica, ground, rows):
+        with pytest.raises(DomainError, match="^rows must"):
+            run_campaign(make_config(), Scenario(silica, ground), rows=rows)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import re
 import sys
@@ -80,7 +81,13 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return joined
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process.
+
+    ``parse_args`` leaves a parser as it was, so every :func:`main` call of a
+    process shares this one.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="config file (else $WAXSIM_CONFIG)")
     common.add_argument(
@@ -120,28 +127,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str, workers: bool = False) -> argparse.ArgumentParser:
+    def add_command(name: str, help_text: str, workers_help: str = "") -> argparse.ArgumentParser:
         # no abbreviations: --csl.lambda_h must not run as --csl.lambda_hz
         p = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
-        if workers:
-            p.add_argument(
-                "--workers",
-                type=int,
-                metavar="N",
-                help="worker threads for sampling, or processes for --dump-samples "
-                "(default: available CPUs for large campaigns; output is identical)",
-            )
+        if workers_help:
+            p.add_argument("--workers", type=int, metavar="N", help=workers_help)
         return p
 
     add_command("rates", "per-channel localization budget CSV")
     add_command("expand", "wave-packet width curve CSV")
-    p_campaign = add_command("campaign", "seeded measurement campaign CSV", workers=True)
+    p_campaign = add_command(
+        "campaign",
+        "seeded measurement campaign CSV",
+        workers_help="worker threads for sampling, or processes for --dump-samples "
+        "(default: available CPUs for large campaigns; output is identical)",
+    )
     p_campaign.add_argument(
         "--dump-samples",
         action="store_true",
         help="emit raw positions (t_s,run_index,x_m) instead of width estimates",
     )
-    p_bound = add_command("bound", "minimum detectable collapse rate CSV", workers=True)
+    p_bound = add_command(
+        "bound",
+        "minimum detectable collapse rate CSV",
+        workers_help="worker threads for the --oracle-check campaigns, one block of "
+        "seeds per thread (default: one campaign at a time, on the available "
+        "CPUs if large; output is identical)",
+    )
     p_bound.add_argument(
         "--oracle-check",
         action="store_true",

@@ -31,6 +31,7 @@ and ``feasibility`` run without it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -305,12 +306,12 @@ def grid_times(time_grid: Sequence[float]) -> tuple[float, ...]:
     finite, non-negative and strictly increasing. Raises DomainError
     otherwise.
     """
-    times = tuple(float(t) for t in time_grid)
+    times = tuple(map(float, time_grid))
     if not times:
         raise DomainError("time_grid must be non-empty")
-    if not all(math.isfinite(t) and t >= 0.0 for t in times):
+    if not (all(map(math.isfinite, times)) and min(times) >= 0.0):
         raise DomainError("time_grid must be finite and non-negative")
-    if any(later <= earlier for earlier, later in zip(times, times[1:])):
+    if not all(map(operator.lt, times, times[1:])):
         raise DomainError("time_grid must be strictly increasing")
     return times
 

@@ -123,18 +123,22 @@ def _chi_square_quantile(confidence_z: float, dof: int) -> float:
 
 
 def _detection_setup(
-    n_per_time: int, time_grid: Sequence[float], detection: DetectionConfig, scenario: Scenario
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float | None, int]:
-    """Validated inputs and the standard-physics prediction of a detection.
+    n_sweep: Sequence[int], time_grid: Sequence[float], detection: DetectionConfig,
+    scenario: Scenario,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None, list[tuple[np.ndarray, int]]]:
+    """Validated inputs and the standard-physics prediction of a detection,
+    at each N of ``n_sweep``.
 
-    Returns ``(times, sens, var_std, se_var, q, best)``: the grid, the
+    Returns ``(times, sens, var_std, q, per_n)``: the grid, the
     :func:`csl_sensitivity` at each time, the per-draw variance with the
-    collapse channel off (drift and readout terms included), its standard
-    error for N runs, the chi-square threshold (``None`` for best-time
-    aggregation) and the index of the most sensitive time, the one time
-    best-time aggregation tests.
+    collapse channel off (drift and readout terms included) and the
+    chi-square threshold (``None`` for best-time aggregation), none of which
+    depends on N; and ``per_n``, for each N in sweep order, ``(se_var,
+    best)``: the standard error of the variance for N runs and the index of
+    the most sensitive time, the one time best-time aggregation tests.
     """
-    _check_runs(n_per_time, "n_per_time")
+    for n in n_sweep:
+        _check_runs(n, "n_per_time")
     times = np.array(grid_times(time_grid))
     sens = csl_sensitivity(times, scenario.particle, scenario.csl)
     if not np.any(sens > 0.0):
@@ -147,14 +151,17 @@ def _detection_setup(
             "no sensitivity to the collapse rate: grid has no positive times"
         )
     var_std = replace(scenario, toggles=replace(scenario.toggles, csl=False)).variance(times)
-    se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
-    per_time = np.full(times.size, np.inf)
     usable = sens > 0.0
-    per_time[usable] = detection.confidence_z * se_var[usable] / sens[usable]
+    per_n = []
+    for n in n_sweep:
+        se_var = var_std * np.sqrt(2.0 / (n - 1))
+        per_time = np.full(times.size, np.inf)
+        per_time[usable] = detection.confidence_z * se_var[usable] / sens[usable]
+        per_n.append((se_var, int(np.argmin(per_time))))
     q = None
     if detection.aggregation == "chi-square-sum":
         q = _chi_square_quantile(detection.confidence_z, times.size)
-    return times, sens, var_std, se_var, q, int(np.argmin(per_time))
+    return times, sens, var_std, q, per_n
 
 
 def min_detectable_lambda(
@@ -198,7 +205,8 @@ def min_detectable_lambda(
         particle, env, csl_geometry, toggles, trap_frequency, occupancy,
         measurement_noise, drift_velocity_std,
     )
-    times, sens, _, se_var, q, best = _detection_setup(n_per_time, time_grid, detection, scenario)
+    times, sens, _, q, per_n = _detection_setup((n_per_time,), time_grid, detection, scenario)
+    se_var, best = per_n[0]
     if q is None:
         lam = float(detection.confidence_z * se_var[best] / sens[best])
     else:
@@ -224,8 +232,9 @@ def _over_seeds(
 
     The campaigns simulate ``scenario`` with the collapse channel on at
     ``collapse_rate`` and draw the grid ``rows`` (every row by default).
-    An explicit ``workers`` above 1 runs the seeds' campaigns on one pool
-    of that many threads, each campaign serial; otherwise the seeds run
+    An explicit ``workers`` above 1 splits the seeds into at most that many
+    contiguous blocks and runs each block on one thread of a pool, its
+    campaigns one after another and each serial; otherwise the seeds run
     one after another and ``workers`` goes to each
     :func:`waxsim.protocol.run_campaign`.
     """
@@ -242,9 +251,13 @@ def _over_seeds(
         plan = CampaignConfig(times, n_per_time, int(seed))
         return read(run_campaign(plan, simulated, 1 if pooled else workers, run_counts, rows))
 
-    if pooled:
-        return _thread_map(one, seeds, workers)
-    return [one(seed) for seed in seeds]
+    if not pooled:
+        return [one(seed) for seed in seeds]
+    # a pool task per seed costs more than the oracle's small campaigns gain
+    size = -(-len(seeds) // workers)
+    blocks = [seeds[k : k + size] for k in range(0, len(seeds), size)]
+    done = _thread_map(lambda block: [one(seed) for seed in block], blocks, len(blocks))
+    return [result for block in done for result in block]
 
 
 def detection_power_mc(
@@ -264,9 +277,10 @@ def detection_power_mc(
     grid time (chi-square-sum), and applies the threshold
     ``confidence_z``. Returns the detected fraction.
     """
-    times, _, var_std, se_var, q, best = _detection_setup(
-        n_per_time, time_grid, detection, scenario
+    times, _, var_std, q, per_n = _detection_setup(
+        (n_per_time,), time_grid, detection, scenario
     )
+    se_var, best = per_n[0]
 
     def detected(data: PositionSamples) -> bool:
         z = (data.var_hat - var_std) / se_var
@@ -296,12 +310,16 @@ def _critical_rate(
     ``(a + lambda * b) / se_var`` with ``a = var_hat - var_std`` and
     ``b = w * sens``. For best-time aggregation (``q`` is ``None``) every
     argument is the scalar at the one time tested, where ``sens`` is
-    positive; for chi-square-sum each is an array over the grid.
+    positive, and the rate is computed on Python floats, which round as
+    numpy's scalars do at a fraction of their cost; for chi-square-sum each
+    argument is an array over the grid.
     """
+    if q is None:
+        a = float(var_hat) - var_std
+        b = float(var_hat) / float(v0) * sens
+        return max((detection.confidence_z * se_var - a) / b, 0.0)
     a = var_hat - var_std
     b = var_hat / v0 * sens
-    if q is None:
-        return max(float((detection.confidence_z * se_var - a) / b), 0.0)
     # upper root of sum_t ((a + lambda b) / se)^2 = q, written
     # A lambda^2 + 2 B lambda + C = 0 and solved without cancellation
     a, b = a / se_var, b / se_var
@@ -360,36 +378,36 @@ def bisect_lambda_mc_sweep(
     ``chi-square-sum`` reads, and draws, every row.
 
     ``seeds`` must be non-empty. ``workers`` above 1 simulates the seeds'
-    campaigns on one pool of that many threads; otherwise it goes to each
+    campaigns on one pool of that many threads, one contiguous block of
+    seeds per thread; otherwise it goes to each
     :func:`waxsim.protocol.run_campaign`. It changes only wall time.
     Returns the rates [Hz], each >= 0.
     """
     if not n_sweep:
         raise DomainError("n_sweep must be non-empty")
     # only the standard error, and with it the best time, depends on N
-    se_var, best = {}, {}
-    for n in n_sweep:
-        times, sens, var_std, se_var[n], q, best[n] = _detection_setup(
-            n, time_grid, detection, scenario
-        )
+    times, sens, var_std, q, per_n = _detection_setup(n_sweep, time_grid, detection, scenario)
 
-    # the grid index each N reads, or all of them, and its place in var_hats
+    # what each N reads: its place in var_hats, its grid index, and sens,
+    # var_std and se_var there
     if q is None:
         # best-time tests each N at its best time alone: draw only those rows
-        rows = sorted(set(best.values()))
-        at_grid, at_drawn = best, {n: rows.index(best[n]) for n in n_sweep}
+        rows = sorted({best for _, best in per_n})
+        reads = [
+            (rows.index(best), best, sens.item(best), var_std.item(best), se_var.item(best))
+            for se_var, best in per_n
+        ]
     else:
         rows = None
-        at_grid = at_drawn = dict.fromkeys(n_sweep, slice(None))
+        every = slice(None)
+        reads = [(every, every, sens, var_std, se_var) for se_var, _ in per_n]
 
     def critical_rates(data: PositionSamples) -> list[float]:
         rates = []
-        for n in n_sweep:
-            i = at_grid[n]
+        for n, (drawn, i, sens_i, var_std_i, se_var_i) in zip(n_sweep, reads):
             sigma = data.samples.sigmas[i]
             rates.append(_critical_rate(
-                data.var_hats[n][at_drawn[n]], sigma * sigma, sens[i], var_std[i],
-                se_var[n][i], detection, q,
+                data.var_hats[n][drawn], sigma * sigma, sens_i, var_std_i, se_var_i, detection, q
             ))
         return rates
 
@@ -397,4 +415,7 @@ def bisect_lambda_mc_sweep(
         critical_rates, seeds, 0.0, max(n_sweep), times, scenario, workers, n_sweep, rows
     )
     # the lower median: the first order statistic whose share of seeds reaches 1/2
-    return [float(np.sort(rates)[(len(per_seed) - 1) // 2]) for rates in zip(*per_seed)]
+    medians = [float(np.sort(rates)[(len(per_seed) - 1) // 2]) for rates in zip(*per_seed)]
+    if not all(map(math.isfinite, medians)):  # Python floats overflow without raising
+        raise NumericalError("Monte-Carlo oracle rate overflows double precision")
+    return medians

@@ -421,10 +421,10 @@ def run_campaign(
     Raises
     ------
     DomainError
-        If ``workers`` is below 1, a run count lies outside ``[2, N]``,
-        ``rows`` is empty or holds a non-integer or an index outside
-        ``[0, T)``, or the per-tile moment table would not fit in the
-        host's physical memory.
+        If ``workers`` is below 1, ``run_counts`` is not a sequence of
+        integers or holds a count outside ``[2, N]``, ``rows`` is empty or
+        holds a non-integer or an index outside ``[0, T)``, or the per-tile
+        moment table would not fit in the host's physical memory.
     NumericalError
         If a row's sample variance overflows double precision.
 
@@ -435,7 +435,7 @@ def run_campaign(
     times = np.asarray(plan.time_grid)
     sigmas = np.sqrt(scenario.variance(times))
     n = plan.runs_per_time
-    counts = sorted({n} if run_counts is None else set(map(operator.index, run_counts)))
+    counts = [n] if run_counts is None else _integers(run_counts, "run_counts", "integers")
     for m in counts:
         if not 2 <= m <= n:
             raise DomainError(f"run counts must lie in [2, {n}], got {m}")
@@ -495,20 +495,26 @@ def run_campaign(
             tiles[j] = cuts[r, slot[m]].item()
         return _merged_moments(tiles)[2] / (m - 1)
 
-    var_hats = {m: np.array([row_variance(r, m) for r in range(len(drawn))]) for m in counts}
-    if not all(np.all(np.isfinite(v)) for v in var_hats.values()):
+    merged = {m: [row_variance(r, m) for r in range(len(drawn))] for m in counts}
+    if not all(math.isfinite(v) for variances in merged.values() for v in variances):
         raise NumericalError("sample variance overflows double precision")
-    return PositionSamples(times, view, var_hats)
+    return PositionSamples(times, view, {m: np.array(v) for m, v in merged.items()})
+
+
+def _integers(values: Sequence[int], name: str, what: str) -> list[int]:
+    """``values`` as ascending distinct integers; ``DomainError`` if it is not
+    a sequence of integers (``what`` names them)."""
+    try:
+        return sorted(set(map(operator.index, values)))
+    except TypeError as exc:  # not a sequence, or an item that is not an integer
+        raise DomainError(f"{name} must be a sequence of {what}, got {values!r}") from exc
 
 
 def _grid_rows(rows: Sequence[int] | None, size: int) -> list[int]:
     """``rows`` of :func:`run_campaign` as ascending distinct grid indices."""
     if rows is None:
         return list(range(size))
-    try:
-        drawn = sorted(set(map(operator.index, rows)))
-    except TypeError as exc:  # not a sequence, or an item that is not an integer
-        raise DomainError(f"rows must be a sequence of grid indices, got {rows!r}") from exc
+    drawn = _integers(rows, "rows", "grid indices")
     if not drawn:
         raise DomainError("rows must be non-empty")
     if drawn[0] < 0 or drawn[-1] >= size:

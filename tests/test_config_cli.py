@@ -605,6 +605,59 @@ class TestWorkers:
         assert "--workers" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    """Every ``cli.main`` call of a process parses with one parser; each call
+    prints what it prints as the first call of a fresh process."""
+
+    ORACLE = ("bound", "--oracle-check")
+    DUMP = ("campaign", "--dump-samples", "--campaign.runs_per_time", "50")
+    # (first call, second call); each first call sets what a later call must not see
+    SEQUENCES = {
+        "oracle seeds": ((*ORACLE, "--oracle-seeds", "8"), ORACLE),
+        "dump": (DUMP, ("campaign",)),
+        "usage error": (("rates", "--csl.lambda_h", "1e-13"), ("rates",)),
+        "config error": (("bound", "--oracle-check", "--oracle-seeds", "0"), ("bound",)),
+        "help": (("bound", "--help"), ("--help",)),
+    }
+
+    @staticmethod
+    def in_process(capsys, argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # a usage error or --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out.encode(), captured.err.encode()
+
+    @pytest.fixture
+    def fixed_width(self, monkeypatch):
+        # help and usage text wrap at the terminal width, which a pipe takes
+        # from COLUMNS, in this process and in the fresh ones
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parsing_leaves_the_defaults(self):
+        parser = cli._build_parser()
+        parser.parse_args(["bound", "--oracle-check", "--oracle-seeds", "8", "--workers", "2"])
+        parser.parse_args(["campaign", "--dump-samples", "--preset", "ground"])
+        args = parser.parse_args(["bound"])
+        assert (args.oracle_seeds, args.oracle_check, args.workers) == (64, False, None)
+        assert args.preset is None
+        assert parser.parse_args(["campaign"]).dump_samples is False
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_each_call_prints_a_fresh_process_bytes(self, capsys, fixed_width, name):
+        sequence = self.SEQUENCES[name]
+        # the fresh processes run side by side, while this process runs the calls
+        fresh = [waxsim_process(*argv) for argv in sequence]
+        reused = [self.in_process(capsys, argv) for argv in sequence]
+        for proc in fresh:
+            out, err = proc.communicate(timeout=120)
+            assert reused.pop(0) == (proc.returncode, out, err)
+
+
 class TestCommandBytes:
     """SHA-256 of the stdout and stderr of the model commands, pinned before
     the variance model and the detection set-up were each merged into one.

@@ -11,6 +11,7 @@ from waxsim import (
     DetectionConfig,
     DetectionResult,
     DomainError,
+    NumericalError,
     Scenario,
     bisect_lambda_mc_sweep,
     detection_power_mc,
@@ -260,6 +261,16 @@ class TestMonteCarloOracle:
         with pytest.raises(DomainError):
             bisect_lambda_mc_sweep((60,), (0.0,), in_space, seeds=range(4))
 
+    def test_overflowing_rate_is_a_numerical_failure(self):
+        # z se / sens overflows at a tiny time; numpy is told only to stay
+        # quiet, and the best-time rate is computed on Python floats
+        detection = DetectionConfig(confidence_z=1e50)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="oracle rate overflows"):
+                bisect_lambda_mc_sweep(
+                    (100,), (1e-95,), load_config().scenario(), detection, seeds=range(1, 5)
+                )
+
 
 class TestExactOracle:
     @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
@@ -327,6 +338,20 @@ class TestOracleSweep:
         sweep = (13, 2, 4, 6, 8, 11)
         rates = bisect_lambda_mc_sweep(sweep, seeds=self.SEEDS, **model)
         assert rates == self.per_n(sweep, **model)
+
+    @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
+    def test_one_detection_setup_per_sweep(self, monkeypatch, aggregation):
+        calls = []
+        real = inference._detection_setup
+
+        def counting(n_sweep, *args):
+            calls.append(tuple(n_sweep))
+            return real(n_sweep, *args)
+
+        monkeypatch.setattr(inference, "_detection_setup", counting)
+        sweep = load_config().get("bound.n_sweep")
+        bisect_lambda_mc_sweep(sweep, seeds=self.SEEDS, **self.model(aggregation))
+        assert calls == [tuple(sweep)]
 
     def test_rejects_an_empty_sweep(self):
         with pytest.raises(DomainError, match="n_sweep"):

@@ -562,6 +562,12 @@ class TestRunPrefixes:
         with pytest.raises(DomainError, match="run counts"):
             run_campaign(make_config(), Scenario(silica, ground), run_counts=(50, m))
 
+    # not integers, not a sequence
+    @pytest.mark.parametrize("counts", [(5.0,), ("5",), (50, None), 5])
+    def test_counts_that_are_not_integers_rejected(self, silica, ground, counts):
+        with pytest.raises(DomainError, match="^run_counts must be a sequence of integers"):
+            run_campaign(make_config(), Scenario(silica, ground), run_counts=counts)
+
     def test_no_counts_draw_nothing(self, silica, ground, monkeypatch):
         import scipy.special
 

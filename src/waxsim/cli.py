@@ -127,19 +127,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str, workers_help: str = "") -> argparse.ArgumentParser:
+    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
         # no abbreviations: --csl.lambda_h must not run as --csl.lambda_hz
-        p = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
-        if workers_help:
-            p.add_argument("--workers", type=int, metavar="N", help=workers_help)
-        return p
+        return sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
 
     add_command("rates", "per-channel localization budget CSV")
     add_command("expand", "wave-packet width curve CSV")
-    p_campaign = add_command(
-        "campaign",
-        "seeded measurement campaign CSV",
-        workers_help="worker threads for sampling, or processes for --dump-samples "
+    p_campaign = add_command("campaign", "seeded measurement campaign CSV")
+    p_campaign.add_argument(
+        "--workers",
+        type=int,
+        metavar="N",
+        help="worker threads for sampling, or processes for --dump-samples "
         "(default: available CPUs for large campaigns; output is identical)",
     )
     p_campaign.add_argument(
@@ -147,13 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit raw positions (t_s,run_index,x_m) instead of width estimates",
     )
-    p_bound = add_command(
-        "bound",
-        "minimum detectable collapse rate CSV",
-        workers_help="worker threads for the --oracle-check campaigns, one block of "
-        "seeds per thread (default: one campaign at a time, on the available "
-        "CPUs if large; output is identical)",
-    )
+    p_bound = add_command("bound", "minimum detectable collapse rate CSV")
     p_bound.add_argument(
         "--oracle-check",
         action="store_true",
@@ -271,10 +264,8 @@ def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
 
     warnings = list(scenario.budget.warnings)
     if args.oracle_check:
-        seeds = list(range(1, args.oracle_seeds + 1))
-        oracle = bisect_lambda_mc_sweep(
-            n_sweep, grid, scenario, detection, seeds=seeds, workers=args.workers
-        )
+        seeds = range(1, args.oracle_seeds + 1)
+        oracle = bisect_lambda_mc_sweep(n_sweep, grid, scenario, detection, seeds=seeds)
         for n, res, mc in zip(n_sweep, results, oracle):
             if not (0.5 <= mc / res.lambda_min <= 2.0):
                 warnings.append(

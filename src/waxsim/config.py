@@ -10,7 +10,9 @@ Float lists accept either a comma-separated list (``0,5,10``) or a linear
 range ``start:stop:count``; the canonical form is always the comma list.
 A range gives the floats of ``numpy.linspace(start, stop, count)``, which
 is imported only to parse one; a span, product or sum that overflows raises
-``FloatingPointError`` and the CLI reports it as a numerical failure.
+``FloatingPointError`` and the CLI reports it as a numerical failure. A
+count whose doubles and floats (40 bytes a time) would not fit in physical
+memory is refused before anything is allocated.
 
 Nothing else here imports numpy: the rules that ``ConfigBuilder.finalize``
 applies live in :mod:`waxsim.dynamics` and the other model modules, which
@@ -24,7 +26,8 @@ from typing import Iterable, Mapping
 from .constants import amu
 from .decoherence import ChannelToggles, CSLParams
 from .dynamics import (
-    AGGREGATIONS, CampaignConfig, DetectionConfig, Scenario, _check_runs, grid_times,
+    AGGREGATIONS, CampaignConfig, DetectionConfig, Scenario, _check_memory, _check_runs,
+    grid_times,
 )
 from .errors import ConfigError, DomainError
 from .materials import (
@@ -116,6 +119,8 @@ def _parse_floatlist(raw: str) -> tuple[float, ...]:
         count = _parse_int(parts[2])
         if count < 1:
             raise ConfigError("range count must be >= 1")
+        # linspace's doubles, then a tuple of 8-byte references to 24-byte floats
+        _check_memory(40 * count, f"a range of {count} times")
         import numpy as np
 
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -167,7 +172,10 @@ class ConfigBuilder:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         kind = SCHEMA[key][0]
-        value = _PARSERS[kind](raw)
+        try:
+            value = _PARSERS[kind](raw)
+        except DomainError as exc:  # a range too large for memory
+            raise ConfigError(f"{key}: {exc}") from exc
         if key in _ENUMS and value not in _ENUMS[key]:
             raise ConfigError(
                 f"{key} must be one of {', '.join(_ENUMS[key])}, got {value!r}"

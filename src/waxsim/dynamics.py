@@ -21,7 +21,8 @@ not rejected (the quadratic form overestimates localization there, so the
 flagged results are conservative).
 
 The input rules every command applies also live here, in pure Python: the
-grid rule (:func:`grid_times`), the run and worker counts, the campaign plan
+grid rule (:func:`grid_times`), the run and worker counts, the memory rule
+(:func:`_check_memory`), the campaign plan
 (:class:`CampaignConfig`) and the detection threshold
 (:class:`DetectionConfig`). numpy is imported only where an array is built:
 on reading :attr:`ExpansionCurve.times` and :attr:`ExpansionCurve.sigmas`.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -326,6 +328,25 @@ def check_workers(workers: int | None, name: str = "workers") -> None:
     """Reject a thread count below 1; ``None`` means the default."""
     if workers is not None and workers < 1:
         raise DomainError(f"{name} must be >= 1, got {workers}")
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+
+
+def _check_memory(needed: int, what: str) -> None:
+    """Refuse what would only fit in swap or overcommitted virtual memory:
+    ``needed`` bytes of ``what``, with ``DomainError``."""
+    physical = _physical_memory()
+    if physical is not None and needed > physical:
+        raise DomainError(
+            f"{what} would take {needed / 1e9:.3g} GB, more than the "
+            f"{physical / 1e9:.3g} GB of physical memory"
+        )
 
 
 @dataclass(frozen=True)

@@ -38,16 +38,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .constants import LAMBDA_GRW, hbar
 from .decoherence import ChannelToggles, CSLParams, lambda_csl
-from .dynamics import DetectionConfig, Scenario, _check_runs, grid_times
+from .dynamics import DetectionConfig, Scenario, _check_memory, _check_runs, grid_times
 from .errors import DomainError, NumericalError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
-from .protocol import CampaignConfig, PositionSamples, _thread_map, run_campaign
+from .protocol import CampaignConfig, PositionSamples, run_campaign
 
 
 @dataclass(frozen=True)
@@ -224,19 +224,15 @@ def _over_seeds(
     n_per_time: int,
     times: np.ndarray,
     scenario: Scenario,
-    workers: int | None = None,
     run_counts: Sequence[int] | None = None,
     rows: Sequence[int] | None = None,
-) -> list:
-    """``read`` of one simulated campaign per seed, in seed order.
+) -> Iterator:
+    """``read`` of one simulated campaign per seed, in seed order, each
+    campaign run as the iterator is consumed.
 
     The campaigns simulate ``scenario`` with the collapse channel on at
-    ``collapse_rate`` and draw the grid ``rows`` (every row by default).
-    An explicit ``workers`` above 1 splits the seeds into at most that many
-    contiguous blocks and runs each block on one thread of a pool, its
-    campaigns one after another and each serial; otherwise the seeds run
-    one after another and ``workers`` goes to each
-    :func:`waxsim.protocol.run_campaign`.
+    ``collapse_rate`` and draw the grid ``rows`` (every row by default),
+    each with :func:`waxsim.protocol.run_campaign`'s default pool size.
     """
     if not seeds:
         raise DomainError("seeds must be non-empty")
@@ -245,19 +241,12 @@ def _over_seeds(
         csl=replace(scenario.csl, collapse_rate=collapse_rate),
         toggles=replace(scenario.toggles, csl=True),
     )
-    pooled = workers is not None and workers > 1
 
     def one(seed: int) -> object:
         plan = CampaignConfig(times, n_per_time, int(seed))
-        return read(run_campaign(plan, simulated, 1 if pooled else workers, run_counts, rows))
+        return read(run_campaign(plan, simulated, run_counts=run_counts, rows=rows))
 
-    if not pooled:
-        return [one(seed) for seed in seeds]
-    # a pool task per seed costs more than the oracle's small campaigns gain
-    size = -(-len(seeds) // workers)
-    blocks = [seeds[k : k + size] for k in range(0, len(seeds), size)]
-    done = _thread_map(lambda block: [one(seed) for seed in block], blocks, len(blocks))
-    return [result for block in done for result in block]
+    return map(one, seeds)
 
 
 def detection_power_mc(
@@ -342,7 +331,6 @@ def bisect_lambda_mc_sweep(
     detection: DetectionConfig = DetectionConfig(),
     *,
     seeds: Sequence[int],
-    workers: int | None = None,
 ) -> list[float]:
     """Smallest collapse rate with Monte-Carlo detection power >= 1/2, at
     each N of ``n_sweep``, in sweep order.
@@ -377,10 +365,10 @@ def bisect_lambda_mc_sweep(
     full campaign draws it, so the rates are those of the full campaign;
     ``chi-square-sum`` reads, and draws, every row.
 
-    ``seeds`` must be non-empty. ``workers`` above 1 simulates the seeds'
-    campaigns on one pool of that many threads, one contiguous block of
-    seeds per thread; otherwise it goes to each
-    :func:`waxsim.protocol.run_campaign`. It changes only wall time.
+    ``seeds`` must be non-empty; a ``range`` holds many at no cost. The
+    per-seed rates are one float64 table, seeds x sweep, which is refused
+    with ``DomainError`` before any campaign runs if it would not fit in
+    physical memory. The seeds' campaigns run one after another.
     Returns the rates [Hz], each >= 0.
     """
     if not n_sweep:
@@ -411,11 +399,19 @@ def bisect_lambda_mc_sweep(
             ))
         return rates
 
-    per_seed = _over_seeds(
-        critical_rates, seeds, 0.0, max(n_sweep), times, scenario, workers, n_sweep, rows
-    )
+    try:
+        count = len(seeds)
+    except OverflowError:  # a range longer than any index
+        raise DomainError(f"too many oracle seeds: {seeds!r}") from None
+    _check_memory(8 * count * len(n_sweep), f"oracle rates ({count} seeds x {len(n_sweep)} N)")
+    table = np.empty((count, len(n_sweep)))
+    per_seed = _over_seeds(critical_rates, seeds, 0.0, max(n_sweep), times, scenario, n_sweep, rows)
+    for k, rates in enumerate(per_seed):
+        table[k] = rates
     # the lower median: the first order statistic whose share of seeds reaches 1/2
-    medians = [float(np.sort(rates)[(len(per_seed) - 1) // 2]) for rates in zip(*per_seed)]
+    lower = (count - 1) // 2
+    table.partition(lower, axis=0)
+    medians = table[lower].tolist()
     if not all(map(math.isfinite, medians)):  # Python floats overflow without raising
         raise NumericalError("Monte-Carlo oracle rate overflows double precision")
     return medians

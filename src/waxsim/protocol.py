@@ -86,11 +86,11 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import CampaignConfig, Scenario, check_workers
+from .dynamics import CampaignConfig, Scenario, _check_memory, check_workers
 from .errors import DomainError, NumericalError
 
 
@@ -140,7 +140,7 @@ class CampaignSamples:
     def __getitem__(self, key: int) -> np.ndarray:
         # IndexError out of range, negative from the end, TypeError for a slice
         i = range(len(self))[operator.index(key)]
-        _check_memory(8 * self.runs, f"a row of {self.runs} doubles")
+        _check_memory(8 * self.runs, f"a campaign row of {self.runs} doubles")
         row = np.empty(self.runs)
         self._fill_row(i, row)
         return row
@@ -149,7 +149,7 @@ class CampaignSamples:
         return (self[i] for i in range(len(self)))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        _check_memory(8 * self.size, f"samples ({len(self)} x {self.runs} doubles)")
+        _check_memory(8 * self.size, f"campaign samples ({len(self)} x {self.runs} doubles)")
         out = np.empty(self.shape)
         for i in range(len(self)):
             self._fill_row(i, out[i])
@@ -310,24 +310,6 @@ _MOMENTS = np.dtype([("n", np.int64), ("mean", np.float64), ("m2", np.float64)])
 PARALLEL_MIN_DRAWS = 2**18
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where ``sysconf`` cannot tell."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        return None
-
-
-def _check_memory(needed: int, what: str) -> None:
-    """Refuse what would only fit in swap or overcommitted virtual memory."""
-    physical = _physical_memory()
-    if physical is not None and needed > physical:
-        raise DomainError(
-            f"campaign needs {needed / 1e9:.3g} GB of {what}, more than the "
-            f"{physical / 1e9:.3g} GB of physical memory"
-        )
-
-
 def default_workers(draws: int) -> int:
     """The pool size ``workers=None`` stands for: the available CPUs for a
     campaign of at least ``PARALLEL_MIN_DRAWS`` draws, 1 below."""
@@ -447,7 +429,7 @@ def run_campaign(
     # tile p of this campaign is tile p % per_row of row drawn[p // per_row]
     count = len(drawn) * per_row
     _check_memory(
-        count * _MOMENTS.itemsize, f"tile moments ({len(drawn)} x {per_row} tiles)"
+        count * _MOMENTS.itemsize, f"campaign tile moments ({len(drawn)} x {per_row} tiles)"
     )
     moments = np.empty(count, _MOMENTS)
     # run count m ends in tile column (m - 1) // tile_runs; if it ends before
@@ -463,27 +445,34 @@ def run_campaign(
     cuts = np.empty((len(drawn), len(slot)), _MOMENTS)
     undrawn = iter(range(count))
     lock = threading.Lock()
+    errors = np.geterr()
 
     def drain(buffers: np.ndarray) -> None:
-        """Draw the next undrawn tile until none is left; record its moments."""
+        """Draw the next undrawn tile until none is left; record its moments.
+
+        Runs under the caller's numpy floating-point error state, which is
+        per thread and does not reach pool threads by itself.
+        """
         out, dev = buffers
-        while True:
-            with lock:
-                p = next(undrawn, None)
-            if p is None:
-                return
-            r, j = divmod(p, per_row)
-            _, _, tile = view.draw_tile(drawn[r] * per_row + j, out)
-            moments[p] = _tile_moments(tile, dev[: tile.size])
-            for s, kept in cut_at.get(j, ()):
-                cuts[r, s] = _tile_moments(tile[:kept], dev[:kept])
+        with np.errstate(**errors):
+            while True:
+                with lock:
+                    p = next(undrawn, None)
+                if p is None:
+                    return
+                r, j = divmod(p, per_row)
+                _, _, tile = view.draw_tile(drawn[r] * per_row + j, out)
+                moments[p] = _tile_moments(tile, dev[: tile.size])
+                for s, kept in cut_at.get(j, ()):
+                    cuts[r, s] = _tile_moments(tile[:kept], dev[:kept])
 
     if workers is None:
         workers = default_workers(len(drawn) * n)
     # one task per thread, each with its own tile and scratch buffers
     buffers = np.empty((min(workers, count), 2, min(n, tile_runs)))
     if workers > 1:
-        _thread_map(drain, buffers, workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(drain, buffers))  # re-raises a thread's exception
     else:
         drain(buffers[0])
 
@@ -521,22 +510,6 @@ def _grid_rows(rows: Sequence[int] | None, size: int) -> list[int]:
         bad = drawn[0] if drawn[0] < 0 else drawn[-1]
         raise DomainError(f"rows must lie in [0, {size}), got {bad}")
     return drawn
-
-
-def _thread_map(func: Callable, items: Iterable, workers: int) -> list:
-    """``[func(item) for item in items]`` on a pool of ``workers`` threads.
-
-    Each call runs under the caller's numpy floating-point error state,
-    which is per thread and does not reach pool threads by itself.
-    """
-    errors = np.geterr()
-
-    def task(item):
-        with np.errstate(**errors):
-            return func(item)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, items))
 
 
 def _merged_moments(tiles: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:

@@ -7,14 +7,14 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import waxsim.cli as cli
-from waxsim import inference, protocol
+from waxsim import dynamics, inference, protocol
 from waxsim.config import ConfigBuilder, load_config
 from waxsim.errors import ConfigError, DomainError, NumericalError
 from waxsim.dynamics import Scenario
@@ -169,12 +169,22 @@ class TestGridRange:
 
     @pytest.mark.parametrize("command", ["rates", "expand"])
     def test_huge_count_is_too_large_for_memory(self, capsys, command):
-        # 8e18 bytes of float64 exceed any address space: the allocation
-        # fails at once
+        # 8e18 bytes of float64 exceed any address space: refused before
+        # anything is allocated
         code, out, err = run_cli(capsys, command, "--campaign.time_grid_s=0:1:1000000000000000000")
         assert code == 2
         assert out == ""
-        assert err.startswith("waxsim: error: run too large for memory: ")
+        assert err.startswith("waxsim: error: campaign.time_grid_s: a range of ")
+        assert err.endswith(" GB of physical memory\n") and len(err.splitlines()) == 1
+
+    def test_count_beyond_physical_memory_is_refused(self, monkeypatch):
+        # 40 bytes a time: the doubles and the tuple of floats of 10 times
+        # fit in 400 bytes, those of 11 do not
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 400)
+        config = load_config(overrides=[("campaign.time_grid_s", "0:1:10")])
+        assert len(config.get("campaign.time_grid_s")) == 10
+        with pytest.raises(ConfigError, match=r"^campaign\.time_grid_s: a range of 11 times "):
+            load_config(overrides=[("campaign.time_grid_s", "0:1:11")])
 
 
 class TestCli:
@@ -529,6 +539,23 @@ class TestBoundCommand:
         assert len(err.strip().splitlines()) == 1
         assert "--oracle-seeds" in err
 
+    def test_oracle_rates_beyond_physical_memory_exit_2(self, capsys, monkeypatch):
+        # 100000 seeds x 4 N of float64 rates take 3.2 MB: refused before
+        # any campaign runs
+        calls = []
+        monkeypatch.setattr(inference, "run_campaign", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 10**6)
+        code, out, err = run_cli(capsys, "bound", "--oracle-check", "--oracle-seeds", "100000")
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("waxsim: error: oracle rates (100000 seeds x 4 N) ")
+        assert len(err.splitlines()) == 1
+
+    def test_more_oracle_seeds_than_an_index_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--oracle-check", "--oracle-seeds", str(2**63))
+        assert (code, out) == (2, "")
+        assert err.startswith("waxsim: error: too many oracle seeds: ")
+        assert len(err.splitlines()) == 1
+
     def test_oracle_mismatch_warns_once_per_n(self, capsys, monkeypatch):
         # an oracle at 10 times each closed form: the CSV is unchanged and
         # every row of the sweep warns
@@ -570,35 +597,16 @@ class TestOptionSpelling:
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("command", ["campaign", "bound"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_exits_2(self, capsys, command, workers):
-        code, out, err = run_cli(capsys, command, "--workers", workers)
+    def test_workers_below_one_exits_2(self, capsys, workers):
+        code, out, err = run_cli(capsys, "campaign", "--workers", workers)
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "--workers" in err
 
-    ORACLE = ("bound", "--oracle-check", "--oracle-seeds", "4")
-
-    def test_bound_workers_do_not_change_bytes(self, capsys):
-        assert run_cli(capsys, *self.ORACLE, "--workers", "2") == run_cli(capsys, *self.ORACLE)
-
-    def test_bound_workers_reach_the_oracle_campaigns(self, capsys, monkeypatch):
-        requested = []
-
-        def recording_pool(max_workers):
-            requested.append(max_workers)
-            return ThreadPoolExecutor(max_workers=1)
-
-        monkeypatch.setattr(protocol, "ThreadPoolExecutor", recording_pool)
-        assert run_cli(capsys, *self.ORACLE)[0] == 0
-        assert requested == []  # the oracle's small campaigns run serially
-        assert run_cli(capsys, *self.ORACLE, "--workers", "2")[0] == 0
-        assert requested == [2]  # one pool for the 4 seeds' campaigns
-
-    @pytest.mark.parametrize("command", ["rates", "expand", "feasibility"])
-    def test_commands_that_sample_nothing_reject_workers(self, capsys, command):
+    @pytest.mark.parametrize("command", ["rates", "expand", "bound", "feasibility"])
+    def test_commands_without_workers_reject_it(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--workers", "2"])
         assert exc.value.code == 2
@@ -640,12 +648,13 @@ class TestParserReuse:
 
     def test_parsing_leaves_the_defaults(self):
         parser = cli._build_parser()
-        parser.parse_args(["bound", "--oracle-check", "--oracle-seeds", "8", "--workers", "2"])
-        parser.parse_args(["campaign", "--dump-samples", "--preset", "ground"])
+        parser.parse_args(["bound", "--oracle-check", "--oracle-seeds", "8"])
+        parser.parse_args(["campaign", "--dump-samples", "--preset", "ground", "--workers", "2"])
         args = parser.parse_args(["bound"])
-        assert (args.oracle_seeds, args.oracle_check, args.workers) == (64, False, None)
+        assert (args.oracle_seeds, args.oracle_check) == (64, False)
         assert args.preset is None
-        assert parser.parse_args(["campaign"]).dump_samples is False
+        args = parser.parse_args(["campaign"])
+        assert (args.dump_samples, args.workers) == (False, None)
 
     @pytest.mark.parametrize("name", sorted(SEQUENCES))
     def test_each_call_prints_a_fresh_process_bytes(self, capsys, fixed_width, name):

@@ -321,11 +321,10 @@ class TestOracleSweep:
         return [bisect_lambda_mc_sweep((n,), seeds=self.SEEDS, **model)[0] for n in n_sweep]
 
     @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_equals_one_oracle_per_n(self, aggregation, workers):
+    def test_equals_one_oracle_per_n(self, aggregation):
         model = self.model(aggregation)
         sweep = (400, 100, 400)  # unsorted, with a duplicate
-        rates = bisect_lambda_mc_sweep(sweep, seeds=self.SEEDS, workers=workers, **model)
+        rates = bisect_lambda_mc_sweep(sweep, seeds=self.SEEDS, **model)
         assert rates == self.per_n(sweep, **model)
         assert rates[0] == rates[2] and rates[0] != rates[1]
 
@@ -357,14 +356,13 @@ class TestOracleSweep:
         with pytest.raises(DomainError, match="n_sweep"):
             bisect_lambda_mc_sweep((), seeds=self.SEEDS, **self.model())
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pooled_seeds_keep_the_callers_error_state(self, workers):
-        # the tile sums of squares overflow; numpy's error state is per thread
+    def test_seeds_keep_the_callers_error_state(self):
+        # the tile sums of squares overflow
         model = self.model()
         model["scenario"] = replace(model["scenario"], measurement_noise=1e154)
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                bisect_lambda_mc_sweep((100, 400), seeds=self.SEEDS, workers=workers, **model)
+                bisect_lambda_mc_sweep((100, 400), seeds=self.SEEDS, **model)
 
     def test_bound_oracle_runs_one_campaign_per_seed(self, capsys, monkeypatch):
         calls = []

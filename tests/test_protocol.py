@@ -23,7 +23,7 @@ from waxsim import (
     estimate_width,
     run_campaign,
 )
-from waxsim import protocol
+from waxsim import dynamics, protocol
 
 SIGMA0 = 2.2956497833141595e-12  # ground-state width of the default sphere
 
@@ -346,19 +346,19 @@ class TestStreamingSerialization:
 
     def test_memory_beyond_physical_is_refused(self, silica, ground, monkeypatch):
         # the moments of 3 tiles need 72 bytes; nothing is allocated
-        monkeypatch.setattr(protocol, "_physical_memory", lambda: 71)
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 71)
         with pytest.raises(DomainError, match="physical memory"):
             run_campaign(make_config(), Scenario(silica, ground))
-        monkeypatch.setattr(protocol, "_physical_memory", lambda: 72)
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 72)
         samples = run_campaign(make_config(), Scenario(silica, ground)).samples
         # materialising the 3 x 100 doubles needs 2400 bytes
         with pytest.raises(DomainError, match="physical memory"):
             np.asarray(samples)
-        monkeypatch.setattr(protocol, "_physical_memory", lambda: 2400)
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 2400)
         assert np.asarray(samples).shape == (3, 100)
 
     def test_unknown_physical_memory_skips_the_check(self, silica, ground, monkeypatch):
-        monkeypatch.setattr(protocol, "_physical_memory", lambda: None)
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: None)
         samples = run_campaign(make_config(), Scenario(silica, ground)).samples
         assert np.asarray(samples).shape == (3, 100)
 

@@ -10,7 +10,7 @@ One binary with five subcommands, all driven by the same configuration:
 
 Configuration comes from an optional file (``--config`` or the
 ``WAXSIM_CONFIG`` environment variable) plus flag overrides; flags win.
-Every config key is addressable as ``--section.key value``. Exit codes:
+Each config key has exactly one flag, ``--section.key value``. Exit codes:
 0 success, 2 usage or config error (including a run too large for memory and
 an output that cannot be written), 3 numerical failure (including an
 overflow, a division by zero or a nan anywhere in the run), 130 interrupted
@@ -35,27 +35,18 @@ import functools
 import os
 import re
 import sys
-from dataclasses import asdict
 from typing import Iterable
 
 from .config import SCHEMA, RunConfig, load_config
-from .decoherence import ChannelToggles
 from .dynamics import check_workers, expansion_curve
 from .errors import ConfigError, DomainError, NumericalError, WaxsimError
-from .materials import PRESETS, drop_distance
-
-_TOGGLE_WORDS = {
-    "none": ChannelToggles.none(),
-    "standard": ChannelToggles.standard(),
-    "all": ChannelToggles(),
-}
+from .materials import drop_distance
 
 
 # options that take a value. argparse reads a following token that starts
 # with "-" and is not a plain number (-1e-9, -1,5) as an option of its own.
 _VALUE_OPTIONS = frozenset(
-    ["--config", "-o", "--output", "--preset", "--toggles", "--workers"]
-    + ["--oracle-seeds", "--csl.lambda"]
+    ["--config", "-o", "--output", "--workers", "--oracle-seeds"]
     + [f"--{key}" for key in SCHEMA]
 )
 _OPTION_LIKE = re.compile(r"--|-[A-Za-z]$")
@@ -96,25 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="echo the resolved configuration canonically and exit",
     )
     common.add_argument("-o", "--output", metavar="PATH", help="write output here instead of stdout")
-    common.add_argument(
-        "--preset",
-        choices=PRESETS,
-        help="environment preset (shorthand for --environment.preset)",
-    )
-    common.add_argument(
-        "--toggles",
-        choices=sorted(_TOGGLE_WORDS),
-        help="channel selection word applied before individual channel flags",
-    )
-    common.add_argument("--no-gas", action="store_true", help="disable gas collisions")
-    common.add_argument("--no-blackbody", action="store_true", help="disable thermal-photon channels")
-    common.add_argument("--csl", action="store_true", help="enable the collapse channel")
     for key, (kind, default, unit, help_text) in SCHEMA.items():
-        names = [f"--{key}"]
-        if key == "csl.lambda_hz":
-            names.append("--csl.lambda")
         common.add_argument(
-            *names,
+            f"--{key}",
             dest=key.replace(".", "__"),
             metavar="VALUE",
             help=f"{help_text} [{unit}] (default {default})",
@@ -164,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The config file, then the flags: preset, toggle word, channel flags, keys."""
+    """The config file, then the key flags."""
     path = args.config or os.environ.get("WAXSIM_CONFIG") or None
     text = None
     if path:
@@ -173,20 +148,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    overrides = [("environment.preset", args.preset)] if args.preset else []
-    if args.toggles:
-        channels = asdict(_TOGGLE_WORDS[args.toggles])
-        overrides += [(f"toggles.{name}", str(on)) for name, on in channels.items()]
-    overrides += [
-        (key, raw)
-        for key, raw, given in (
-            ("toggles.gas", "false", args.no_gas),
-            ("toggles.blackbody", "false", args.no_blackbody),
-            ("toggles.csl", "true", args.csl),
-        )
-        if given
-    ]
-    overrides += [
+    overrides = [
         (key, raw)
         for key in SCHEMA
         if (raw := getattr(args, key.replace(".", "__"), None)) is not None

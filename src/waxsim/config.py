@@ -174,7 +174,8 @@ class ConfigBuilder:
         kind = SCHEMA[key][0]
         try:
             value = _PARSERS[kind](raw)
-        except DomainError as exc:  # a range too large for memory
+        # a malformed value, or (DomainError) a range too large for memory
+        except (ConfigError, DomainError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
         if key in _ENUMS and value not in _ENUMS[key]:
             raise ConfigError(
@@ -228,12 +229,6 @@ class RunConfig:
     """
 
     def __init__(self, values: Mapping[str, object]) -> None:
-        unknown = set(values) - set(SCHEMA)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = set(SCHEMA) - set(values)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
         self._values = dict(values)
 
     def __eq__(self, other) -> bool:

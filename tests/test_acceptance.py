@@ -230,14 +230,14 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
     started = time.perf_counter()
     campaign_args = [
         "campaign",
-        "--preset", "space",
+        "--environment.preset", "space",
         "--campaign.time_grid_s", "0,1,2,5,10,20,50,100",
         "--campaign.runs_per_time", "200",
         "--campaign.seed", "2024",
     ]
     bound_args = [
         "bound",
-        "--preset", "space",
+        "--environment.preset", "space",
         "--campaign.time_grid_s", "1,3,10,30,100",
         "--bound.n_sweep", "100,200,400,800",
     ]

@@ -190,7 +190,7 @@ class TestGridRange:
 class TestCli:
     def test_rates_space_with_zero_csl(self, capsys):
         code, out, _ = run_cli(
-            capsys, "rates", "--preset", "space", "--csl.lambda", "0"
+            capsys, "rates", "--environment.preset", "space", "--csl.lambda_hz", "0"
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -200,7 +200,9 @@ class TestCli:
         assert float(rows["total"]) > 0.0
 
     def test_rates_ground_no_gas(self, capsys):
-        code, out, _ = run_cli(capsys, "rates", "--preset", "ground", "--no-gas")
+        code, out, _ = run_cli(
+            capsys, "rates", "--environment.preset", "ground", "--toggles.gas", "false"
+        )
         assert code == 0
         rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
         assert float(rows["gas_collisions"]) == 0.0
@@ -213,6 +215,29 @@ class TestCli:
         assert out == ""
         assert "error" in err
 
+    # one key of each parser kind but str, each with a value it cannot parse
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("campaign.seed", "abc", "not an integer: 'abc'"),
+            ("particle.radius_m", "tiny", "not a number: 'tiny'"),
+            ("toggles.gas", "maybe", "not a boolean: 'maybe'"),
+            ("bound.n_sweep", "100,x", "not an integer: 'x'"),
+            ("campaign.time_grid_s", "0,y", "not a number: 'y'"),
+        ],
+    )
+    def test_parse_error_names_its_key(self, capsys, tmp_path, form, key, raw, message):
+        if form == "flag":
+            argv, where = [f"--{key}", raw], ""
+        else:
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(f"{key} = {raw}\n")
+            argv, where = ["--config", str(bad)], f"{bad}:1: "
+        code, out, err = run_cli(capsys, "rates", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"waxsim: error: {where}{key}: {message}\n"
+
     def test_expand_default_is_monotone(self, capsys):
         code, out, _ = run_cli(capsys, "expand")
         assert code == 0
@@ -220,9 +245,10 @@ class TestCli:
         assert sigma == sorted(sigma)
 
     def test_expand_csl_dominates_bare_curve(self, capsys):
-        _, bare, _ = run_cli(capsys, "expand", "--toggles", "none")
+        no_channels = ("--toggles.gas", "false", "--toggles.blackbody", "false")
+        _, bare, _ = run_cli(capsys, "expand", *no_channels, "--toggles.csl", "false")
         _, csl, _ = run_cli(
-            capsys, "expand", "--toggles", "none", "--csl", "--csl.lambda", "1e-13"
+            capsys, "expand", *no_channels, "--toggles.csl", "true", "--csl.lambda_hz", "1e-13"
         )
         bare_sigma = np.array([float(v) for v in csv_column(bare, "sigma_m")])
         csl_sigma = np.array([float(v) for v in csv_column(csl, "sigma_m")])
@@ -268,7 +294,7 @@ class TestCli:
         code, out, _ = run_cli(
             capsys,
             "bound",
-            "--preset", "space",
+            "--environment.preset", "space",
             "--campaign.time_grid_s", "1,3,10,30,100",
             "--bound.n_sweep", "100,400,1600",
         )
@@ -285,7 +311,7 @@ class TestCli:
         code, out, err = run_cli(
             capsys,
             "bound",
-            "--preset", "space",
+            "--environment.preset", "space",
             "--campaign.time_grid_s", "1,10,100",
             "--bound.n_sweep", "200",
             "--oracle-check",
@@ -325,7 +351,7 @@ class TestCli:
 
     def test_print_config_round_trips(self, capsys):
         code, out, _ = run_cli(
-            capsys, "rates", "--preset", "space", "--csl.lambda", "2e-14",
+            capsys, "rates", "--environment.preset", "space", "--csl.lambda_hz", "2e-14",
             "--print-config",
         )
         assert code == 0
@@ -589,11 +615,24 @@ class TestOptionSpelling:
             cli.main(["rates", "--csl.lambda_h", "1e-13"])
         assert exc.value.code == 2
 
-    def test_explicit_alias_still_works(self, capsys):
-        alias = run_cli(capsys, "rates", "--csl.lambda", "1e-13")
-        full = run_cli(capsys, "rates", "--csl.lambda_hz", "1e-13")
-        assert alias == full
-        assert alias[0] == 0
+    # each is spelt as its config key: --environment.preset, --toggles.gas,
+    # --toggles.blackbody, --toggles.csl and --csl.lambda_hz
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--preset", "space"),
+            ("--toggles", "none"),
+            ("--no-gas",),
+            ("--no-blackbody",),
+            ("--csl",),
+            ("--csl.lambda", "1e-13"),
+        ],
+    )
+    def test_removed_spelling_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rates", *argv])
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
 
 
 class TestWorkers:
@@ -649,10 +688,12 @@ class TestParserReuse:
     def test_parsing_leaves_the_defaults(self):
         parser = cli._build_parser()
         parser.parse_args(["bound", "--oracle-check", "--oracle-seeds", "8"])
-        parser.parse_args(["campaign", "--dump-samples", "--preset", "ground", "--workers", "2"])
+        parser.parse_args(
+            ["campaign", "--dump-samples", "--environment.preset", "ground", "--workers", "2"]
+        )
         args = parser.parse_args(["bound"])
         assert (args.oracle_seeds, args.oracle_check) == (64, False)
-        assert args.preset is None
+        assert args.environment__preset is None
         args = parser.parse_args(["campaign"])
         assert (args.dump_samples, args.workers) == (False, None)
 

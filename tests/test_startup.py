@@ -74,7 +74,8 @@ PROBES = {
     ),
     # with the collapse channel on, which adds the a/3 check on the widths
     "expand with csl": (
-        run_main("expand", "--csl", "--csl.lambda_hz", "1e-8"), ("numpy", *LAYERS)
+        run_main("expand", "--toggles.csl", "true", "--csl.lambda_hz", "1e-8"),
+        ("numpy", *LAYERS),
     ),
     "bound": (run_main("bound"), (*LAYERS, *SCIPY_MODULES)),
     "import inference": ("import waxsim.inference", LAYERS),

@@ -12,7 +12,9 @@ scalar modules (``constants``, ``errors``, ``materials``, ``decoherence``,
 ``dynamics``) load no numpy; ``dynamics`` imports it in its array functions,
 ``protocol``, ``inference`` and ``validation`` at import. scipy is imported
 by the functions that use it (campaign sampling, chi-square thresholds, the
-quadrature oracle).
+quadrature oracle). ``validation`` holds the verification oracles (RK4
+moments, sphere-factor quadrature, Monte-Carlo detection power); it imports
+``protocol`` and ``inference``, and no model or command imports it.
 """
 from importlib import import_module
 
@@ -48,9 +50,7 @@ _EXPORTS = {
         "DetectionResult",
         "bisect_lambda_mc_sweep",
         "csl_sensitivity",
-        "detection_power_mc",
         "min_detectable_lambda",
-        "variance_excess",
     ),
     "materials": (
         "DEFAULT_TRAP_FREQUENCY",
@@ -67,10 +67,14 @@ _EXPORTS = {
         "WidthEstimate",
         "campaign_curve",
         "campaign_to_csv",
-        "estimate_width",
         "run_campaign",
     ),
-    "validation": ("csl_sphere_factor_bruteforce", "evolve_numeric", "rk4_integrate"),
+    "validation": (
+        "csl_sphere_factor_bruteforce",
+        "detection_power_mc",
+        "evolve_numeric",
+        "rk4_integrate",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -37,7 +37,7 @@ import re
 import sys
 from typing import Iterable
 
-from .config import SCHEMA, RunConfig, load_config
+from .config import SCHEMA, RunConfig, _canonical, load_config
 from .dynamics import check_workers, expansion_curve
 from .errors import ConfigError, DomainError, NumericalError, WaxsimError
 from .materials import drop_distance
@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
             f"--{key}",
             dest=key.replace(".", "__"),
             metavar="VALUE",
-            help=f"{help_text} [{unit}] (default {default})",
+            help=f"{help_text} [{unit}] (default {_canonical(kind, default)})",
         )
 
     parser = argparse.ArgumentParser(

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .decoherence import ChannelToggles, CSLParams, lambda_csl
 from .dynamics import DetectionConfig, Scenario, _check_memory, _check_runs, grid_times
 from .errors import DomainError, NumericalError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
-from .protocol import CampaignConfig, PositionSamples, run_campaign
+from .protocol import CampaignConfig, run_campaign
 
 
 @dataclass(frozen=True)
@@ -71,25 +71,6 @@ class DetectionResult:
     @property
     def lambda_min_grw(self) -> float:
         return self.lambda_min / LAMBDA_GRW
-
-
-def variance_excess(
-    collapse_rate: float,
-    t: float,
-    particle: Particle,
-    csl_geometry: CSLParams,
-) -> float:
-    """Collapse-induced addition to the position variance at time t [m^2].
-
-    (2/3) hbar^2 Lambda_csl t^3 / m^2, linear in ``collapse_rate``. Only the
-    correlation length and reference mass of ``csl_geometry`` are used; its
-    own rate is ignored in favor of the explicit argument.
-    """
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    if collapse_rate < 0.0:
-        raise DomainError(f"collapse_rate must be >= 0, got {collapse_rate}")
-    return collapse_rate * csl_sensitivity(t, particle, csl_geometry)
 
 
 def csl_sensitivity(
@@ -217,70 +198,6 @@ def min_detectable_lambda(
     )
 
 
-def _over_seeds(
-    read: Callable[[PositionSamples], object],
-    seeds: Sequence[int],
-    collapse_rate: float,
-    n_per_time: int,
-    times: np.ndarray,
-    scenario: Scenario,
-    run_counts: Sequence[int] | None = None,
-    rows: Sequence[int] | None = None,
-) -> Iterator:
-    """``read`` of one simulated campaign per seed, in seed order, each
-    campaign run as the iterator is consumed.
-
-    The campaigns simulate ``scenario`` with the collapse channel on at
-    ``collapse_rate`` and draw the grid ``rows`` (every row by default),
-    each with :func:`waxsim.protocol.run_campaign`'s default pool size.
-    """
-    if not seeds:
-        raise DomainError("seeds must be non-empty")
-    simulated = replace(
-        scenario,
-        csl=replace(scenario.csl, collapse_rate=collapse_rate),
-        toggles=replace(scenario.toggles, csl=True),
-    )
-
-    def one(seed: int) -> object:
-        plan = CampaignConfig(times, n_per_time, int(seed))
-        return read(run_campaign(plan, simulated, run_counts=run_counts, rows=rows))
-
-    return map(one, seeds)
-
-
-def detection_power_mc(
-    collapse_rate: float,
-    n_per_time: int,
-    time_grid: Sequence[float],
-    scenario: Scenario,
-    detection: DetectionConfig = DetectionConfig(),
-    *,
-    seeds: Sequence[int],
-) -> float:
-    """Monte-Carlo detection probability at a given collapse rate.
-
-    Simulates one campaign per seed with the collapse channel active at
-    ``collapse_rate``, compares the sample variance against the
-    standard-physics prediction at ``best_time`` (best-time) or at every
-    grid time (chi-square-sum), and applies the threshold
-    ``confidence_z``. Returns the detected fraction.
-    """
-    times, _, var_std, q, per_n = _detection_setup(
-        (n_per_time,), time_grid, detection, scenario
-    )
-    se_var, best = per_n[0]
-
-    def detected(data: PositionSamples) -> bool:
-        z = (data.var_hat - var_std) / se_var
-        if q is None:
-            return bool(z[best] >= detection.confidence_z)
-        return bool(np.sum(z**2) >= q)
-
-    hits = _over_seeds(detected, seeds, collapse_rate, n_per_time, times, scenario)
-    return sum(hits) / len(seeds)
-
-
 def _critical_rate(
     var_hat: np.ndarray,
     v0: np.ndarray,
@@ -390,24 +307,29 @@ def bisect_lambda_mc_sweep(
         every = slice(None)
         reads = [(every, every, sens, var_std, se_var) for se_var, _ in per_n]
 
-    def critical_rates(data: PositionSamples) -> list[float]:
-        rates = []
-        for n, (drawn, i, sens_i, var_std_i, se_var_i) in zip(n_sweep, reads):
-            sigma = data.samples.sigmas[i]
-            rates.append(_critical_rate(
-                data.var_hats[n][drawn], sigma * sigma, sens_i, var_std_i, se_var_i, detection, q
-            ))
-        return rates
-
     try:
         count = len(seeds)
     except OverflowError:  # a range longer than any index
         raise DomainError(f"too many oracle seeds: {seeds!r}") from None
+    if not count:
+        raise DomainError("seeds must be non-empty")
     _check_memory(8 * count * len(n_sweep), f"oracle rates ({count} seeds x {len(n_sweep)} N)")
     table = np.empty((count, len(n_sweep)))
-    per_seed = _over_seeds(critical_rates, seeds, 0.0, max(n_sweep), times, scenario, n_sweep, rows)
-    for k, rates in enumerate(per_seed):
-        table[k] = rates
+    # each seed's campaign at the largest N and rate 0, collapse channel on
+    simulated = replace(
+        scenario,
+        csl=replace(scenario.csl, collapse_rate=0.0),
+        toggles=replace(scenario.toggles, csl=True),
+    )
+    largest = max(n_sweep)
+    for k, seed in enumerate(seeds):
+        plan = CampaignConfig(times, largest, int(seed))
+        data = run_campaign(plan, simulated, run_counts=n_sweep, rows=rows)
+        for j, (n, (drawn, i, sens_i, var_std_i, se_var_i)) in enumerate(zip(n_sweep, reads)):
+            sigma = data.samples.sigmas[i]
+            table[k, j] = _critical_rate(
+                data.var_hats[n][drawn], sigma * sigma, sens_i, var_std_i, se_var_i, detection, q
+            )
     # the lower median: the first order statistic whose share of seeds reaches 1/2
     lower = (count - 1) // 2
     table.partition(lower, axis=0)

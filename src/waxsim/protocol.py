@@ -529,41 +529,21 @@ def _merged_moments(tiles: Sequence[tuple[int, float, float]]) -> tuple[int, flo
     return n, mean_a + delta * (n_b / n), m2_a + (m2_b + delta * delta * (n_a * n_b / n))
 
 
-def _width_estimate(t: float, variance: float, n: int) -> WidthEstimate:
-    """Width estimate from an unbiased sample variance of ``n`` positions.
-
-    sigma_hat is the square root of the variance. The standard error of the
-    variance estimate is sigma_hat^2 sqrt(2/(N-1)) (normal sampling theory);
-    propagating to sigma gives sigma_hat sqrt(1/(2(N-1))).
-    """
-    sigma_hat = math.sqrt(variance)
-    return WidthEstimate(
-        t=float(t),
-        sigma_hat=sigma_hat,
-        standard_error=sigma_hat * math.sqrt(1.0 / (2.0 * (n - 1))),
-        sample_count=n,
-    )
-
-
-def estimate_width(t: float, samples: Sequence[float]) -> WidthEstimate:
-    """Width estimate from the positions recorded at one grid time.
-
-    sigma_hat is the square root of the unbiased (ddof=1) sample variance;
-    its standard error is sigma_hat sqrt(1/(2(N-1))).
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise DomainError("need at least 2 samples at one grid time")
-    return _width_estimate(t, np.var(x, ddof=1), x.size)
-
-
 def campaign_curve(
     plan: CampaignConfig, scenario: Scenario, workers: int | None = None
 ) -> tuple[WidthEstimate, ...]:
-    """Run a campaign and estimate the width at every grid time."""
+    """Run a campaign and estimate the width at every grid time.
+
+    sigma_hat is the square root of the unbiased sample variance of the N
+    runs. The standard error of the variance estimate is sigma_hat^2
+    sqrt(2/(N-1)) (normal sampling theory); propagating to sigma gives
+    sigma_hat sqrt(1/(2(N-1))).
+    """
     data = run_campaign(plan, scenario, workers)
     n = plan.runs_per_time
-    return tuple(_width_estimate(t, v, n) for t, v in zip(data.times, data.var_hat))
+    rel_err = math.sqrt(1.0 / (2.0 * (n - 1)))
+    sigmas = [math.sqrt(v) for v in data.var_hat]
+    return tuple(WidthEstimate(float(t), s, s * rel_err, n) for t, s in zip(data.times, sigmas))
 
 
 def campaign_to_csv(estimates: Sequence[WidthEstimate]) -> str:

@@ -1,7 +1,8 @@
 """Verification oracles: independent routes to what the models compute.
 
-None of them is used by a model; the tests and the acceptance suite compare
-against them. Importing this module loads no scipy.
+None of them is used by a model or a command; the tests and the acceptance
+suite compare against them. Importing this module loads numpy and the
+sampling and inference layers, but no scipy.
 
 Moment evolution
 ----------------
@@ -31,17 +32,26 @@ which this module evaluates by radial quadrature for a homogeneous sphere:
 mu from a 1-D Gauss-Legendre integral, I(s) from a 2-D reduction, and the
 quadratic coefficient from a Richardson-extrapolated finite difference in s.
 Everything is numeric; no series or closed form for the sphere factor enters.
+
+Detection power
+---------------
+:func:`detection_power_mc` re-simulates one campaign per seed at a given
+collapse rate and counts the detections, as a check on the exact per-seed
+rates of :func:`waxsim.inference.bisect_lambda_mc_sweep`.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
+from dataclasses import replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .constants import hbar
-from .dynamics import GaussianState, _check_evolution
+from .dynamics import DetectionConfig, GaussianState, Scenario, _check_evolution
 from .errors import DomainError, NumericalError
+from .inference import _detection_setup
+from .protocol import CampaignConfig, run_campaign
 
 
 def rk4_integrate(
@@ -201,3 +211,40 @@ def csl_sphere_factor_bruteforce(
     coeff_2s = deficit(2.0 * s) / (4.0 * s**2)
     coeff = (4.0 * coeff_s - coeff_2s) / 3.0
     return coeff / 0.25
+
+
+def detection_power_mc(
+    collapse_rate: float,
+    n_per_time: int,
+    time_grid: Sequence[float],
+    scenario: Scenario,
+    detection: DetectionConfig = DetectionConfig(),
+    *,
+    seeds: Sequence[int],
+) -> float:
+    """Monte-Carlo detection probability at a given collapse rate.
+
+    Simulates one campaign per seed with the collapse channel active at
+    ``collapse_rate``, compares the sample variance against the
+    standard-physics prediction at ``best_time`` (best-time) or at every
+    grid time (chi-square-sum), and applies the threshold
+    ``confidence_z``. ``seeds`` must be non-empty. Returns the detected
+    fraction.
+    """
+    times, _, var_std, q, per_n = _detection_setup(
+        (n_per_time,), time_grid, detection, scenario
+    )
+    se_var, best = per_n[0]
+    if not seeds:
+        raise DomainError("seeds must be non-empty")
+    simulated = replace(
+        scenario,
+        csl=replace(scenario.csl, collapse_rate=collapse_rate),
+        toggles=replace(scenario.toggles, csl=True),
+    )
+    hits = 0
+    for seed in seeds:
+        data = run_campaign(CampaignConfig(times, n_per_time, int(seed)), simulated)
+        z = (data.var_hat - var_std) / se_var
+        hits += bool(z[best] >= detection.confidence_z if q is None else np.sum(z**2) >= q)
+    return hits / len(seeds)

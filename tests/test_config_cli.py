@@ -1,4 +1,5 @@
 """Config parsing, canonical echo, CLI subcommands and exit codes."""
+import argparse
 import hashlib
 import multiprocessing
 import os
@@ -15,7 +16,7 @@ import pytest
 
 import waxsim.cli as cli
 from waxsim import dynamics, inference, protocol
-from waxsim.config import ConfigBuilder, load_config
+from waxsim.config import SCHEMA, ConfigBuilder, load_config
 from waxsim.errors import ConfigError, DomainError, NumericalError
 from waxsim.dynamics import Scenario
 from waxsim.protocol import CampaignConfig, run_campaign
@@ -633,6 +634,25 @@ class TestOptionSpelling:
             cli.main(["rates", *argv])
         assert exc.value.code == 2
         assert argv[0] in capsys.readouterr().err
+
+
+class TestHelpDefaults:
+    @staticmethod
+    def shown_default(key):
+        """The default that ``--help`` shows for ``--key``, as text."""
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for action in commands.choices["rates"]._actions:
+            if action.option_strings == [f"--{key}"]:
+                return re.fullmatch(r".*\(default (.*)\)", action.help).group(1)
+        raise AssertionError(f"no --{key} option")
+
+    # pasting the shown default back as the flag's value gives the default config
+    @pytest.mark.parametrize("key", sorted(SCHEMA))
+    def test_shown_default_reparses(self, key):
+        shown = self.shown_default(key)
+        assert "%" not in shown  # argparse would read it as a format
+        assert load_config(overrides=[(key, shown)]) == load_config()
 
 
 class TestWorkers:

@@ -14,11 +14,11 @@ from waxsim import (
     NumericalError,
     Scenario,
     bisect_lambda_mc_sweep,
+    csl_sensitivity,
     detection_power_mc,
     ground_environment,
     min_detectable_lambda,
     space_environment,
-    variance_excess,
 )
 import waxsim.cli as cli
 import waxsim.inference as inference
@@ -36,26 +36,13 @@ GRID = tuple(np.geomspace(1.0, 100.0, 8))
 
 
 class TestVarianceExcess:
-    def test_zero_rate(self, silica):
-        assert variance_excess(0.0, 50.0, silica, GEOMETRY) == 0.0
-
-    def test_linear_in_rate(self, silica):
-        one = variance_excess(1e-14, 50.0, silica, GEOMETRY)
-        two = variance_excess(2e-14, 50.0, silica, GEOMETRY)
-        assert_allclose(two, 2.0 * one, rtol=1e-12)
-
+    # the excess is the collapse rate times csl_sensitivity
     def test_golden_reference_configuration(self, silica):
         assert_allclose(
-            variance_excess(1e-13, 100.0, silica, GEOMETRY),
+            1e-13 * csl_sensitivity(100.0, silica, GEOMETRY),
             GOLDEN_EXCESS_100S,
             rtol=1e-12,
         )
-
-    def test_rejects_negative(self, silica):
-        with pytest.raises(DomainError):
-            variance_excess(1e-13, -1.0, silica, GEOMETRY)
-        with pytest.raises(DomainError):
-            variance_excess(-1e-13, 1.0, silica, GEOMETRY)
 
 
 class TestClosedForm:

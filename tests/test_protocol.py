@@ -20,7 +20,6 @@ from waxsim import (
     bisect_lambda_mc_sweep,
     campaign_curve,
     campaign_to_csv,
-    estimate_width,
     run_campaign,
 )
 from waxsim import dynamics, protocol
@@ -148,43 +147,32 @@ class TestStatistics:
 
 
 class TestEstimateWidth:
-    def test_constant_samples_give_zero(self):
-        # 8 samples so the float mean is exact and the deviations vanish
-        est = estimate_width(1.0, [3.0e-9] * 8)
-        assert est.sigma_hat == 0.0
-        assert est.standard_error == 0.0
+    """The widths that ``campaign_curve`` estimates from each row's variance."""
 
-    def test_standard_error_formula(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(0.0, 1e-9, size=50)
-        est = estimate_width(2.0, x)
-        assert_allclose(est.sigma_hat, np.std(x, ddof=1), rtol=1e-12)
-        assert_allclose(
-            est.standard_error, est.sigma_hat * math.sqrt(1.0 / 98.0), rtol=1e-12
-        )
+    def test_standard_error_formula(self, silica, ground):
+        config = make_config(time_grid=(2.0,), runs_per_time=50, rng_seed=2)
+        (est,) = campaign_curve(config, Scenario(silica, ground))
+        var_hat = run_campaign(config, Scenario(silica, ground)).var_hat[0]
+        assert est.sigma_hat == math.sqrt(var_hat)
+        assert est.standard_error == est.sigma_hat * math.sqrt(1.0 / (2.0 * (50 - 1)))
         assert est.sample_count == 50
 
-    def test_error_halves_when_n_quadruples(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(0.0, 1e-9, size=200)
-        small = estimate_width(1.0, x)
-        big = estimate_width(1.0, np.tile(x, 4))
-        # same sigma_hat up to the ddof correction, a quarter the variance SE
-        assert abs(big.standard_error / small.standard_error - 0.5) < 0.02
+    def test_error_halves_when_n_quadruples(self, silica, ground):
+        small, big = (
+            campaign_curve(make_config(time_grid=(1.0,), runs_per_time=n), Scenario(silica, ground))
+            for n in (20_000, 80_000)
+        )
+        # sigma_hat agrees to its 0.5 % sampling error, a quarter the variance SE
+        assert abs(big[0].standard_error / small[0].standard_error - 0.5) < 0.02
 
-    def test_rejects_short_input(self):
-        with pytest.raises(DomainError):
-            estimate_width(1.0, [1.0])
-
-    def test_calibration_four_sigma(self):
+    def test_calibration_four_sigma(self, silica, ground):
         # |sigma_hat - sigma| < 4 SE in at least 99% of seeded repetitions
-        sigma = 2.5e-9
+        sigma = math.sqrt(Scenario(silica, ground).variance(np.array([1.0]))[0])
         hits = 0
         reps = 1000
-        n = 50
-        rng = np.random.default_rng(11)
-        for _ in range(reps):
-            est = estimate_width(1.0, rng.normal(0.0, sigma, size=n))
+        for seed in range(reps):
+            config = make_config(time_grid=(1.0,), runs_per_time=50, rng_seed=seed)
+            (est,) = campaign_curve(config, Scenario(silica, ground))
             if abs(est.sigma_hat - sigma) < 4.0 * est.standard_error:
                 hits += 1
         assert hits >= 0.99 * reps
@@ -199,9 +187,7 @@ class TestEstimateWidth:
         truth = np.sqrt(Scenario(silica, ground).variance(np.array(grid)))
         for seed in range(campaigns):
             config = make_config(time_grid=grid, runs_per_time=n, rng_seed=seed)
-            data = run_campaign(config, Scenario(silica, ground))
-            for row, sigma in zip(data.samples, truth):
-                est = estimate_width(1.0, row)
+            for est, sigma in zip(campaign_curve(config, Scenario(silica, ground)), truth):
                 covered += abs(est.sigma_hat - sigma) < est.standard_error
                 total += 1
         coverage = covered / total

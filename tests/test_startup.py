@@ -78,6 +78,7 @@ PROBES = {
         ("numpy", *LAYERS),
     ),
     "bound": (run_main("bound"), (*LAYERS, *SCIPY_MODULES)),
+    "bound oracle-check": (run_main("bound", "--oracle-check", "--oracle-seeds", "2"), LAYERS),
     "import inference": ("import waxsim.inference", LAYERS),
     **{
         f"scipy {command}": (run_main(command), SCIPY_MODULES)
@@ -143,6 +144,11 @@ def test_bound_without_oracle_check_loads_no_oracle(loaded):
     assert loaded("bound") == ["waxsim.protocol", "waxsim.inference"]
 
 
+def test_oracle_check_loads_no_reference_oracle(loaded):
+    # the command's oracle is the sweep in inference; validation is the tests'
+    assert loaded("bound oracle-check") == ["waxsim.protocol", "waxsim.inference"]
+
+
 def test_inference_loads_protocol(loaded):
     # perfbench/tracing.py hooks run_campaign only if protocol is loaded when it installs
     assert loaded("import inference") == ["waxsim.protocol", "waxsim.inference"]
@@ -168,6 +174,12 @@ def test_quadrature_oracle_resolves_lazily(loaded):
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError):
         waxsim.no_such_name
+
+
+def test_power_oracle_lives_in_validation():
+    from waxsim import validation
+
+    assert waxsim.detection_power_mc is validation.detection_power_mc
 
 
 def test_every_public_name_resolves():

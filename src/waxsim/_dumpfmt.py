@@ -1,0 +1,242 @@
+"""The dump's CSV lines, with every float spelled as ``repr`` spells it, a tile at a time.
+
+``repr`` of a double is the shortest decimal that reads back to the same
+double, and of those the closest to it (ties to an even last digit). This
+module finds those digits for a whole array at once with the Schubfach
+algorithm (R. Giulietti, "The Schubfach way to render doubles", 2020; the
+algorithm of ``Double.toString`` in Java 19 and later): per value, three
+products of a 64-bit significand with a 126-bit power of ten, rounded to
+odd, bracket the double's rounding interval in units of ``10**k``, and a
+few integer comparisons choose the digits. Every step is ``uint64``
+array arithmetic; a 128-bit product is assembled from 32-bit halves, and a
+wrapped product is only ever taken from arrays, since numpy warns when a
+scalar integer operation overflows.
+
+The digits are then laid out as ``repr`` does: exponent form
+``d[.ddd]e±XX`` when the decimal point position ``decpt`` (the value is
+``0.ddd * 10**decpt``) is at most -4 or above 16, positional form
+(``0.000ddd``, ``ddd.ddd``, ``ddd00.0``) otherwise. Each line of
+``t_s,run_index,x_m`` is written into fixed character columns, one slot
+for every character any line can have, with a mask of the slots a line
+uses; compressing the mask gives the text. Lines are formatted in blocks of
+``BLOCK_ROWS``, so the working set does not grow with the tile.
+
+Only normal doubles are handled (:func:`all_normal`): a tile holding a
+zero, a subnormal, an infinity or a nan is formatted by ``repr`` itself.
+``repr`` is the reference; the tests compare the two byte for byte.
+"""
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+# lines formatted at once: a block takes about 1.4 MB of scratch (traced),
+# whatever the tile size
+BLOCK_ROWS = 4096
+
+# decimal exponents k of the interval brackets of normal doubles
+K_MIN, K_MAX = -324, 292
+
+_U = np.uint64
+_LOW32 = _U(2**32 - 1)
+_LOW52 = _U(2**52 - 1)
+_LOW63 = _U(2**63 - 1)
+_HIDDEN = _U(2**52)
+# the x_m slots: sign, "0.", three zeros, the 17 digits each followed by a
+# "." slot (but the last), the 0 of a trailing ".0", "e", sign, 3 digits
+X_TEMPLATE = b"-0.000" + b"0." * 16 + b"0" + b"0e+000"
+X_DIGITS = slice(6, 39, 2)
+X_POINTS = slice(7, 38, 2)
+X_ZERO, X_E = 39, 40
+# 1 to 17: the place of each significand digit
+_PLACES = np.arange(1, 18, dtype=np.uint8)
+_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
+
+
+@functools.cache
+def _powers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per k in ``[K_MIN, K_MAX]``: g's high and low 63 bits, and ``r + 127``.
+
+    ``10**-k = beta * 2**r`` with ``2**125 <= beta < 2**126`` and
+    ``g = floor(beta) + 1``, in exact integers; built on first use.
+    """
+    ks = range(K_MIN, K_MAX + 1)
+    high = np.empty(len(ks), np.uint64)
+    low = np.empty(len(ks), np.uint64)
+    shift = np.empty(len(ks), np.int64)
+    for i, k in enumerate(ks):
+        if k <= 0:
+            p = 10**-k
+            r = p.bit_length() - 126
+            beta = p >> r if r >= 0 else p << -r
+        else:  # 2**(b-1) < 10**k < 2**b
+            p = 10**k
+            r = -(125 + p.bit_length())
+            beta = (1 << -r) // p
+        g = beta + 1
+        high[i], low[i], shift[i] = g >> 63, g & (2**63 - 1), r + 127
+    for table in (high, low, shift):
+        table.flags.writeable = False
+    return high, low, shift
+
+
+def all_normal(xs: np.ndarray) -> bool:
+    """Whether every value is a normal double: no zero, subnormal, infinity or nan."""
+    exponents = (xs.view(np.uint64) >> _U(52)) & _U(0x7FF)
+    return xs.size == 0 or (exponents.min() >= 1 and exponents.max() <= 0x7FE)
+
+
+def csv_lines(t_repr: str, first: int, xs: np.ndarray) -> str:
+    """``"".join(f"{t_repr},{r},{x!r}\\n" for r, x in enumerate(xs, first))``.
+
+    ``xs`` is a contiguous float64 array of normal doubles (:func:`all_normal`).
+    """
+    head = (t_repr + ",").encode("ascii")
+    width = len(str(first + max(xs.size - 1, 0)))
+    template = np.frombuffer(head + b"0" * width + b"," + X_TEMPLATE + b"\n", np.uint8)
+    return "".join(
+        _block(template, len(head), first + a, xs[a : a + BLOCK_ROWS])
+        for a in range(0, xs.size, BLOCK_ROWS)
+    )
+
+
+def _block(template: np.ndarray, head: int, first: int, xs: np.ndarray) -> str:
+    """The lines of ``xs``, the first one with run index ``first``.
+
+    ``chars`` and ``used`` hold one row per character slot of ``template``
+    and one column per line, so that each slot is written contiguously.
+    Unused slots are zeroed and deleted from the text.
+    """
+    chars = np.empty((template.size, xs.size), np.uint8)
+    chars[:] = template[:, None]
+    used = np.ones(chars.shape, bool)
+
+    x = template.size - 1 - len(X_TEMPLATE)
+    index = slice(head, x - 1)
+    runs = np.arange(first, first + xs.size, dtype=np.uint64)
+    _add_digits(chars[index], runs)
+    # no leading zeros: the slot of 10**p is used from 10**p on
+    width = x - 1 - head
+    np.greater_equal(runs, _POWERS_OF_TEN[width - 1 : 0 : -1, None], out=used[index][:-1])
+
+    f, decpt = _shortest(xs.view(np.uint64))
+    digits = chars[x:][X_DIGITS]
+    _add_digits(digits, f)
+    # significant digits: up to the last that is not 0 (the first never is)
+    n = ((digits != ord("0")) * _PLACES[:, None]).max(axis=0)
+    exp_form = (decpt <= -4) | (decpt > 16)
+    fixed = ~exp_form
+
+    # the masks compare slot places with per-line counts, both one byte wide,
+    # which numpy compares without a cast
+    slots = used[x:]
+    slots[0] = xs < 0
+    # positional 0.000ddd: "0." and -decpt zeros before the digits
+    slots[1:3] = fixed & (decpt <= 0)
+    zeros = np.where(fixed & (decpt < 0), -decpt, 0).astype(np.uint8)
+    np.less_equal(_PLACES[:3, None], zeros, out=slots[3:6])
+    # the significant digits, or the digits up to the point if that is further
+    shown = np.where(fixed, np.maximum(n, decpt), n).astype(np.uint8)
+    np.less_equal(_PLACES[:, None], shown, out=slots[X_DIGITS])
+    # the point follows digit decpt, or the first digit in exponent form
+    point = np.where(fixed, np.maximum(decpt, 0), n > 1).astype(np.uint8)
+    np.equal(_PLACES[:16, None], point, out=slots[X_POINTS])
+    slots[X_ZERO] = fixed & (decpt >= n)
+    # "e", the exponent's sign and two or three digits
+    exponent = decpt - 1
+    size = np.abs(exponent).astype(np.uint64)
+    chars[x + X_E + 1] = np.where(exponent < 0, ord("-"), ord("+"))
+    _add_digits(chars[x + X_E + 2 : x + X_E + 5], size)
+    slots[X_E : X_E + 2] = exp_form
+    slots[X_E + 2] = exp_form & (size >= _U(100))
+    slots[X_E + 3 : X_E + 5] = exp_form
+
+    chars *= used
+    return chars.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _add_digits(rows: np.ndarray, values: np.ndarray) -> None:
+    """Add the decimal digits of ``values`` to ``rows``, the last row the units digit."""
+    for row in rows[::-1]:
+        rest = values // _U(10)
+        row += (values - rest * _U(10)).astype(np.uint8)
+        values = rest
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest-closest decimals of normal doubles, given as their bit patterns.
+
+    Returns ``f``, the digits as a 17-digit integer (the significant ones,
+    then zeros), and ``decpt``: the value's magnitude is
+    ``0.d1d2...d17 * 10**decpt``.
+    """
+    high, low, shift = _powers()
+    exponent = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
+    mantissa = bits & _LOW52
+    c = mantissa | _HIDDEN
+    q = exponent - 1075  # the value is c * 2**q
+    # at a power of two the gap below is half the gap above, and the interval
+    # is 3/4 of 2**q (not at the smallest normal, whose lower neighbour is subnormal)
+    even_gaps = (mantissa != 0) | (exponent == 1)
+    # k = floor(log10(2**q)), or floor(log10(3/4 * 2**q)) at a power of two
+    k = (q * 661_971_961_083 + np.where(even_gaps, 0, -274_743_187_321)) >> 41
+    table = k - K_MIN
+    g1, g0 = high[table], low[table]
+    h = (q + shift[table]).astype(np.uint64)  # 1 to 4
+
+    g1_halves, g0_halves = _halves(g1), _halves(g0)
+
+    def rop(cp: np.ndarray) -> np.ndarray:
+        """``floor(g * cp / 2**127)``, rounded to odd when the division is inexact.
+
+        ``g = g1 * 2**63 + g0``. The bits of ``g0 * cp`` below 2**64 and the
+        lowest bit of ``g1 * cp`` do not reach the result (Giulietti, figure 5).
+        """
+        cp_halves = _halves(cp)
+        z = ((g1 * cp) >> _U(1)) + _mulhi(g0_halves, cp_halves)
+        return (_mulhi(g1_halves, cp_halves) + (z >> _U(63))) | ((z & _LOW63) != 0)
+
+    cb = c << _U(2)
+    vb = rop(cb << h)
+    vbl = rop((cb - np.where(even_gaps, _U(2), _U(1))) << h)
+    vbr = rop((cb + _U(2)) << h)
+    # the interval's ends are in it when c is even (reading back rounds to even)
+    odd = c & _U(1)
+    vbl += odd
+
+    s = vb >> _U(2)  # floor(value / 10**k), 16 or 17 digits
+    ten = _U(10)
+    sp10 = s // ten * ten
+    tp10 = sp10 + ten
+    # one digit fewer: at most one multiple of 10 fits the interval
+    upin = vbl <= sp10 << _U(2)
+    wpin = (tp10 << _U(2)) + odd <= vbr
+    t = s + _U(1)
+    uin = vbl <= s << _U(2)
+    win = (t << _U(2)) + odd <= vbr
+    mid = (s + t) << _U(1)
+    closer_s = (vb < mid) | ((vb == mid) & ((s & _U(1)) == 0))
+    f = np.where(
+        upin != wpin,
+        np.where(upin, sp10, tp10),
+        np.where(uin != win, np.where(uin, s, t), np.where(closer_s, s, t)),
+    )
+    # as 17 digits: f has 16 or 17
+    short = f < _U(10**16)
+    np.multiply(f, ten, out=f, where=short)
+    decpt = k + 17 - short
+    return f, decpt
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and the high 32 bits of each value."""
+    return a & _LOW32, a >> _U(32)
+
+
+def _mulhi(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The high 64 bits of each 128-bit product of two values given as :func:`_halves`."""
+    (a_lo, a_hi), (b_lo, b_hi) = a, b
+    hi_lo = a_hi * b_lo
+    cross = ((a_lo * b_lo) >> _U(32)) + (hi_lo & _LOW32) + a_lo * b_hi
+    return a_hi * b_hi + (hi_lo >> _U(32)) + (cross >> _U(32))

@@ -66,13 +66,19 @@ order, so a caller that writes each chunk as it comes (``waxsim campaign
 --dump-samples``) holds O(tile) memory, whatever the campaign size;
 ``"".join(csv_chunks())`` is the whole CSV as one string. With
 ``run_counts=()`` a campaign merges no variance and draws nothing, so a
-dump built on it draws each tile once. Formatting the floats is interpreter
-work that holds the GIL, so threads cannot share it:
-``csv_chunks(workers)`` above 1 re-draws and formats the tiles on a pool of
-that many forked processes. It keeps at most ``workers`` tiles in flight
-and submits the next one as the caller takes a chunk, so memory stays
-O(workers tiles); the chunks are the ones the serial path yields. Where the
-platform cannot fork, the tiles are formatted serially. ``csv_chunks`` is
+dump built on it draws each tile once. A tile's floats are formatted by
+the array kernel of :mod:`waxsim._dumpfmt`, which computes, with integer
+array arithmetic (the Schubfach algorithm), the shortest decimal that
+reads back to each double, the closest of those, and lays the lines out
+as ``repr`` does, byte for byte; ``repr`` is its reference, and formats a
+tile that holds a zero, a subnormal or a non-finite value. The kernel is
+a few hundred numpy calls per block of lines, which hold the GIL between
+them, so threads cannot share it: ``csv_chunks(workers)`` above 1
+re-draws and formats the tiles on a pool of that many forked processes.
+It keeps at most ``workers`` tiles in flight and submits the next one as
+the caller takes a chunk, so memory stays O(workers tiles); the chunks
+are the ones the serial path yields. Where the platform cannot fork, the
+tiles are formatted serially. ``csv_chunks`` is
 serial by default, since forking a multi-threaded caller is unsafe;
 ``waxsim campaign --dump-samples``, which runs no other thread, takes the
 rule of ``run_campaign`` (:func:`default_workers`).
@@ -211,10 +217,24 @@ class PositionSamples:
 
 
 def _tile_csv(view: CampaignSamples, t_reprs: Sequence[str], k: int, out: np.ndarray) -> str:
-    """CSV lines ``t_s,run_index,x_m`` of tile ``k``, re-drawn into ``out``."""
+    """CSV lines ``t_s,run_index,x_m`` of tile ``k``, re-drawn into ``out``.
+
+    A tile of normal doubles, which is every tile but a rare one, is
+    formatted by the array kernel of :mod:`waxsim._dumpfmt`; a tile holding
+    a zero, a subnormal or a non-finite value by :func:`_repr_lines`. Both
+    give the same bytes.
+    """
+    from ._dumpfmt import all_normal, csv_lines
+
     i, a, xs = view.draw_tile(k, out)
-    t_repr = t_reprs[i]
-    return "".join([f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs.tolist(), a)])
+    if all_normal(xs):
+        return csv_lines(t_reprs[i], a, xs)
+    return _repr_lines(t_reprs[i], a, xs)
+
+
+def _repr_lines(t_repr: str, first: int, xs: np.ndarray) -> str:
+    """The lines ``t_s,run_index,x_m`` of ``xs``, each float by ``repr``: the kernel's reference."""
+    return "".join([f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs.tolist(), first)])
 
 
 def _tile_task(errors: dict, view: CampaignSamples, t_reprs: Sequence[str], k: int) -> str:

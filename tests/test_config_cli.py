@@ -1102,6 +1102,9 @@ class TestStreamedDump:
                 tracemalloc.stop()
 
         assert emit_peak(6) <= 1.25 * emit_peak(2)
+        # formatting one tile by repr peaked at 8.6 MB (Python 3.11, numpy 2.4); the
+        # array kernel formats it a block of lines at a time in about 4.8 MB
+        assert emit_peak(1) <= 8_600_000
 
 
 class TestStartupInterrupt:

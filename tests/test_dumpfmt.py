@@ -1,0 +1,97 @@
+"""The dump's array formatter against ``repr``, byte for byte.
+
+``waxsim._dumpfmt.csv_lines`` spells ``f"{t_repr},{r},{x!r}\\n"`` for a
+whole tile of normal doubles; ``protocol._tile_csv`` hands any other tile
+to the ``repr`` path. Every check compares with the f-string.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from waxsim import _dumpfmt, protocol
+
+
+def repr_lines(t_repr, first, xs):
+    return "".join(f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs.tolist(), first))
+
+
+def mismatches(got, want):
+    """Up to three differing lines of two texts, as (got, want); [] if they are equal.
+
+    A failure then shows a few lines, not a diff of megabytes of text.
+    """
+    pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    differing = [pair for pair in pairs if pair[0] != pair[1]][:3]
+    return differing if differing or got == want else [(got[-100:], want[-100:])]
+
+
+def neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+# every power of two of a normal double and both its neighbours (inf above
+# the largest and a subnormal below the smallest are dropped), the integers
+# to 10**5, the ends of the positional form (decpt -3 and 16), 3-digit
+# exponents and the extremes; each with both signs
+EDGES = np.concatenate([
+    neighbours(2.0 ** np.arange(-1022, 1024)),
+    np.arange(1, 10**5 + 1, dtype=float),
+    neighbours([1e-5, 1e-4, 1e-3, 0.1, 1.0, 1e15, 1e16, 1e17, 9007199254740993.0]),
+    neighbours([1e-100, 1e-99, 1.5e-200, 1e-300, 1e100, 1e99, 1.5e200, 1e300]),
+    [np.finfo(float).max, np.finfo(float).tiny, 0.3, 2.0 / 3.0, 5e-324 * 2**52],
+    # integers from 2**53 on, spaced 2 to 256: some have an end of their
+    # rounding interval on a multiple of 10, which reads back to the value
+    # only if its significand is even
+    np.ldexp(2.0**52 + np.arange(200), np.arange(1, 9)[:, None]).ravel(),
+])
+EDGES = EDGES[np.isfinite(EDGES) & (np.abs(EDGES) >= np.finfo(float).tiny)]
+EDGES = np.concatenate([EDGES, -EDGES])
+
+
+def test_edge_table_matches_repr():
+    assert _dumpfmt.all_normal(EDGES)
+    # run indices from 5 to 6 digits inside the first block
+    got = _dumpfmt.csv_lines("1e-05", 99_000, EDGES)
+    assert mismatches(got, repr_lines("1e-05", 99_000, EDGES)) == []
+
+
+@pytest.mark.parametrize("t_repr", ["0.0", "100.0", "1e-05"])
+@pytest.mark.parametrize("first", [0, 9, 2**16 * 7])
+def test_tile_of_normal_draws_matches_repr(t_repr, first):
+    # a tile as the dump draws it: more than one block, a ragged last one
+    xs = np.random.default_rng(first).standard_normal(2 * _dumpfmt.BLOCK_ROWS + 3) * 1e-3
+    assert mismatches(_dumpfmt.csv_lines(t_repr, first, xs), repr_lines(t_repr, first, xs)) == []
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.binary(min_size=8, max_size=8 * 256).map(lambda b: b[: len(b) // 8 * 8]))
+def test_any_finite_bit_pattern_matches_repr(raw):
+    xs = np.frombuffer(raw, np.float64)
+    xs = xs[np.isfinite(xs)]
+    normal = xs[np.abs(xs) >= np.finfo(float).tiny]
+    assert mismatches(_dumpfmt.csv_lines("0.5", 3, normal), repr_lines("0.5", 3, normal)) == []
+    # and a whole tile, zeros and subnormals included, through the dispatch
+    assert mismatches(tile_csv("0.5", 3, xs), repr_lines("0.5", 3, xs)) == []
+
+
+def tile_csv(t_repr, first, xs):
+    """``protocol._tile_csv`` of a tile that holds ``xs``."""
+
+    class Drawn:
+        def draw_tile(self, k, out):
+            return 0, first, xs
+
+    return protocol._tile_csv(Drawn(), [t_repr], 0, None)
+
+
+@pytest.mark.parametrize(
+    "special", [0.0, -0.0, 5e-324, -2.2250738585072e-308, np.inf, -np.inf, np.nan]
+)
+def test_tile_with_a_zero_subnormal_or_non_finite_value_takes_the_repr_path(special):
+    xs = np.random.default_rng(1).standard_normal(100)
+    xs[37] = special
+    assert not _dumpfmt.all_normal(xs)
+    assert mismatches(tile_csv("2.0", 0, xs), repr_lines("2.0", 0, xs)) == []
+    assert f"2.0,37,{special!r}\n" in tile_csv("2.0", 0, xs)

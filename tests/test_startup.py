@@ -21,6 +21,7 @@ import waxsim
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(waxsim.__file__)))
 SCIPY_MODULES = ("scipy.stats", "scipy.interpolate", "scipy.special")
 LAYERS = ("waxsim.protocol", "waxsim.inference", "waxsim.validation")
+FORMATTER = "waxsim._dumpfmt"
 
 
 def loaded_after(code: str, modules: tuple[str, ...] = SCIPY_MODULES) -> list[str]:
@@ -85,6 +86,20 @@ PROBES = {
         for command in NUMPY_ONLY_COMMANDS
     },
     "campaign": (run_main("campaign", "--campaign.runs_per_time", "10"), SCIPY_MODULES),
+    # only --dump-samples formats floats with the array kernel
+    "formatter": (
+        run_main("rates") + run_main("campaign", "--campaign.runs_per_time", "10"),
+        (FORMATTER,),
+    ),
+    "dump": (
+        run_main("campaign", "--dump-samples", "--campaign.runs_per_time", "10"), (FORMATTER,)
+    ),
+    # the power-of-ten table is built on first use, not on import
+    "import formatter": (
+        "from waxsim import _dumpfmt\n"
+        "assert _dumpfmt._powers.cache_info().currsize == 0\n",
+        (FORMATTER,),
+    ),
     # only a pooled --dump-samples loads multiprocessing
     "serial commands": (
         run_main("campaign", "--dump-samples", "--campaign.runs_per_time", "10")
@@ -161,6 +176,15 @@ def test_numpy_only_commands_load_no_scipy(loaded, command):
 
 def test_campaign_loads_only_scipy_special(loaded):
     assert loaded("campaign") == ["scipy.special"]
+
+
+def test_only_the_dump_loads_the_formatter(loaded):
+    assert loaded("formatter") == []
+    assert loaded("dump") == [FORMATTER]
+
+
+def test_importing_the_formatter_builds_no_table(loaded):
+    assert loaded("import formatter") == [FORMATTER]
 
 
 def test_serial_commands_load_no_process_pool(loaded):

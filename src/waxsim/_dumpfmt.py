@@ -152,7 +152,9 @@ def _block(template: np.ndarray, head: int, first: int, xs: np.ndarray) -> str:
     slots[X_E + 2] = exp_form & (size >= _U(100))
     slots[X_E + 3 : X_E + 5] = exp_form
 
-    chars *= used
+    # slots that no line of the block uses are left out of the transpose
+    kept = used.any(axis=1)
+    chars = chars[kept] * used[kept]
     return chars.T.tobytes().translate(None, b"\0").decode("ascii")
 
 

@@ -113,8 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         metavar="N",
-        help="worker threads for sampling, or processes for --dump-samples "
-        "(default: available CPUs for large campaigns; output is identical)",
+        help="worker threads for sampling (default: available CPUs for large "
+        "campaigns; output is identical); the --dump-samples bytes and path do "
+        "not depend on it",
     )
     p_campaign.add_argument(
         "--dump-samples",
@@ -193,15 +194,12 @@ def _cmd_expand(config: RunConfig, args) -> tuple[str, list[str]]:
 
 
 def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[str]]:
-    from .protocol import campaign_curve, campaign_to_csv, default_workers, run_campaign
+    from .protocol import campaign_curve, campaign_to_csv, run_campaign
 
     plan, scenario = config.campaign(), config.scenario()
     if args.dump_samples:
-        # the dump re-draws its tiles as it writes them; no width is merged. The
-        # command line runs no other thread, so it may fork the dump's pool
-        data = run_campaign(plan, scenario, run_counts=())
-        workers = default_workers(data.samples.size) if args.workers is None else args.workers
-        text = data.csv_chunks(workers)
+        # the dump re-draws its tiles as it writes them; no width is merged
+        text = run_campaign(plan, scenario, run_counts=()).csv_chunks()
     else:
         text = campaign_to_csv(campaign_curve(plan, scenario, args.workers))
     return text, list(scenario.budget.warnings)
@@ -278,36 +276,30 @@ def _error_state(command) -> contextlib.AbstractContextManager:
 
 
 def _emit(chunks: str | Iterable[str], output: str | None) -> None:
-    """Write one string, or each string of an iterable, to ``output`` or stdout.
-
-    An iterable with a ``close`` method is closed before this returns, on
-    every path, and not at garbage collection: closing a pooled dump joins
-    its worker processes.
-    """
+    """Write one string, or each string of an iterable, to ``output`` or stdout."""
     if isinstance(chunks, str):
         chunks = (chunks,)
-    with contextlib.closing(chunks) if hasattr(chunks, "close") else contextlib.nullcontext():
-        if output:
-            try:
-                with open(output, "w", encoding="utf-8", newline="") as fh:
-                    fh.writelines(chunks)
-            except OSError as exc:
-                raise ConfigError(f"cannot write output {output}: {exc.strerror or exc}") from exc
-            return
-        if sys.stdout is None:  # started with file descriptor 1 closed
-            raise ConfigError("cannot write output <stdout>: stdout is closed")
+    if output:
         try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
         except OSError as exc:
-            # Python flushes stdout again at exit; point it at devnull so that
-            # the final flush cannot fail a second time
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            # a reader that closed the pipe early (``waxsim ... | head``) is no error
-            if not isinstance(exc, BrokenPipeError):
-                raise ConfigError(f"cannot write output <stdout>: {exc.strerror or exc}") from exc
+            raise ConfigError(f"cannot write output {output}: {exc.strerror or exc}") from exc
+        return
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        raise ConfigError("cannot write output <stdout>: stdout is closed")
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # the final flush cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        # a reader that closed the pipe early (``waxsim ... | head``) is no error
+        if not isinstance(exc, BrokenPipeError):
+            raise ConfigError(f"cannot write output <stdout>: {exc.strerror or exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:

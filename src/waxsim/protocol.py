@@ -71,17 +71,10 @@ the array kernel of :mod:`waxsim._dumpfmt`, which computes, with integer
 array arithmetic (the Schubfach algorithm), the shortest decimal that
 reads back to each double, the closest of those, and lays the lines out
 as ``repr`` does, byte for byte; ``repr`` is its reference, and formats a
-tile that holds a zero, a subnormal or a non-finite value. The kernel is
-a few hundred numpy calls per block of lines, which hold the GIL between
-them, so threads cannot share it: ``csv_chunks(workers)`` above 1
-re-draws and formats the tiles on a pool of that many forked processes.
-It keeps at most ``workers`` tiles in flight and submits the next one as
-the caller takes a chunk, so memory stays O(workers tiles); the chunks
-are the ones the serial path yields. Where the platform cannot fork, the
-tiles are formatted serially. ``csv_chunks`` is
-serial by default, since forking a multi-threaded caller is unsafe;
-``waxsim campaign --dump-samples``, which runs no other thread, takes the
-rule of ``run_campaign`` (:func:`default_workers`).
+tile that holds a zero, a subnormal or a non-finite value. Tiles are
+re-drawn and formatted one after another in the calling process, so the
+dump's bytes and its code path do not depend on the campaign's thread
+count (``workers``, ``waxsim campaign --workers``).
 """
 from __future__ import annotations
 
@@ -89,7 +82,6 @@ import math
 import operator
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -184,35 +176,19 @@ class PositionSamples:
         """Each drawn row's sample variance over all N runs (``KeyError`` if not asked for)."""
         return self.var_hats[self.samples.runs]
 
-    def csv_chunks(self, workers: int = 1) -> Iterator[str]:
+    def csv_chunks(self) -> Iterator[str]:
         """Raw-sample CSV in pieces: the header, then one string per tile, in tile order.
 
-        With ``workers`` 1, the default, the tiles are re-drawn and
-        formatted in this process, into one reused buffer. Above 1, they
-        are formatted on a pool of that many processes forked from this
-        one, at most ``workers`` tiles at a time; where the platform cannot
-        fork, serially. Forking a process that runs other threads can
-        deadlock a child on a lock one of them held, so pass ``workers``
-        above 1 only from a single-threaded caller (``waxsim campaign
-        --dump-samples`` takes :func:`default_workers`). The chunks are the
-        same either way. A chunk holds at most ``tile_runs`` lines, so
-        writing the chunks one by one needs memory for ``workers`` tiles of
-        text. Close the iterator if it is not read to its end: that shuts
-        the pool down and joins its processes.
+        Each tile is re-drawn into one reused buffer and formatted in this
+        process, as the caller takes its chunk. A chunk holds at most
+        ``tile_runs`` lines, so writing the chunks one by one needs memory
+        for one tile of text.
         """
-        check_workers(workers)
         yield "t_s,run_index,x_m\n"
         view = self.samples
         t_reprs = [repr(float(t)) for t in self.times]
-        count = len(view) * view.tiles_per_row
-        if workers > 1 and count > 1:
-            import multiprocessing
-
-            if "fork" in multiprocessing.get_all_start_methods():
-                yield from _forked_tile_csv(view, t_reprs, count, workers)
-                return
         buffer = np.empty(min(view.runs, view.tile_runs))
-        for k in range(count):
+        for k in range(len(view) * view.tiles_per_row):
             yield _tile_csv(view, t_reprs, k, buffer)
 
 
@@ -235,73 +211,6 @@ def _tile_csv(view: CampaignSamples, t_reprs: Sequence[str], k: int, out: np.nda
 def _repr_lines(t_repr: str, first: int, xs: np.ndarray) -> str:
     """The lines ``t_s,run_index,x_m`` of ``xs``, each float by ``repr``: the kernel's reference."""
     return "".join([f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs.tolist(), first)])
-
-
-def _tile_task(errors: dict, view: CampaignSamples, t_reprs: Sequence[str], k: int) -> str:
-    """:func:`_tile_csv` in a pool process, under the caller's floating-point error state."""
-    with np.errstate(**errors):
-        return _tile_csv(view, t_reprs, k, np.empty(min(view.runs, view.tile_runs)))
-
-
-def _forked_tile_csv(
-    view: CampaignSamples, t_reprs: Sequence[str], count: int, workers: int
-) -> Iterator[str]:
-    """``_tile_csv`` of tiles ``0 .. count - 1``, in order, on ``workers`` forked processes.
-
-    At most ``workers`` tiles are in flight: the next tile is submitted as
-    the caller takes a chunk, so a slow reader holds no queue of finished
-    text. Closing the generator cancels the tiles not yet started and
-    joins the processes. A process that dies raises ``DomainError``; a
-    SIGINT (Ctrl-C) interrupts the caller only.
-
-    Forked, not spawned: a forked child starts with numpy and scipy loaded,
-    where a spawned one would import them again for every dump. The pool
-    forks all its processes in the first ``submit``, before it starts its
-    own threads.
-    """
-    import multiprocessing
-    import signal
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # loaded before the fork, so that no child imports it again
-    import scipy.special  # noqa: F401
-
-    errors = np.geterr()
-    window = min(workers, count)
-    forked_before = set(multiprocessing.active_children())
-    pool = None
-    try:
-        # forked with SIGINT blocked, which the children keep; a SIGINT that
-        # arrives meanwhile reaches this process when it is unblocked
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            pool = ProcessPoolExecutor(window, multiprocessing.get_context("fork"))
-            pending = deque(
-                pool.submit(_tile_task, errors, view, t_reprs, k) for k in range(window)
-            )
-        except OSError as exc:  # a fork or a pipe refused: out of processes, memory or files
-            # shutdown joins the processes of a started pool only: stop those forked so far
-            for process in set(multiprocessing.active_children()) - forked_before:
-                process.terminate()
-                process.join()
-            # multiprocessing flushes sys.stdout before it forks, so a reader of
-            # stdout that left shows here; the caller's write would see the same
-            if isinstance(exc, BrokenPipeError):
-                raise
-            raise DomainError(f"cannot start the dump's worker processes: {exc}") from exc
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for k in range(window, count + window):
-            chunk = pending.popleft().result()
-            if k < count:
-                pending.append(pool.submit(_tile_task, errors, view, t_reprs, k))
-            yield chunk
-    except BrokenProcessPool as exc:  # killed, for example by the out-of-memory killer
-        raise DomainError(f"a worker process died: {exc}") from exc
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -328,12 +237,6 @@ _MOMENTS = np.dtype([("n", np.int64), ("mean", np.float64), ("m2", np.float64)])
 # serially: on a 2-core host two threads were slower than one up to 168 k
 # draws (21 x 8000) and faster from 210 k (21 x 10000) on
 PARALLEL_MIN_DRAWS = 2**18
-
-
-def default_workers(draws: int) -> int:
-    """The pool size ``workers=None`` stands for: the available CPUs for a
-    campaign of at least ``PARALLEL_MIN_DRAWS`` draws, 1 below."""
-    return _available_cpus() if draws >= PARALLEL_MIN_DRAWS else 1
 
 
 def _available_cpus() -> int:
@@ -487,7 +390,7 @@ def run_campaign(
                     cuts[r, s] = _tile_moments(tile[:kept], dev[:kept])
 
     if workers is None:
-        workers = default_workers(len(drawn) * n)
+        workers = _available_cpus() if len(drawn) * n >= PARALLEL_MIN_DRAWS else 1
     # one task per thread, each with its own tile and scratch buffers
     buffers = np.empty((min(workers, count), 2, min(n, tile_runs)))
     if workers > 1:

@@ -1,15 +1,12 @@
 """Config parsing, canonical echo, CLI subcommands and exit codes."""
 import argparse
 import hashlib
-import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -892,9 +889,9 @@ class TestStreamedDump:
         assert (proc.returncode, err) == (0, b"")
         assert out == target.read_bytes()
 
-    def test_pooled_stdout_bytes_equal_output_file_bytes(self):
-        # stdout is block-buffered: the header waits in its buffer when the pool
-        # forks; the file digest is the pinned serial one
+    def test_block_buffered_stdout_bytes_equal_output_file_bytes(self):
+        # stdout is block-buffered, as on a pipe: the chunks leave it in
+        # buffer-sized pieces; the digest is the pinned one
         argv = [*TestCampaignBytes.BASE, "--dump-samples", "--workers", "2"]
         argv += ["--campaign.runs_per_time", str(2**16 + 3)]  # ragged last tiles
         env = waxsim_env()
@@ -906,19 +903,28 @@ class TestStreamedDump:
         digest = hashlib.sha256(proc.stdout).hexdigest()
         assert digest == TestCampaignBytes.PINNED[2**16 + 3, True]
 
-    def test_finished_pooled_dump_leaves_no_process(self, tmp_path):
-        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "100"]
-        assert cli.main([*argv, "--workers", "2", "-o", str(tmp_path / "dump.csv")]) == 0
-        assert multiprocessing.active_children() == []
+    def test_dump_forks_nothing(self, tmp_path, monkeypatch):
+        # on a host that can start no process, --workers 2 and a default run on
+        # 2 CPUs above the parallel threshold still write the pinned bytes
+        def refused_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    def test_closed_stdout_joins_the_pool_before_main_returns(self):
+        monkeypatch.setattr(os, "fork", refused_fork)
+        campaign = TestCampaignBytes()
+        dump = ["--campaign.runs_per_time", str(2**16 + 3), "--dump-samples"]
+        pinned = campaign.PINNED[2**16 + 3, True]
+        assert campaign.digest(tmp_path, *dump, "--workers", "2") == pinned
+        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", 2)
+        monkeypatch.setattr(protocol, "_available_cpus", lambda: 2)
+        assert campaign.digest(tmp_path, *dump) == pinned
+
+    def test_closed_stdout_returns_0_from_main(self):
         # 63,001 lines in tiles of 3,000, each larger than the pipe; the reader
         # takes the header and closes it
         script = (
-            "import multiprocessing, sys\n"
+            "import sys\n"
             "from waxsim import cli\n"
-            "code = cli.main(sys.argv[1:])\n"
-            "sys.stderr.write(repr((code, multiprocessing.active_children())))\n"
+            "sys.stderr.write(repr(cli.main(sys.argv[1:])))\n"
         )
         proc = subprocess.Popen(
             [sys.executable, "-c", script, "campaign", "--dump-samples",
@@ -928,11 +934,11 @@ class TestStreamedDump:
         assert proc.stdout.readline() == b"t_s,run_index,x_m\n"
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
-        assert (proc.returncode, err) == (0, b"(0, [])")
+        assert (proc.returncode, err) == (0, b"0")
 
-    def test_reader_gone_before_pool_starts_is_no_error(self):
-        # stdout is block-buffered, so the header first reaches the pipe when
-        # the pool forks: multiprocessing flushes stdout before each fork
+    def test_reader_gone_before_the_first_write_is_no_error(self):
+        # stdout is block-buffered, so the whole 201-line dump first reaches
+        # the pipe, whose reader is gone, when the command flushes it
         read, write = os.pipe()
         os.close(read)
         env = waxsim_env()
@@ -940,26 +946,25 @@ class TestStreamedDump:
         argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "100"]
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "waxsim", *argv, "--workers", "2"],
+                [sys.executable, "-m", "waxsim", *argv],
                 env=env, stdout=write, stderr=subprocess.PIPE, timeout=120,
             )
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (0, b"")
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_interrupt_exits_130_with_one_line(self, workers):
+    def test_interrupt_exits_130_with_one_line(self):
         # Ctrl-C sends SIGINT to the terminal's process group: here, the new
-        # session's, which holds the command and any pool process it forked
+        # session's, which holds the command
         proc = subprocess.Popen(
             [sys.executable, "-m", "waxsim", "campaign", "--dump-samples",
-             "--campaign.runs_per_time", "300000", "--workers", workers],
+             "--campaign.runs_per_time", "300000"],
             env=waxsim_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             start_new_session=True,
         )
         try:
             assert proc.stdout.readline() == b"t_s,run_index,x_m\n"
-            # the first row is written once the pool, if any, has run a tile
+            # the first row is written once the first tile is formatted
             assert proc.stdout.readline().startswith(b"0.0,0,")
             os.killpg(proc.pid, signal.SIGINT)
             _, err = proc.communicate(timeout=120)
@@ -970,112 +975,6 @@ class TestStreamedDump:
         assert (proc.returncode, err) == (130, b"waxsim: interrupted\n")
         with pytest.raises(ProcessLookupError):  # no process is left in the group
             os.killpg(proc.pid, 0)
-
-    @pytest.mark.parametrize("cpus, pooled", [(1, False), (2, True)])
-    def test_default_workers_pool_a_large_dump_on_more_than_one_cpu(
-        self, tmp_path, monkeypatch, cpus, pooled
-    ):
-        seen = []
-        csv_chunks = protocol.PositionSamples.csv_chunks
-
-        def recording(self, workers=1):
-            seen.append(workers)
-            return csv_chunks(self, workers)
-
-        monkeypatch.setattr(protocol.PositionSamples, "csv_chunks", recording)
-        monkeypatch.setattr(protocol, "_available_cpus", lambda: cpus)
-        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", 2 * 10)
-        argv = [*TestCampaignBytes.BASE, "--dump-samples", "-o", str(tmp_path / "d.csv")]
-        for runs in ("9", "10"):  # 18 and 20 draws at the two grid times
-            assert cli.main([*argv, "--campaign.runs_per_time", runs]) == 0
-        assert seen == [1, 2 if pooled else 1]
-        assert multiprocessing.active_children() == []
-
-    def test_emit_closes_the_chunks_when_the_reader_leaves(self, tmp_path, monkeypatch):
-        # the caller still holds the generator, so only an explicit close runs its finally
-        closed = []
-
-        def chunks():
-            try:
-                yield "t_s,run_index,x_m\n"
-                yield "0.0,0,1.0\n"
-            finally:
-                closed.append(True)
-
-        class ClosedPipe:
-            def writelines(self, lines):
-                next(iter(lines))
-                raise BrokenPipeError(32, "Broken pipe")
-
-            def fileno(self):  # _emit points it at devnull
-                return fh.fileno()
-
-        with open(tmp_path / "stdout", "w") as fh:
-            monkeypatch.setattr(sys, "stdout", ClosedPipe())
-            dump = chunks()
-            cli._emit(dump, None)
-            assert closed == [True]
-
-    def test_dead_pool_process_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch):
-        def broken_kernel(view, t_reprs, k, out):
-            raise BrokenProcessPool("a process in the pool died")
-
-        monkeypatch.setattr(protocol, "_tile_csv", broken_kernel)
-        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
-        code, out, err = run_cli(capsys, *argv, "--workers", "2", "-o", str(tmp_path / "d.csv"))
-        assert (code, out) == (2, "")
-        assert err == "waxsim: error: a worker process died: a process in the pool died\n"
-        assert multiprocessing.active_children() == []
-
-    def test_pool_broken_while_it_starts_exits_2_with_one_line(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        # the first submit forks the pool's processes, the second finds the pool broken
-        submit, calls = ProcessPoolExecutor.submit, []
-
-        def breaking_submit(pool, *args):
-            calls.append(1)
-            if len(calls) > 1:
-                raise BrokenProcessPool("a process in the pool died")
-            return submit(pool, *args)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
-        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
-        code, out, err = run_cli(capsys, *argv, "--workers", "2", "-o", str(tmp_path / "d.csv"))
-        assert (code, out) == (2, "")
-        assert err == "waxsim: error: a worker process died: a process in the pool died\n"
-        assert len(calls) == 2
-        assert multiprocessing.active_children() == []
-
-    def test_pool_process_that_exits_is_a_dead_pool(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(protocol, "_tile_csv", lambda view, t_reprs, k, out: os._exit(1))
-        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
-        code, out, err = run_cli(capsys, *argv, "--workers", "2", "-o", str(tmp_path / "d.csv"))
-        assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1
-        assert err.startswith("waxsim: error: a worker process died: ")
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("forks", [0, 1])
-    def test_refused_fork_exits_2_and_leaves_no_process(self, capsys, tmp_path, monkeypatch, forks):
-        # the host runs out of processes after `forks` of the pool's two
-        fork, calls = os.fork, []
-
-        def limited_fork():
-            calls.append(1)
-            if len(calls) > forks:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return fork()
-
-        monkeypatch.setattr(os, "fork", limited_fork)
-        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
-        code, out, err = run_cli(capsys, *argv, "--workers", "2", "-o", str(tmp_path / "d.csv"))
-        assert (code, out) == (2, "")
-        assert err == (
-            "waxsim: error: cannot start the dump's worker processes: "
-            "[Errno 11] Resource temporarily unavailable\n"
-        )
-        assert multiprocessing.active_children() == []
 
     def test_dump_draws_each_tile_once(self, tmp_path, monkeypatch):
         import scipy.special

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from waxsim import (
@@ -304,16 +306,24 @@ class TestOracleSweep:
             detection=DetectionConfig(aggregation=aggregation),
         )
 
-    def per_n(self, n_sweep, **model):
-        return [bisect_lambda_mc_sweep((n,), seeds=self.SEEDS, **model)[0] for n in n_sweep]
+    def per_n(self, n_sweep, seeds=SEEDS, **model):
+        return [bisect_lambda_mc_sweep((n,), seeds=seeds, **model)[0] for n in n_sweep]
 
     @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
-    def test_equals_one_oracle_per_n(self, aggregation):
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(
+        sweep=st.lists(st.integers(min_value=2, max_value=2000), min_size=1, max_size=4),
+        seeds=st.lists(
+            st.integers(min_value=0, max_value=2**32), min_size=1, max_size=8, unique=True
+        ),
+    )
+    @example(sweep=[400, 100, 400], seeds=list(SEEDS))  # unsorted, with a duplicate
+    def test_equals_one_oracle_per_n(self, aggregation, sweep, seeds):
         model = self.model(aggregation)
-        sweep = (400, 100, 400)  # unsorted, with a duplicate
-        rates = bisect_lambda_mc_sweep(sweep, seeds=self.SEEDS, **model)
-        assert rates == self.per_n(sweep, **model)
-        assert rates[0] == rates[2] and rates[0] != rates[1]
+        rates = bisect_lambda_mc_sweep(sweep, seeds=seeds, **model)
+        assert rates == self.per_n(sweep, seeds, **model)
+        if sweep == [400, 100, 400]:
+            assert rates[0] == rates[2] and rates[0] != rates[1]
 
     @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
     def test_run_prefixes_across_tiles(self, monkeypatch, aggregation):

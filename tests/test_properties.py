@@ -1,4 +1,5 @@
-"""Property tests of the command line's input contract (Hypothesis).
+"""Property tests (Hypothesis) of the command line's input contract and of
+the campaign's determinism contract.
 
 Generated values of ``campaign.time_grid_s`` (comma lists and
 ``start:stop:count`` ranges), ``bound.n_sweep`` and ``campaign.seed`` go
@@ -10,6 +11,10 @@ A range count is either small (at most 10^4) or far above any physical
 memory (10^20 and up), which the parser refuses before it allocates: no
 example asks for a grid that the parser would really build at a size that
 costs memory.
+
+Generated campaigns (run counts of one, two and three tiles, run prefixes,
+a subset of rows, 1 to 4 threads) give the variances of the serial campaign
+of every row, bit for bit.
 """
 import contextlib
 import io
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 
 import waxsim.cli as cli
 from waxsim.config import load_config
+from waxsim.protocol import TILE_RUNS, CampaignConfig, run_campaign
 
 COMMANDS = ("rates", "expand", "campaign", "bound", "feasibility")
 
@@ -75,3 +81,30 @@ def test_print_config_exits_0_2_or_3_and_round_trips(command, grid, sweep, seed)
         return
     assert err == ""
     assert load_config(out) == load_config(overrides=overrides)
+
+
+SCENARIO = load_config().scenario()
+# one tile, one either side of a tile boundary, and a ragged third tile
+CAMPAIGN_RUNS = (1000, TILE_RUNS - 1, TILE_RUNS + 1, 2 * TILE_RUNS + 1)
+
+
+@st.composite
+def campaigns(draw):
+    """A plan, its run prefixes, the rows to draw and a thread count."""
+    grid = draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=3, unique=True))
+    n = draw(st.sampled_from(CAMPAIGN_RUNS))
+    plan = CampaignConfig(tuple(sorted(grid)), n, rng_seed=draw(st.integers(0, 2**32)))
+    counts = draw(st.lists(st.integers(2, n), min_size=1, max_size=3))
+    rows = draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=len(grid)))
+    return plan, counts, rows, draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(campaigns())
+def test_rows_and_threads_keep_the_serial_variances(campaign):
+    plan, counts, rows, workers = campaign
+    serial = run_campaign(plan, SCENARIO, workers=1, run_counts=counts)
+    drawn = run_campaign(plan, SCENARIO, workers=workers, run_counts=counts, rows=rows)
+    assert drawn.var_hats.keys() == serial.var_hats.keys() == set(counts)
+    for m, variances in drawn.var_hats.items():
+        assert variances.tobytes() == serial.var_hats[m][sorted(set(rows))].tobytes()

@@ -49,6 +49,7 @@ def run_main(*argv: str) -> str:
     )
 
 
+DUMP = ("campaign", "--dump-samples", "--campaign.runs_per_time", "10")
 SCALAR_COMMANDS = ("rates", "expand", "feasibility")
 NUMPY_ONLY_COMMANDS = ("rates", "expand", "bound", "feasibility")
 
@@ -91,18 +92,18 @@ PROBES = {
         run_main("rates") + run_main("campaign", "--campaign.runs_per_time", "10"),
         (FORMATTER,),
     ),
-    "dump": (
-        run_main("campaign", "--dump-samples", "--campaign.runs_per_time", "10"), (FORMATTER,)
-    ),
+    "dump": (run_main(*DUMP), (FORMATTER,)),
     # the power-of-ten table is built on first use, not on import
     "import formatter": (
         "from waxsim import _dumpfmt\n"
         "assert _dumpfmt._powers.cache_info().currsize == 0\n",
         (FORMATTER,),
     ),
-    # only a pooled --dump-samples loads multiprocessing
+    # no command loads multiprocessing; a dump formats its tiles in this
+    # process whatever --workers says
     "serial commands": (
-        run_main("campaign", "--dump-samples", "--campaign.runs_per_time", "10")
+        run_main(*DUMP)
+        + run_main(*DUMP, "--workers", "2")
         + run_main("bound"),
         ("multiprocessing", "concurrent.futures.process"),
     ),

@@ -918,6 +918,29 @@ class TestStreamedDump:
         monkeypatch.setattr(protocol, "_available_cpus", lambda: 2)
         assert campaign.digest(tmp_path, *dump) == pinned
 
+    @pytest.mark.parametrize("workers", ["1", "2", "3", "16"])
+    def test_workers_do_not_change_the_dump(self, tmp_path, monkeypatch, workers):
+        # 2 times x 3 tiles of at most 4 runs; the last tile of each row is ragged
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
+        assert cli.main([*argv, "-o", str(tmp_path / "default.csv")]) == 0
+        assert cli.main([*argv, "--workers", workers, "-o", str(tmp_path / "w.csv")]) == 0
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [["--workers", "2"], []])
+    def test_dump_starts_no_thread(self, tmp_path, monkeypatch, workers):
+        # the dump draws no widths, so neither --workers 2 nor a default run
+        # on 2 CPUs above the parallel threshold starts a thread pool
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", 2)
+        monkeypatch.setattr(protocol, "_available_cpus", lambda: 2)
+        argv = [*TestCampaignBytes.BASE, "--dump-samples", "--campaign.runs_per_time", "10"]
+        assert cli.main([*argv, *workers, "-o", str(tmp_path / "dump.csv")]) == 0
+        assert (tmp_path / "dump.csv").read_text().count("\n") == 1 + 2 * 10
+
     def test_closed_stdout_returns_0_from_main(self):
         # 63,001 lines in tiles of 3,000, each larger than the pipe; the reader
         # takes the header and closes it

@@ -292,6 +292,21 @@ class TestTiledSampling:
         run_campaign(config, Scenario(silica, ground), workers=1)
         assert requested == [5]
 
+    # the default pools from PARALLEL_MIN_DRAWS drawn rows x N on, on more
+    # than one CPU; 3 times x 10 runs is 30 draws, one row of them 10
+    @pytest.mark.parametrize(
+        "cpus, runs, rows, pools",
+        [(2, 9, None, []), (2, 10, None, [2]), (1, 10, None, []), (2, 10, (0,), [])],
+    )
+    def test_default_pools_from_the_drawn_rows_threshold(
+        self, silica, ground, monkeypatch, cpus, runs, rows, pools
+    ):
+        requested = self.record_pools(monkeypatch, cpus=cpus)
+        monkeypatch.setattr(protocol, "PARALLEL_MIN_DRAWS", 30)
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        run_campaign(make_config(runs_per_time=runs), Scenario(silica, ground), rows=rows)
+        assert requested == pools
+
 
 class TestTileMoments:
     def test_single_tile_rows_equal_np_var(self, silica, ground):
@@ -347,6 +362,89 @@ class TestStreamingSerialization:
         monkeypatch.setattr(dynamics, "_physical_memory", lambda: None)
         samples = run_campaign(make_config(), Scenario(silica, ground)).samples
         assert np.asarray(samples).shape == (3, 100)
+
+
+class TestInProcessDump:
+    """``csv_chunks()`` re-draws and formats each tile in this process as it is taken."""
+
+    @pytest.fixture
+    def data(self, silica, ground, monkeypatch):
+        # 3 times x 3 tiles of at most 4 runs; the last tile of each row is ragged
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        return run_campaign(make_config(runs_per_time=10), Scenario(silica, ground))
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The index of each tile the samples view draws, in order."""
+        tiles = []
+        draw_tile = protocol.CampaignSamples.draw_tile
+
+        def recording(view, k, out):
+            tiles.append(k)
+            return draw_tile(view, k, out)
+
+        monkeypatch.setattr(protocol.CampaignSamples, "draw_tile", recording)
+        return tiles
+
+    # a short tile, one whole tile, one run past it, two whole tiles, a ragged third
+    @pytest.mark.parametrize("runs", [2, 4, 5, 8, 9])
+    def test_lines_give_back_the_samples(self, silica, ground, monkeypatch, runs):
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        data = run_campaign(make_config(runs_per_time=runs), Scenario(silica, ground))
+        samples = np.asarray(data.samples)
+        chunks = list(data.csv_chunks())
+        assert len(chunks) == 1 + 3 * math.ceil(runs / 4)
+        lines = "".join(chunks[1:]).splitlines()
+        assert [line.rsplit(",", 1)[0] for line in lines] == [
+            f"{t!r},{r}" for t in data.times.tolist() for r in range(runs)
+        ]
+        xs = np.array([float(line.rsplit(",", 1)[1]) for line in lines])
+        assert xs.tobytes() == samples.ravel().tobytes()
+
+    def test_each_tile_is_drawn_when_its_chunk_is_taken(self, data, drawn):
+        chunks = data.csv_chunks()
+        assert next(chunks) == "t_s,run_index,x_m\n"
+        assert drawn == []  # the header draws nothing
+        for taken in range(9):
+            next(chunks)
+            assert drawn == list(range(taken + 1))
+        with pytest.raises(StopIteration):
+            next(chunks)
+
+    def test_closing_early_draws_no_more_tiles(self, data, drawn):
+        chunks = data.csv_chunks()
+        next(chunks), next(chunks)
+        chunks.close()
+        assert drawn == [0]
+        with pytest.raises(StopIteration):
+            next(chunks)
+
+    def test_interleaved_dumps_share_no_buffer(self, data):
+        first, second = data.csv_chunks(), data.csv_chunks()
+        pairs = list(zip(first, second))
+        assert [a for a, _ in pairs] == [b for _, b in pairs] == list(data.csv_chunks())
+
+    @pytest.mark.parametrize("state", ["raise", "warn", "ignore"])
+    def test_chunks_under_the_callers_error_state(self, data, state):
+        # the kernel's bytes do not depend on the caller's numpy error state,
+        # and taking the chunks leaves that state as it was
+        expected = list(data.csv_chunks())
+        with np.errstate(all=state):
+            before = np.geterr()
+            assert list(data.csv_chunks()) == expected
+            assert np.geterr() == before
+
+    def test_repr_fallback_gives_the_kernel_bytes(self, data, monkeypatch):
+        from waxsim import _dumpfmt
+
+        kernel = list(data.csv_chunks())
+        monkeypatch.setattr(_dumpfmt, "all_normal", lambda xs: False)
+        assert list(data.csv_chunks()) == kernel
+
+    def test_takes_no_workers(self, data):
+        with pytest.raises(TypeError):
+            data.csv_chunks(2)
+        assert not hasattr(protocol, "default_workers")
 
 
 class TestMomentsEngine:

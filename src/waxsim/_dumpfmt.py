@@ -4,10 +4,14 @@
 double, and of those the closest to it (ties to an even last digit). This
 module finds those digits for a whole array at once with the Schubfach
 algorithm (R. Giulietti, "The Schubfach way to render doubles", 2020; the
-algorithm of ``Double.toString`` in Java 19 and later): per value, three
-products of a 64-bit significand with a 126-bit power of ten, rounded to
-odd, bracket the double's rounding interval in units of ``10**k``, and a
-few integer comparisons choose the digits. Every step is ``uint64``
+algorithm of ``Double.toString`` in Java 19 and later): three values,
+rounded to odd, bracket the double's rounding interval in units of
+``10**k``, and a few integer comparisons choose the digits. The brackets
+are products of a 126-bit power of ten ``g`` with the scaled significand
+and with the interval's two ends, which differ from it by a power of two;
+so per value one product is formed, as two exact 128-bit partial products,
+and each end's product is derived from it by adding or subtracting ``g``
+shifted left, with explicit carries and borrows. Every step is ``uint64``
 array arithmetic; a 128-bit product is assembled from 32-bit halves, and a
 wrapped product is only ever taken from arrays, since numpy warns when a
 scalar integer operation overflows.
@@ -18,8 +22,11 @@ The digits are then laid out as ``repr`` does: exponent form
 (``0.000ddd``, ``ddd.ddd``, ``ddd00.0``) otherwise. Each line of
 ``t_s,run_index,x_m`` is written into fixed character columns, one slot
 for every character any line can have, with a mask of the slots a line
-uses; compressing the mask gives the text. Lines are formatted in blocks of
-``BLOCK_ROWS``, so the working set does not grow with the tile.
+uses; compressing the mask gives the text. Decimal digits are written four
+at a time, by one division by 10,000 and one lookup in a table of the
+ASCII digits of 0 to 9,999. Lines are formatted in blocks of
+``BLOCK_ROWS``, so the working set does not grow with the tile. The power
+and digit tables are built on first use, not on import.
 
 Only normal doubles are handled (:func:`all_normal`): a tile holding a
 zero, a subnormal, an infinity or a nan is formatted by ``repr`` itself.
@@ -31,7 +38,7 @@ import functools
 
 import numpy as np
 
-# lines formatted at once: a block takes about 1.4 MB of scratch (traced),
+# lines formatted at once: a block takes about 1.5 MB of scratch (traced),
 # whatever the tile size
 BLOCK_ROWS = 4096
 
@@ -52,6 +59,8 @@ X_ZERO, X_E = 39, 40
 # 1 to 17: the place of each significand digit
 _PLACES = np.arange(1, 18, dtype=np.uint8)
 _POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
+# a 128-bit integer per value: its high and its low 64 bits
+_Wide = tuple[np.ndarray, np.ndarray]
 
 
 @functools.cache
@@ -81,6 +90,20 @@ def _powers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return high, low, shift
 
 
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """Per v in ``[0, 10_000)``: the four ASCII digits of v, zero-padded, as one uint32.
+
+    Built on first use; read-only.
+    """
+    return np.frombuffer("".join(f"{v:04d}" for v in range(10_000)).encode("ascii"), np.uint32)
+
+
+def _four_digits(values: np.ndarray) -> np.ndarray:
+    """The ASCII digits of values below 10,000, zero-padded to four rows, the last the units."""
+    return _digit_table().take(values, mode="clip").view(np.uint8).reshape(-1, 4).T
+
+
 def all_normal(xs: np.ndarray) -> bool:
     """Whether every value is a normal double: no zero, subnormal, infinity or nan."""
     exponents = (xs.view(np.uint64) >> _U(52)) & _U(0x7FF)
@@ -106,25 +129,39 @@ def _block(template: np.ndarray, head: int, first: int, xs: np.ndarray) -> str:
 
     ``chars`` and ``used`` hold one row per character slot of ``template``
     and one column per line, so that each slot is written contiguously.
-    Unused slots are zeroed and deleted from the text.
+    Every row of both is written here: the template's constant slots, then
+    the digits and signs. Unused slots are zeroed and deleted from the text.
     """
     chars = np.empty((template.size, xs.size), np.uint8)
-    chars[:] = template[:, None]
-    used = np.ones(chars.shape, bool)
-
+    used = np.empty(chars.shape, bool)
     x = template.size - 1 - len(X_TEMPLATE)
     index = slice(head, x - 1)
+    xc = chars[x:]
+    # the template's constant slots: the head, the comma after the run index
+    # with the x_m slots before the digits, the points, the "0" of a trailing
+    # ".0" with the "e", and the newline; the other slots are written below
+    for rows in (slice(0, head), slice(x - 1, x + X_DIGITS.start), slice(x + X_ZERO, x + X_E + 1)):
+        chars[rows] = template[rows, None]
+    xc[X_POINTS] = ord(".")
+    chars[-1] = ord("\n")
+    # the head, the units digit of the run index, its comma and the newline
+    # are in every line
+    used[:head] = True
+    used[x - 2 : x] = True
+    used[-1] = True
+
     runs = np.arange(first, first + xs.size, dtype=np.uint64)
-    _add_digits(chars[index], runs)
+    _put_digits(chars[index], runs)
     # no leading zeros: the slot of 10**p is used from 10**p on
     width = x - 1 - head
     np.greater_equal(runs, _POWERS_OF_TEN[width - 1 : 0 : -1, None], out=used[index][:-1])
 
     f, decpt = _shortest(xs.view(np.uint64))
-    digits = chars[x:][X_DIGITS]
-    _add_digits(digits, f)
-    # significant digits: up to the last that is not 0 (the first never is)
-    n = ((digits != ord("0")) * _PLACES[:, None]).max(axis=0)
+    digits = xc[X_DIGITS]
+    _put_digits(digits, f)
+    # significant digits: up to the last that is not 0 (the first never is);
+    # a bool array read as uint8 multiplies without a cast
+    n = ((digits > ord("0")).view(np.uint8) * _PLACES[:, None]).max(axis=0)
     exp_form = (decpt <= -4) | (decpt > 16)
     fixed = ~exp_form
 
@@ -145,36 +182,49 @@ def _block(template: np.ndarray, head: int, first: int, xs: np.ndarray) -> str:
     slots[X_ZERO] = fixed & (decpt >= n)
     # "e", the exponent's sign and two or three digits
     exponent = decpt - 1
-    size = np.abs(exponent).astype(np.uint64)
-    chars[x + X_E + 1] = np.where(exponent < 0, ord("-"), ord("+"))
-    _add_digits(chars[x + X_E + 2 : x + X_E + 5], size)
+    xc[X_E + 1] = np.where(exponent < 0, ord("-"), ord("+"))
+    size = np.abs(exponent)
+    xc[X_E + 2 : X_E + 5] = _four_digits(size)[1:]
     slots[X_E : X_E + 2] = exp_form
-    slots[X_E + 2] = exp_form & (size >= _U(100))
+    slots[X_E + 2] = exp_form & (size >= 100)
     slots[X_E + 3 : X_E + 5] = exp_form
 
     # slots that no line of the block uses are left out of the transpose
     kept = used.any(axis=1)
-    chars = chars[kept] * used[kept]
+    chars = chars[kept] * used[kept].view(np.uint8)
     return chars.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _add_digits(rows: np.ndarray, values: np.ndarray) -> None:
-    """Add the decimal digits of ``values`` to ``rows``, the last row the units digit."""
-    for row in rows[::-1]:
-        rest = values // _U(10)
-        row += (values - rest * _U(10)).astype(np.uint8)
-        values = rest
+def _put_digits(rows: np.ndarray, values: np.ndarray) -> None:
+    """Write the ASCII digits of ``values`` into ``rows``, the last row the units digit.
+
+    Four digits at a time: a division by 10,000 and a lookup in
+    :func:`_digit_table`. No value may have more digits than there are rows.
+    """
+    end = len(rows)
+    while end > 0:
+        start = max(end - 4, 0)
+        group = values
+        if start:
+            values = values // _U(10_000)
+            group = group - values * _U(10_000)
+        # below 10,000, so the uint64 reads as the index type as it is
+        rows[start:end] = _four_digits(group.view(np.int64))[start - end :]
+        end = start
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shortest-closest decimals of normal doubles, given as their bit patterns.
 
     Returns ``f``, the digits as a 17-digit integer (the significant ones,
-    then zeros), and ``decpt``: the value's magnitude is
-    ``0.d1d2...d17 * 10**decpt``.
+    then zeros), and ``decpt`` as int16: the value's magnitude is
+    ``0.d1d2...d17 * 10**decpt``. One product with the power of ten is
+    formed per value; the products of the interval's ends are exact sums of
+    it with shifted copies of the power, so each bracket is :func:`_rop` of
+    its own product.
     """
     high, low, shift = _powers()
-    exponent = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
+    exponent = ((bits << _U(1)) >> _U(53)).view(np.int64)
     mantissa = bits & _LOW52
     c = mantissa | _HIDDEN
     q = exponent - 1075  # the value is c * 2**q
@@ -185,50 +235,73 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = (q * 661_971_961_083 + np.where(even_gaps, 0, -274_743_187_321)) >> 41
     table = k - K_MIN
     g1, g0 = high[table], low[table]
-    h = (q + shift[table]).astype(np.uint64)  # 1 to 4
+    h = (q + shift[table]).view(np.uint64)  # 1 to 4
 
-    g1_halves, g0_halves = _halves(g1), _halves(g0)
-
-    def rop(cp: np.ndarray) -> np.ndarray:
-        """``floor(g * cp / 2**127)``, rounded to odd when the division is inexact.
-
-        ``g = g1 * 2**63 + g0``. The bits of ``g0 * cp`` below 2**64 and the
-        lowest bit of ``g1 * cp`` do not reach the result (Giulietti, figure 5).
-        """
-        cp_halves = _halves(cp)
-        z = ((g1 * cp) >> _U(1)) + _mulhi(g0_halves, cp_halves)
-        return (_mulhi(g1_halves, cp_halves) + (z >> _U(63))) | ((z & _LOW63) != 0)
-
-    cb = c << _U(2)
-    vb = rop(cb << h)
-    vbl = rop((cb - np.where(even_gaps, _U(2), _U(1))) << h)
-    vbr = rop((cb + _U(2)) << h)
-    # the interval's ends are in it when c is even (reading back rounds to even)
+    # the value is cp = 4c * 2**h in units of 2**(q-2-h), and the ends of its
+    # rounding interval are cp + 2**(h+1) and cp - 2**(h+1) (cp - 2**h at a
+    # power of two). g * cp is formed once, as the 128-bit products g1 * cp
+    # and g0 * cp (g = g1 * 2**63 + g0); an end's products differ from them
+    # by g1 and g0 shifted left, which is added with a carry or subtracted
+    # with a borrow. Each bracket is then rop of exactly its own product.
+    cp = c << (h + _U(2))
+    cp_halves = _halves(cp)
+    g1_cp = _mulhi(_halves(g1), cp_halves), g1 * cp
+    g0_cp = _mulhi(_halves(g0), cp_halves), g0 * cp
+    vb = _rop(g1_cp, g0_cp)
+    up = h + _U(1)
+    vbr = _rop(_plus(g1_cp, g1, up), _plus(g0_cp, g0, up))
+    down = h + even_gaps
+    vbl = _rop(_minus(g1_cp, g1, down), _minus(g0_cp, g0, down))
+    # the interval's ends are in it when c is even (reading back rounds to
+    # even): narrow it by one unit at each end when c is odd
     odd = c & _U(1)
     vbl += odd
+    vbr -= odd
 
     s = vb >> _U(2)  # floor(value / 10**k), 16 or 17 digits
-    ten = _U(10)
-    sp10 = s // ten * ten
-    tp10 = sp10 + ten
+    sp10 = s // _U(10) * _U(10)
     # one digit fewer: at most one multiple of 10 fits the interval
-    upin = vbl <= sp10 << _U(2)
-    wpin = (tp10 << _U(2)) + odd <= vbr
-    t = s + _U(1)
-    uin = vbl <= s << _U(2)
-    win = (t << _U(2)) + odd <= vbr
-    mid = (s + t) << _U(1)
-    closer_s = (vb < mid) | ((vb == mid) & ((s & _U(1)) == 0))
-    f = np.where(
-        upin != wpin,
-        np.where(upin, sp10, tp10),
-        np.where(uin != win, np.where(uin, s, t), np.where(closer_s, s, t)),
-    )
+    sp10_4 = sp10 << _U(2)
+    upin = vbl <= sp10_4
+    wpin = sp10_4 + _U(40) <= vbr
+    # else s or t = s + 1, whichever alone fits, or the closer of the two
+    # to the value, at the midpoint the even one: vb is 4s plus 0 to 3
+    s_4 = s << _U(2)
+    uin = vbl <= s_4
+    win = s_4 + _U(4) <= vbr
+    past_mid = (vb & _U(3)) + (s & _U(1)) > _U(2)
+    pick_t = (win & ~uin) | (past_mid & (uin == win))
+    f = np.where(upin != wpin, sp10 + _U(10) * wpin, s + pick_t)
     # as 17 digits: f has 16 or 17
     short = f < _U(10**16)
-    np.multiply(f, ten, out=f, where=short)
-    decpt = k + 17 - short
-    return f, decpt
+    decpt = k.astype(np.int16) + np.int16(17) - short.view(np.int8)
+    return np.where(short, f * _U(10), f), decpt
+
+
+def _rop(g1_cp: _Wide, g0_cp: _Wide) -> np.ndarray:
+    """``floor(g * cp / 2**127)``, rounded to odd when the division is inexact.
+
+    Takes ``g1 * cp`` and ``g0 * cp`` as :data:`_Wide`. The bits
+    of ``g0 * cp`` below 2**64 and the lowest bit of ``g1 * cp`` do not reach
+    the result (Giulietti, figure 5).
+    """
+    (y1, y0), (x1, _) = g1_cp, g0_cp
+    z = (y0 >> _U(1)) + x1
+    return (y1 + (z >> _U(63))) | ((z & _LOW63) != 0)
+
+
+def _plus(product: _Wide, g: np.ndarray, s: np.ndarray) -> _Wide:
+    """``product + (g << s)``, with the carry out of the low half; 0 < s < 64."""
+    high, low = product
+    total = low + (g << s)
+    return high + (g >> (_U(64) - s)) + (total < low), total
+
+
+def _minus(product: _Wide, g: np.ndarray, s: np.ndarray) -> _Wide:
+    """``product - (g << s)``, with the borrow out of the low half; 0 < s < 64."""
+    high, low = product
+    rest = low - (g << s)
+    return high - (g >> (_U(64) - s)) - (rest > low), rest
 
 
 def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +310,11 @@ def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mulhi(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The high 64 bits of each 128-bit product of two values given as :func:`_halves`."""
+    """The high 64 bits of each 128-bit product of two values given as :func:`_halves`.
+
+    ``a`` is at most 2**63 and ``b`` below 2**59, so the sum of the cross
+    products stays below 2**64.
+    """
     (a_lo, a_hi), (b_lo, b_hi) = a, b
-    hi_lo = a_hi * b_lo
-    cross = ((a_lo * b_lo) >> _U(32)) + (hi_lo & _LOW32) + a_lo * b_hi
-    return a_hi * b_hi + (hi_lo >> _U(32)) + (cross >> _U(32))
+    cross = a_hi * b_lo + a_lo * b_hi + ((a_lo * b_lo) >> _U(32))
+    return a_hi * b_hi + (cross >> _U(32))

@@ -823,7 +823,7 @@ class TestCampaignBytes:
         assert self.digest(tmp_path, *extra) == self.PINNED[n, dump]
 
     @pytest.mark.parametrize("n, workers", [(65539, "3"), (131073, "2")])
-    def test_pooled_dump_keeps_the_pinned_digest(self, tmp_path, n, workers):
+    def test_dump_with_workers_keeps_the_pinned_digest(self, tmp_path, n, workers):
         extra = ["--campaign.runs_per_time", str(n), "--dump-samples", "--workers", workers]
         assert self.digest(tmp_path, *extra) == self.PINNED[n, True]
 

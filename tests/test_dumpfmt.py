@@ -32,11 +32,14 @@ def neighbours(values):
 
 
 # every power of two of a normal double and both its neighbours (inf above
-# the largest and a subnormal below the smallest are dropped), the integers
-# to 10**5, the ends of the positional form (decpt -3 and 16), 3-digit
-# exponents and the extremes; each with both signs
+# the largest and a subnormal below the smallest are dropped), every power
+# of ten from 1e-307 and both its neighbours (where k steps and the ends of
+# the rounding interval lie near multiples of 10), the integers to 10**5,
+# the ends of the positional form (decpt -3 and 16), 3-digit exponents and
+# the extremes; each with both signs
 EDGES = np.concatenate([
     neighbours(2.0 ** np.arange(-1022, 1024)),
+    neighbours([float(f"1e{e}") for e in range(-307, 309)]),
     np.arange(1, 10**5 + 1, dtype=float),
     neighbours([1e-5, 1e-4, 1e-3, 0.1, 1.0, 1e15, 1e16, 1e17, 9007199254740993.0]),
     neighbours([1e-100, 1e-99, 1.5e-200, 1e-300, 1e100, 1e99, 1.5e200, 1e300]),
@@ -45,6 +48,10 @@ EDGES = np.concatenate([
     # rounding interval on a multiple of 10, which reads back to the value
     # only if its significand is even
     np.ldexp(2.0**52 + np.arange(200), np.arange(1, 9)[:, None]).ravel(),
+    # spaced 2**53, with the lower end of the rounding interval exactly on the
+    # one-digit-shorter candidate, which is the repr: the borrow out of the
+    # low half of that end's product decides it
+    [4.056579431202816e31, 4.05685430910976e31, 4.057129187016704e31],
 ])
 EDGES = EDGES[np.isfinite(EDGES) & (np.abs(EDGES) >= np.finfo(float).tiny)]
 EDGES = np.concatenate([EDGES, -EDGES])
@@ -58,9 +65,11 @@ def test_edge_table_matches_repr():
 
 
 @pytest.mark.parametrize("t_repr", ["0.0", "100.0", "1e-05"])
-@pytest.mark.parametrize("first", [0, 9, 2**16 * 7])
+@pytest.mark.parametrize("first", [0, 9, 2**16 * 7, 9_998, 99_999_998, 10**12 - 2])
 def test_tile_of_normal_draws_matches_repr(t_repr, first):
-    # a tile as the dump draws it: more than one block, a ragged last one
+    # a tile as the dump draws it: more than one block, a ragged last one;
+    # the last three run indices gain a digit at a multiple of 10**4, where
+    # the digits are looked up four at a time
     xs = np.random.default_rng(first).standard_normal(2 * _dumpfmt.BLOCK_ROWS + 3) * 1e-3
     assert mismatches(_dumpfmt.csv_lines(t_repr, first, xs), repr_lines(t_repr, first, xs)) == []
 

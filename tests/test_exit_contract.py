@@ -40,7 +40,8 @@ CASES = [
      "--campaign.runs_per_time", "70000", "--workers", workers)
     for workers in ("1", "2")
 ] + [
-    # the dump formats its tiles in pool processes
+    # a --workers 2 dump of positions with 3-digit exponents, formatted in
+    # this process
     ("campaign", "--dump-samples", "--campaign.drift_velocity_std_m_s", "1e150",
      "--campaign.runs_per_time", "20", "--workers", "2")
 ]

@@ -93,10 +93,11 @@ PROBES = {
         (FORMATTER,),
     ),
     "dump": (run_main(*DUMP), (FORMATTER,)),
-    # the power-of-ten table is built on first use, not on import
+    # the power-of-ten and digit tables are built on first use, not on import
     "import formatter": (
         "from waxsim import _dumpfmt\n"
-        "assert _dumpfmt._powers.cache_info().currsize == 0\n",
+        "assert _dumpfmt._powers.cache_info().currsize == 0\n"
+        "assert _dumpfmt._digit_table.cache_info().currsize == 0\n",
         (FORMATTER,),
     ),
     # no command loads multiprocessing; a dump formats its tiles in this

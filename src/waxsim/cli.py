@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="campaigns the Monte-Carlo oracle simulates",
+        help="campaigns the Monte-Carlo oracle simulates (default %(default)s)",
     )
     add_command("feasibility", "drop-distance report")
     return parser
@@ -206,21 +206,14 @@ def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[st
 
 
 def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
-    from .inference import bisect_lambda_mc_sweep, min_detectable_lambda
+    from .inference import _closed_forms, bisect_lambda_mc_sweep
 
     if args.oracle_seeds < 1:
         raise ConfigError(f"--oracle-seeds must be >= 1, got {args.oracle_seeds}")
     n_sweep = config.get("bound.n_sweep")
     grid = config.get("campaign.time_grid_s")
     scenario, detection = config.scenario(), config.detection()
-    results = [
-        min_detectable_lambda(
-            n, grid, scenario.particle, scenario.environment, scenario.csl,
-            scenario.toggles, detection, scenario.trap_frequency, scenario.occupancy,
-            scenario.measurement_noise, scenario.drift_velocity_std,
-        )
-        for n in n_sweep
-    ]
+    results = _closed_forms(n_sweep, grid, scenario, detection)
 
     warnings = list(scenario.budget.warnings)
     if args.oracle_check:

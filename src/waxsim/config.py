@@ -218,6 +218,9 @@ class ConfigBuilder:
             raise ConfigError("bound.n_sweep must be non-empty")
         for n in values["bound.n_sweep"]:
             _check_runs(n, "n_per_time")
+        height = values["feasibility.drop_height_m"]
+        if height < 0.0:
+            raise ConfigError(f"feasibility.drop_height_m must be >= 0, got {height!r}")
         return config
 
 

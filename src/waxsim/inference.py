@@ -32,7 +32,9 @@ returns the rate with 50 percent detection power: the lower median of
 those rates. It does this for every N of a sweep from one campaign per
 seed at the largest N, reading each N from a run prefix. For best-time
 aggregation each campaign draws only the pre-registered time's row, the
-one the test reads.
+one the test reads, and one array rule per N turns the seeds' variances
+there into rates. A sweep's closed forms share one detection set-up, and
+so do its oracle rates.
 """
 from __future__ import annotations
 
@@ -55,7 +57,9 @@ class DetectionResult:
     """Smallest detectable collapse rate for a given campaign size.
 
     ``lambda_min_grw`` reports the same rate in units of the historical
-    reference value 1e-16 Hz; both must be finite.
+    reference value 1e-16 Hz. A rate that is not positive and finite is a
+    ``DomainError``; a finite rate that overflows in GRW units is a
+    ``NumericalError``.
     """
 
     lambda_min: float
@@ -63,9 +67,12 @@ class DetectionResult:
     n_per_time: int
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.lambda_min and math.isfinite(self.lambda_min_grw)):
-            raise DomainError(
-                f"lambda_min must be > 0 and finite in GRW units too, got {self.lambda_min}"
+        if not (0.0 < self.lambda_min < math.inf):
+            raise DomainError(f"lambda_min must be > 0 and finite, got {self.lambda_min}")
+        if not math.isfinite(self.lambda_min_grw):
+            raise NumericalError(
+                f"lambda_min = {self.lambda_min!r} Hz overflows in GRW units "
+                f"(lambda_min / {LAMBDA_GRW!r})"
             )
 
     @property
@@ -186,16 +193,25 @@ def min_detectable_lambda(
         particle, env, csl_geometry, toggles, trap_frequency, occupancy,
         measurement_noise, drift_velocity_std,
     )
-    times, sens, _, q, per_n = _detection_setup((n_per_time,), time_grid, detection, scenario)
-    se_var, best = per_n[0]
-    if q is None:
-        lam = float(detection.confidence_z * se_var[best] / sens[best])
-    else:
-        usable = sens > 0.0
-        lam = float(np.sqrt(q / np.sum((sens[usable] / se_var[usable]) ** 2)))
-    return DetectionResult(
-        lambda_min=lam, best_time=float(times[best]), n_per_time=n_per_time
-    )
+    return _closed_forms((n_per_time,), time_grid, scenario, detection)[0]
+
+
+def _closed_forms(
+    n_sweep: Sequence[int], time_grid: Sequence[float], scenario: Scenario,
+    detection: DetectionConfig,
+) -> list[DetectionResult]:
+    """:func:`min_detectable_lambda` at each N of ``n_sweep``, in sweep
+    order, from one :func:`_detection_setup`."""
+    times, sens, _, q, per_n = _detection_setup(n_sweep, time_grid, detection, scenario)
+    usable = sens > 0.0
+    results = []
+    for n, (se_var, best) in zip(n_sweep, per_n):
+        if q is None:
+            lam = float(detection.confidence_z * se_var[best] / sens[best])
+        else:
+            lam = float(np.sqrt(q / np.sum((sens[usable] / se_var[usable]) ** 2)))
+        results.append(DetectionResult(lambda_min=lam, best_time=float(times[best]), n_per_time=n))
+    return results
 
 
 def _critical_rate(
@@ -204,31 +220,15 @@ def _critical_rate(
     sens: np.ndarray,
     var_std: np.ndarray,
     se_var: np.ndarray,
-    detection: DetectionConfig,
-    q: float | None,
+    q: float,
 ) -> float:
-    """Smallest rate at which one seed's campaign is detected.
-
-    ``var_hat`` is the seed's sample variance at rate 0 and ``v0`` the true
-    variance it was drawn with. With common random numbers the sample
-    variance at rate lambda is ``w * (v0 + lambda * sens)``, ``w = var_hat /
-    v0``, so the z-score at each time is linear in lambda:
-    ``(a + lambda * b) / se_var`` with ``a = var_hat - var_std`` and
-    ``b = w * sens``. For best-time aggregation (``q`` is ``None``) every
-    argument is the scalar at the one time tested, where ``sens`` is
-    positive, and the rate is computed on Python floats, which round as
-    numpy's scalars do at a fraction of their cost; for chi-square-sum each
-    argument is an array over the grid.
-    """
-    if q is None:
-        a = float(var_hat) - var_std
-        b = float(var_hat) / float(v0) * sens
-        return max((detection.confidence_z * se_var - a) / b, 0.0)
-    a = var_hat - var_std
-    b = var_hat / v0 * sens
-    # upper root of sum_t ((a + lambda b) / se)^2 = q, written
-    # A lambda^2 + 2 B lambda + C = 0 and solved without cancellation
-    a, b = a / se_var, b / se_var
+    """Smallest rate that one seed's chi-square-sum test detects, from its
+    sample variances ``var_hat`` at rate 0 and the true variances ``v0``
+    they were drawn with (see :func:`bisect_lambda_mc_sweep`)."""
+    # upper root of sum_t (a + lambda b)^2 = q, a and b in standard errors,
+    # written A lambda^2 + 2 B lambda + C = 0 and solved without cancellation
+    a = (var_hat - var_std) / se_var
+    b = var_hat / v0 * sens / se_var
     quad, half_lin, const = np.sum(b * b), np.sum(a * b), np.sum(a * a) - q
     disc = half_lin * half_lin - quad * const
     if disc < 0.0:
@@ -280,7 +280,9 @@ def bisect_lambda_mc_sweep(
     For ``best-time`` each campaign draws only the rows of the sweep's best
     times (``rows`` of :func:`waxsim.protocol.run_campaign`), each as the
     full campaign draws it, so the rates are those of the full campaign;
-    ``chi-square-sum`` reads, and draws, every row.
+    ``chi-square-sum`` reads, and draws, every row. Best-time seeds fill
+    the table below with their variances at each N's best time, and one
+    array expression per N, the formula above, turns a column into rates.
 
     ``seeds`` must be non-empty; a ``range`` holds many at no cost. The
     per-seed rates are one float64 table, seeds x sweep, which is refused
@@ -293,19 +295,8 @@ def bisect_lambda_mc_sweep(
     # only the standard error, and with it the best time, depends on N
     times, sens, var_std, q, per_n = _detection_setup(n_sweep, time_grid, detection, scenario)
 
-    # what each N reads: its place in var_hats, its grid index, and sens,
-    # var_std and se_var there
-    if q is None:
-        # best-time tests each N at its best time alone: draw only those rows
-        rows = sorted({best for _, best in per_n})
-        reads = [
-            (rows.index(best), best, sens.item(best), var_std.item(best), se_var.item(best))
-            for se_var, best in per_n
-        ]
-    else:
-        rows = None
-        every = slice(None)
-        reads = [(every, every, sens, var_std, se_var) for se_var, _ in per_n]
+    # best-time tests each N at its best time alone: draw only those rows
+    rows = sorted({best for _, best in per_n}) if q is None else None
 
     try:
         count = len(seeds)
@@ -325,15 +316,22 @@ def bisect_lambda_mc_sweep(
     for k, seed in enumerate(seeds):
         plan = CampaignConfig(times, largest, int(seed))
         data = run_campaign(plan, simulated, run_counts=n_sweep, rows=rows)
-        for j, (n, (drawn, i, sens_i, var_std_i, se_var_i)) in enumerate(zip(n_sweep, reads)):
-            sigma = data.samples.sigmas[i]
-            table[k, j] = _critical_rate(
-                data.var_hats[n][drawn], sigma * sigma, sens_i, var_std_i, se_var_i, detection, q
-            )
+        v0 = data.samples.sigmas * data.samples.sigmas  # the same for every seed
+        for j, (n, (se_var, best)) in enumerate(zip(n_sweep, per_n)):
+            if q is None:  # N's variance at its best time; the rates follow below
+                table[k, j] = data.var_hats[n][rows.index(best)]
+            else:
+                table[k, j] = _critical_rate(data.var_hats[n], v0, sens, var_std, se_var, q)
+    if q is None:
+        z = detection.confidence_z
+        for j, (se_var, best) in enumerate(per_n):
+            v = table[:, j]
+            rate = (z * se_var[best] - (v - var_std[best])) / (v / v0[best] * sens[best])
+            table[:, j] = np.where(rate < 0.0, 0.0, rate)  # max(rate, 0.0): keeps -0.0
     # the lower median: the first order statistic whose share of seeds reaches 1/2
     lower = (count - 1) // 2
     table.partition(lower, axis=0)
     medians = table[lower].tolist()
-    if not all(map(math.isfinite, medians)):  # Python floats overflow without raising
+    if not all(map(math.isfinite, medians)):  # inf where the caller's errstate lets it pass
         raise NumericalError("Monte-Carlo oracle rate overflows double precision")
     return medians

@@ -465,6 +465,17 @@ class TestCli:
         assert (code, out, err) == (2, "", "waxsim: error: occupancy must be >= 0, got -1.0\n")
 
     @pytest.mark.parametrize("command", ["rates", "expand", "campaign", "bound", "feasibility"])
+    def test_negative_drop_height_exits_2_on_every_command(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--feasibility.drop_height_m=-1")
+        line = "waxsim: error: feasibility.drop_height_m must be >= 0, got -1.0\n"
+        assert (code, out, err) == (2, "", line)
+
+    def test_zero_drop_height_is_a_height(self, capsys):
+        code, out, err = run_cli(capsys, "feasibility", "--feasibility.drop_height_m=0")
+        assert (code, err) == (0, "")
+        assert out.startswith("platform drop-tower: drop height 0.0 m\n")
+
+    @pytest.mark.parametrize("command", ["rates", "expand", "campaign", "bound", "feasibility"])
     @pytest.mark.parametrize(
         "flag, reason",
         [
@@ -584,14 +595,14 @@ class TestBoundCommand:
         # an oracle at 10 times each closed form: the CSV is unchanged and
         # every row of the sweep warns
         closed = []
-        real = inference.min_detectable_lambda
+        real = inference._closed_forms
 
         def recording(*args, **kwargs):
-            result = real(*args, **kwargs)
-            closed.append(result.lambda_min)
-            return result
+            results = real(*args, **kwargs)
+            closed.extend(result.lambda_min for result in results)
+            return results
 
-        monkeypatch.setattr(inference, "min_detectable_lambda", recording)
+        monkeypatch.setattr(inference, "_closed_forms", recording)
         monkeypatch.setattr(
             inference, "bisect_lambda_mc_sweep", lambda *args, **kwargs: [10 * c for c in closed]
         )
@@ -605,6 +616,47 @@ class TestBoundCommand:
             f"{c:.3e} Hz vs Monte-Carlo {10 * c:.3e} Hz"
             for n, c in zip(n_sweep, closed)
         ]
+
+    @pytest.mark.parametrize(
+        "flag", ["--detection.confidence_z=1e300", "--campaign.measurement_noise_m=1e150"]
+    )
+    def test_rate_overflowing_in_grw_units_exits_3(self, capsys, flag):
+        # lambda_min is finite in Hz; only lambda_min / 1e-16 overflows
+        code, out, err = run_cli(capsys, "bound", flag)
+        assert (code, out) == (3, "")
+        assert err.startswith("waxsim: numerical failure: lambda_min = ")
+        assert err.endswith(" Hz overflows in GRW units (lambda_min / 1e-16)\n")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, setups",
+        [
+            ((), 1),
+            (("--oracle-check", "--oracle-seeds", "2"), 2),
+            (("--oracle-check", "--oracle-seeds", "2", "--detection.aggregation",
+              "chi-square-sum"), 2),
+        ],
+    )
+    def test_one_detection_setup_for_the_closed_forms(self, capsys, monkeypatch, argv, setups):
+        # one for every closed form of the sweep, and one for the oracle's
+        calls = []
+        real = inference._detection_setup
+
+        def counting(n_sweep, *args):
+            calls.append(tuple(n_sweep))
+            return real(n_sweep, *args)
+
+        monkeypatch.setattr(inference, "_detection_setup", counting)
+        assert run_cli(capsys, "bound", *argv)[0] == 0
+        assert calls == [tuple(load_config().get("bound.n_sweep"))] * setups
+
+    def test_oracle_seeds_help_shows_its_default(self):
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        bound = commands.choices["bound"]
+        shown = " ".join(bound.format_help().split())  # unwrapped
+        assert "--oracle-seeds N campaigns the Monte-Carlo oracle simulates (default 64)" in shown
+        assert bound.parse_args([]).oracle_seeds == 64
 
 
 class TestOptionSpelling:

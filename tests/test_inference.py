@@ -199,6 +199,12 @@ class TestChiSquareThreshold:
         with pytest.raises(DomainError):
             DetectionResult(lambda_min=bad, best_time=1.0, n_per_time=100)
 
+    def test_rate_overflowing_in_grw_units_is_a_numerical_failure(self):
+        # finite in Hz, infinite divided by the 1e-16 Hz reference
+        with pytest.raises(NumericalError, match="overflows in GRW units"):
+            DetectionResult(lambda_min=1e300, best_time=1.0, n_per_time=100)
+        assert DetectionResult(lambda_min=1e290, best_time=1.0, n_per_time=100).lambda_min_grw
+
 
 @pytest.fixture
 def in_space(silica, space):
@@ -252,7 +258,7 @@ class TestMonteCarloOracle:
 
     def test_overflowing_rate_is_a_numerical_failure(self):
         # z se / sens overflows at a tiny time; numpy is told only to stay
-        # quiet, and the best-time rate is computed on Python floats
+        # quiet, so the best-time rates of the seeds' table come out inf
         detection = DetectionConfig(confidence_z=1e50)
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalError, match="oracle rate overflows"):
@@ -348,6 +354,38 @@ class TestOracleSweep:
         sweep = load_config().get("bound.n_sweep")
         bisect_lambda_mc_sweep(sweep, seeds=self.SEEDS, **self.model(aggregation))
         assert calls == [tuple(sweep)]
+
+    @pytest.mark.parametrize("z", [3.0, 0.5])
+    def test_best_time_rates_follow_the_scalar_rule(self, z):
+        # each seed's rate by the formula on Python floats, one N at a time,
+        # from a campaign of every row; at z = 0.5 some rates clip at 0
+        model = self.model()
+        model["detection"] = DetectionConfig(confidence_z=z)
+        scenario, sweep, seeds = model["scenario"], (100, 400, 1600), range(1, 17)
+        times, sens, var_std, _, per_n = inference._detection_setup(
+            sweep, model["time_grid"], model["detection"], scenario
+        )
+        simulated = replace(
+            scenario,
+            csl=replace(scenario.csl, collapse_rate=0.0),
+            toggles=replace(scenario.toggles, csl=True),
+        )
+        per_seed = []
+        for seed in seeds:
+            plan = protocol.CampaignConfig(times, max(sweep), seed)
+            data = protocol.run_campaign(plan, simulated, run_counts=sweep)
+            rates = []
+            for n, (se_var, best) in zip(sweep, per_n):
+                var_hat, sigma = data.var_hats[n].item(best), data.samples.sigmas.item(best)
+                a = var_hat - var_std.item(best)
+                b = var_hat / (sigma * sigma) * sens.item(best)
+                rates.append(max((z * se_var.item(best) - a) / b, 0.0))
+            assert bisect_lambda_mc_sweep(sweep, seeds=[seed], **model) == rates
+            per_seed.append(rates)
+        lower = (len(seeds) - 1) // 2
+        medians = [sorted(column)[lower] for column in zip(*per_seed)]
+        assert bisect_lambda_mc_sweep(sweep, seeds=seeds, **model) == medians
+        assert (0.0 in sum(per_seed, [])) == (z < 1.0)
 
     def test_rejects_an_empty_sweep(self):
         with pytest.raises(DomainError, match="n_sweep"):

@@ -38,7 +38,7 @@ import sys
 from typing import Iterable
 
 from .config import SCHEMA, RunConfig, _canonical, load_config
-from .dynamics import check_workers, expansion_curve
+from .dynamics import check_workers, collapse_validity, expansion_curve
 from .errors import ConfigError, DomainError, NumericalError, WaxsimError
 from .materials import drop_distance
 
@@ -202,7 +202,7 @@ def _cmd_campaign(config: RunConfig, args) -> tuple[str | Iterable[str], list[st
         text = run_campaign(plan, scenario, run_counts=()).csv_chunks()
     else:
         text = campaign_to_csv(campaign_curve(plan, scenario, args.workers))
-    return text, list(scenario.budget.warnings)
+    return text, [*scenario.budget.warnings, *collapse_validity(scenario, plan.time_grid)]
 
 
 def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:

@@ -405,9 +405,8 @@ def expansion_curve(
     """Wave-packet width sigma(t) over a time grid for the selected channels.
 
     The grid must be non-empty, non-negative and strictly increasing. Any
-    channel validity warnings are propagated; if the collapse channel is
-    active, an additional flag is raised once sigma exceeds a/3, where the
-    small-separation quadratic form stops being quantitatively reliable.
+    channel validity warnings are propagated, followed by the
+    :func:`collapse_validity` flag.
     Raises NumericalError if the variance at a grid time is not finite.
 
     Scalar Python, one :meth:`Scenario.variance` per grid time: the same
@@ -423,12 +422,25 @@ def expansion_curve(
         sigmas.append(math.sqrt(variance))
 
     budget = scenario.budget
-    warnings = list(budget.warnings)
-    if toggles.csl and csl.collapse_rate > 0.0:
-        limit = csl.correlation_length / 3.0
-        if any(sigma > limit for sigma in sigmas):
-            warnings.append(
+    warnings = budget.warnings + collapse_validity(scenario, times)
+    return ExpansionCurve(times, tuple(sigmas), budget, warnings)
+
+
+def collapse_validity(scenario: Scenario, times: Sequence[float]) -> tuple[str, ...]:
+    """The collapse-validity flag, as zero or one warning.
+
+    It is raised when the collapse channel is active and a model width
+    sigma(t) (that of :func:`expansion_curve`, without the drift and readout
+    terms) exceeds a/3 at a grid time: there the small-separation quadratic
+    form stops being quantitatively reliable.
+    """
+    csl, particle = scenario.csl, scenario.particle
+    if scenario.toggles.csl and csl.collapse_rate > 0.0:
+        state0 = initial_state(particle, scenario.trap_frequency, scenario.occupancy)
+        x_vars = (_x_var_free(state0, particle.mass, scenario.budget.total, t) for t in times)
+        if any(math.sqrt(v) > csl.correlation_length / 3.0 for v in x_vars):
+            return (
                 "collapse localization outside quadratic validity: sigma exceeds "
-                "a/3, reported widths are conservative"
+                "a/3, reported widths are conservative",
             )
-    return ExpansionCurve(times, tuple(sigmas), budget, tuple(warnings))
+    return ()

@@ -37,10 +37,11 @@ Run prefixes: ``run_campaign(..., run_counts=ms)`` also merges each row's
 variance of its first m runs, for each m in ``ms``. Run r is the same draw
 whatever the campaign size, so the first m runs are the m-run campaign of
 the same seed. Tiles before the one that holds run m - 1 are whole in both;
-that tile is cut at m, and the worker that draws it also records the
-moments of its first runs. Merging the whole tiles and the cut one gives
-the m-run campaign's tile list in its order, so the variance is
-bit-identical to that campaign's.
+each m keeps one record per row of its last tile: the moments of that
+tile's first runs, up to m, recorded by the worker that draws it, or the
+tile's own moments when m ends with the tile. Merging the whole tiles and
+that record gives the m-run campaign's tile list in its order, so the
+variance is bit-identical to that campaign's.
 The Monte-Carlo oracle draws each seed once at the largest N of a sweep
 and reads every N from a prefix.
 
@@ -307,10 +308,12 @@ def run_campaign(
     run_counts : sequence of int, optional
         The run counts ``m``, each in ``[2, N]``, at which to merge each
         row's sample variance of runs ``[0, m)``; the default is ``(N,)``.
-        The variance at ``m`` is bit-identical to that of an ``m``-run
-        campaign with the same seed, because it merges the same tiles in
-        the same order. An empty sequence draws nothing: the result is
-        only the re-drawing view.
+        Each ``m`` keeps one record of its last tile, the moments of the
+        tile's runs below ``m``, and merges it after the whole tiles before
+        it: the same tiles in the same order as an ``m``-run campaign with
+        the same seed, so the variance is bit-identical to that campaign's.
+        An empty sequence draws nothing: the result is only the re-drawing
+        view.
     rows : sequence of int, optional
         The grid indices to draw, each in ``[0, T)``; the default is every
         row. Each row keeps its Philox key ``(seed, i)``, so its variances
@@ -354,18 +357,10 @@ def run_campaign(
     _check_memory(
         count * _MOMENTS.itemsize, f"campaign tile moments ({len(drawn)} x {per_row} tiles)"
     )
-    moments = np.empty(count, _MOMENTS)
-    # run count m ends in tile column (m - 1) // tile_runs; if it ends before
-    # that tile does, it also needs the moments of the tile's first runs
-    column = {m: (m - 1) // tile_runs for m in counts}
-    cut_at: dict[int, list[tuple[int, int]]] = {}  # column -> [(slot, runs kept)]
-    slot = {}
-    for m, j in column.items():
-        kept = m - j * tile_runs
-        if kept < min(tile_runs, n - j * tile_runs):
-            slot[m] = len(slot)
-            cut_at.setdefault(j, []).append((slot[m], kept))
-    cuts = np.empty((len(drawn), len(slot)), _MOMENTS)
+    moments = np.empty((len(drawn), per_row), _MOMENTS)
+    # last[r, s]: the moments of run count counts[s]'s last tile in drawn
+    # row r, cut to the runs that belong to the count
+    last = np.empty((len(drawn), len(counts)), _MOMENTS)
     undrawn = iter(range(count))
     lock = threading.Lock()
     errors = np.geterr()
@@ -385,9 +380,13 @@ def run_campaign(
                     return
                 r, j = divmod(p, per_row)
                 _, _, tile = view.draw_tile(drawn[r] * per_row + j, out)
-                moments[p] = _tile_moments(tile, dev[: tile.size])
-                for s, kept in cut_at.get(j, ()):
-                    cuts[r, s] = _tile_moments(tile[:kept], dev[:kept])
+                moments[r, j] = _tile_moments(tile, dev[: tile.size])
+                for s, m in enumerate(counts):
+                    kept = m - j * tile_runs  # m ends in this tile if 0 < kept <= size
+                    if kept == tile.size:
+                        last[r, s] = moments[r, j]
+                    elif 0 < kept < tile.size:
+                        last[r, s] = _tile_moments(tile[:kept], dev[:kept])
 
     if workers is None:
         workers = _available_cpus() if len(drawn) * n >= PARALLEL_MIN_DRAWS else 1
@@ -399,18 +398,17 @@ def run_campaign(
     else:
         drain(buffers[0])
 
-    def row_variance(r: int, m: int) -> float:
-        """Drawn row ``r``'s variance of runs ``[0, m)``, from the m-run campaign's tiles."""
-        j = column[m]
-        tiles = moments[r * per_row : r * per_row + j + 1].tolist()
-        if m in slot:
-            tiles[j] = cuts[r, slot[m]].item()
-        return _merged_moments(tiles)[2] / (m - 1)
-
-    merged = {m: [row_variance(r, m) for r in range(len(drawn))] for m in counts}
-    if not all(math.isfinite(v) for variances in merged.values() for v in variances):
+    var_hats = {}
+    for s, m in enumerate(counts):
+        # the m-run campaign's tiles in its order: the whole tiles before m's
+        # last tile, then that tile's record
+        heads = moments[:, : (m - 1) // tile_runs].tolist()
+        var_hats[m] = np.array(
+            [_merged_moments(h + [t])[2] / (m - 1) for h, t in zip(heads, last[:, s].tolist())]
+        )
+    if not all(np.isfinite(v).all() for v in var_hats.values()):
         raise NumericalError("sample variance overflows double precision")
-    return PositionSamples(times, view, {m: np.array(v) for m, v in merged.items()})
+    return PositionSamples(times, view, var_hats)
 
 
 def _integers(values: Sequence[int], name: str, what: str) -> list[int]:

@@ -131,9 +131,18 @@ def evolve_numeric(
 #: Grid extent beyond the sphere edge, in correlation lengths; the smeared
 #: density is Gaussian-small there.
 _TAIL = 9.0
+#: Radial grid points of the smeared-density spline, and the Gauss-Legendre
+#: order of its inner integral over the sphere's radius.
+_DENSITY_GRID, _DENSITY_QUAD = 4000, 200
+#: Smallest displacement s (units of a) of the finite-difference extraction;
+#: s and 2s are combined by Richardson extrapolation to cancel the O(s^2)
+#: contamination.
+_PROBE_SEPARATION = 0.02
+#: Gauss-Legendre order of the outer radial integral.
+_OUTER_ORDER = 1200
 
 
-def _smeared_density(ratio: float, n_grid: int = 4000, n_quad: int = 200):
+def _smeared_density(ratio: float):
     """Spline of mu(r) for a unit-mass sphere of radius ``ratio`` (lengths in a).
 
     mu(r) = (pi)^(-3/4) rho0 * 2 pi / r * int_0^R x
@@ -142,8 +151,8 @@ def _smeared_density(ratio: float, n_grid: int = 4000, n_quad: int = 200):
     from scipy.interpolate import CubicSpline
 
     rmax = ratio + _TAIL
-    r = np.linspace(0.0, rmax, n_grid)
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    r = np.linspace(0.0, rmax, _DENSITY_GRID)
+    nodes, weights = np.polynomial.legendre.leggauss(_DENSITY_QUAD)
     x = 0.5 * ratio * (nodes + 1.0)
     w = 0.5 * ratio * weights
     rho0 = 1.0 / (4.0 / 3.0 * np.pi * ratio**3)
@@ -158,23 +167,13 @@ def _smeared_density(ratio: float, n_grid: int = 4000, n_quad: int = 200):
     return CubicSpline(r, np.pi ** (-0.75) * mu), rmax
 
 
-def csl_sphere_factor_bruteforce(
-    ratio: float,
-    probe_separation: float = 0.02,
-    n_outer: int = 1200,
-) -> float:
+def csl_sphere_factor_bruteforce(ratio: float) -> float:
     """Sphere geometry factor from the smeared-density double integral.
 
     Parameters
     ----------
     ratio : float
         Sphere radius over correlation length, R/a, > 0.
-    probe_separation : float
-        Smallest displacement s (units of a) used for the finite-difference
-        extraction; s and 2s are combined by Richardson extrapolation to
-        cancel the O(s^2) contamination.
-    n_outer : int
-        Gauss-Legendre order of the outer radial integral.
 
     Returns
     -------
@@ -195,7 +194,7 @@ def csl_sphere_factor_bruteforce(
     w_mu = CubicSpline(r_dense, r_dense * mu(r_dense))
     W = w_mu.antiderivative()
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_outer)
+    nodes, weights = np.polynomial.legendre.leggauss(_OUTER_ORDER)
     rg = 0.5 * rmax * (nodes + 1.0)
     wg = 0.5 * rmax * weights
     r_mu = rg * mu(rg)
@@ -206,7 +205,7 @@ def csl_sphere_factor_bruteforce(
         bracket = 2.0 * r_mu - (W(rg + s) - W(np.abs(rg - s))) / s
         return 2.0 * np.pi * float((wg * r_mu * bracket).sum())
 
-    s = probe_separation
+    s = _PROBE_SEPARATION
     coeff_s = deficit(s) / s**2
     coeff_2s = deficit(2.0 * s) / (4.0 * s**2)
     coeff = (4.0 * coeff_s - coeff_2s) / 3.0

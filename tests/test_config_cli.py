@@ -534,6 +534,28 @@ class TestCli:
             assert code == 0
             assert err.splitlines() == expected
 
+    @pytest.mark.parametrize("grid, fires", [("0,5", True), ("0", False)])
+    def test_collapse_validity_on_expand_and_campaign(self, capsys, grid, fires):
+        # at t = 0 the model width is 2e-12 m, far below a/3, while the 1 mm
+        # readout noise puts every drawn width above it: the flag judges the
+        # model widths that expand prints
+        collapse = ("--csl.lambda_hz", "1e-6", "--campaign.time_grid_s", grid)
+        _, _, expand_err = run_cli(capsys, "expand", *collapse)
+        expected = expand_err.splitlines()
+        assert expected == (
+            ["waxsim: warning: collapse localization outside quadratic validity: "
+             "sigma exceeds a/3, reported widths are conservative"] if fires else []
+        )
+        for argv in (
+            ("campaign", "--campaign.runs_per_time", "10"),
+            ("campaign", "--campaign.runs_per_time", "10", "--dump-samples"),
+        ):
+            code, _, err = run_cli(
+                capsys, *argv, *collapse, "--campaign.measurement_noise_m", "1e-3"
+            )
+            assert code == 0
+            assert err.splitlines() == expected
+
     def test_default_config_fires_no_budget_warning(self, capsys):
         for command in ("campaign", "bound"):
             code, _, err = run_cli(capsys, command, "--campaign.runs_per_time", "10")

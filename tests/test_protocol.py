@@ -552,6 +552,30 @@ class TestRunPrefixes:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(serial.var_hats[m], pooled.var_hats[m]) for m in counts)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("rows, drawn", [(None, 3), ((2, 0), 2)])
+    def test_each_tile_moments_computed_once(
+        self, silica, ground, monkeypatch, workers, rows, drawn
+    ):
+        # tiles of 4, 4, 4 and 3 runs: one _tile_moments per drawn tile, plus
+        # one per drawn row and count that ends inside its tile (2, 3, 5, 11,
+        # and 13 and 14 in the ragged last tile); 4, 8, 12 and 15 end with
+        # their tile and take its moments
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        sizes = []
+        tile_moments = protocol._tile_moments
+
+        def counting(out, dev):
+            sizes.append(out.size)
+            return tile_moments(out, dev)
+
+        monkeypatch.setattr(protocol, "_tile_moments", counting)
+        counts = (2, 3, 4, 5, 8, 11, 12, 13, 14, 15)
+        config = make_config(runs_per_time=15)
+        run_campaign(config, Scenario(silica, ground), workers, run_counts=counts, rows=rows)
+        per_row = [4, 4, 4, 3] + [2, 3, 1, 3, 1, 2]
+        assert sorted(sizes) == sorted(per_row * drawn)
+
     def test_default_is_all_runs(self, silica, ground):
         data = run_campaign(make_config(), Scenario(silica, ground))
         assert list(data.var_hats) == [100]

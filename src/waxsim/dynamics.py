@@ -248,8 +248,8 @@ class Scenario:
         :mod:`waxsim.inference` uses only its correlation length and
         reference mass.
     toggles : ChannelToggles
-        Channels in the budget. The detection bound predicts with the
-        collapse channel off and its oracle simulates with it on, whatever
+        Channels in the budget. The detection bound predicts, and its
+        oracle simulates, with the collapse channel off, whatever
         ``toggles.csl`` says.
     trap_frequency : float
         Angular trap frequency [rad/s], > 0.
@@ -272,13 +272,18 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # the trap frequency and occupancy rules: those of the preparation
-        initial_state(self.particle, self.trap_frequency, self.occupancy)
+        self.state0
         # both enter the variance squared, so a negative value would
         # silently act as its absolute value
         if self.measurement_noise < 0.0:
             raise DomainError("measurement_noise must be >= 0")
         if self.drift_velocity_std < 0.0:
             raise DomainError("drift_velocity_std must be >= 0")
+
+    @cached_property
+    def state0(self) -> GaussianState:
+        """The prepared trap state (:func:`initial_state`)."""
+        return initial_state(self.particle, self.trap_frequency, self.occupancy)
 
     @cached_property
     def budget(self) -> DecoherenceBudget:
@@ -295,8 +300,7 @@ class Scenario:
         the collapse channel off, and :func:`expansion_curve` takes it at each
         grid time with both instrumental terms at 0.
         """
-        state0 = initial_state(self.particle, self.trap_frequency, self.occupancy)
-        x_var = _x_var_free(state0, self.particle.mass, self.budget.total, times)
+        x_var = _x_var_free(self.state0, self.particle.mass, self.budget.total, times)
         drift = self.drift_velocity_std * times
         return x_var + drift * drift + self.measurement_noise**2
 
@@ -436,8 +440,8 @@ def collapse_validity(scenario: Scenario, times: Sequence[float]) -> tuple[str, 
     """
     csl, particle = scenario.csl, scenario.particle
     if scenario.toggles.csl and csl.collapse_rate > 0.0:
-        state0 = initial_state(particle, scenario.trap_frequency, scenario.occupancy)
-        x_vars = (_x_var_free(state0, particle.mass, scenario.budget.total, t) for t in times)
+        state0, total = scenario.state0, scenario.budget.total
+        x_vars = (_x_var_free(state0, particle.mass, total, t) for t in times)
         if any(math.sqrt(v) > csl.correlation_length / 3.0 for v in x_vars):
             return (
                 "collapse localization outside quadratic validity: sigma exceeds "

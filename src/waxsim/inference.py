@@ -15,7 +15,8 @@ errors:
 ``best-time`` aggregation (default)
     lambda_min = min over t of  z * SE_var(t) / (d excess / d lambda)(t)
     The minimizing time, ``best_time``, is picked from the model before any
-    data exist, and a campaign is tested at that one time.
+    data exist, and a campaign is tested at that one time. N scales every
+    SE_var(t) by the same factor, so ``best_time`` is the same at every N.
 
 ``chi-square-sum`` aggregation
     all grid times pooled,  sum_t (lambda s_t / SE_t)^2 = q  where
@@ -32,9 +33,9 @@ returns the rate with 50 percent detection power: the lower median of
 those rates. It does this for every N of a sweep from one campaign per
 seed at the largest N, reading each N from a run prefix. For best-time
 aggregation each campaign draws only the pre-registered time's row, the
-one the test reads, and one array rule per N turns the seeds' variances
-there into rates. A sweep's closed forms share one detection set-up, and
-so do its oracle rates.
+one the test reads at every N, and one array rule per N turns the seeds'
+variances there into rates. A sweep's closed forms share one detection
+set-up, and so do its oracle rates.
 """
 from __future__ import annotations
 
@@ -113,23 +114,25 @@ def _chi_square_quantile(confidence_z: float, dof: int) -> float:
 def _detection_setup(
     n_sweep: Sequence[int], time_grid: Sequence[float], detection: DetectionConfig,
     scenario: Scenario,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None, list[tuple[np.ndarray, int]]]:
-    """Validated inputs and the standard-physics prediction of a detection,
-    at each N of ``n_sweep``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None, int, Scenario]:
+    """Validated inputs and the standard-physics prediction of a detection.
 
-    Returns ``(times, sens, var_std, q, per_n)``: the grid, the
-    :func:`csl_sensitivity` at each time, the per-draw variance with the
-    collapse channel off (drift and readout terms included) and the
-    chi-square threshold (``None`` for best-time aggregation), none of which
-    depends on N; and ``per_n``, for each N in sweep order, ``(se_var,
-    best)``: the standard error of the variance for N runs and the index of
-    the most sensitive time, the one time best-time aggregation tests.
+    Returns ``(times, sens, var_std, q, best, standard)``: the grid, the
+    :func:`csl_sensitivity` at each time, the per-draw variance of
+    ``standard``, the scenario with the collapse channel off (drift and
+    readout terms included), the chi-square threshold (``None`` for
+    best-time aggregation) and the index of the most sensitive time, the
+    one time best-time aggregation tests: the first of the smallest
+    ``var_std / sens`` over the times with ``sens > 0``. None of them
+    depends on N, which scales every standard error by the same
+    ``sqrt(2 / (N - 1))``; ``n_sweep`` is only checked.
     """
     for n in n_sweep:
         _check_runs(n, "n_per_time")
     times = np.array(grid_times(time_grid))
     sens = csl_sensitivity(times, scenario.particle, scenario.csl)
-    if not np.any(sens > 0.0):
+    usable = sens > 0.0
+    if not np.any(usable):
         if np.any(times > 0.0):  # sensitivity ~ t^3 underflows at tiny times
             raise NumericalError(
                 "collapse-rate sensitivity underflows to 0 at every grid time "
@@ -138,18 +141,14 @@ def _detection_setup(
         raise DomainError(
             "no sensitivity to the collapse rate: grid has no positive times"
         )
-    var_std = replace(scenario, toggles=replace(scenario.toggles, csl=False)).variance(times)
-    usable = sens > 0.0
-    per_n = []
-    for n in n_sweep:
-        se_var = var_std * np.sqrt(2.0 / (n - 1))
-        per_time = np.full(times.size, np.inf)
-        per_time[usable] = detection.confidence_z * se_var[usable] / sens[usable]
-        per_n.append((se_var, int(np.argmin(per_time))))
+    standard = replace(scenario, toggles=replace(scenario.toggles, csl=False))
+    var_std = standard.variance(times)
+    per_time = np.full(times.size, np.inf)
+    per_time[usable] = var_std[usable] / sens[usable]
     q = None
     if detection.aggregation == "chi-square-sum":
         q = _chi_square_quantile(detection.confidence_z, times.size)
-    return times, sens, var_std, q, per_n
+    return times, sens, var_std, q, int(np.argmin(per_time)), standard
 
 
 def min_detectable_lambda(
@@ -202,10 +201,11 @@ def _closed_forms(
 ) -> list[DetectionResult]:
     """:func:`min_detectable_lambda` at each N of ``n_sweep``, in sweep
     order, from one :func:`_detection_setup`."""
-    times, sens, _, q, per_n = _detection_setup(n_sweep, time_grid, detection, scenario)
+    times, sens, var_std, q, best, _ = _detection_setup(n_sweep, time_grid, detection, scenario)
     usable = sens > 0.0
     results = []
-    for n, (se_var, best) in zip(n_sweep, per_n):
+    for n in n_sweep:
+        se_var = var_std * np.sqrt(2.0 / (n - 1))
         if q is None:
             lam = float(detection.confidence_z * se_var[best] / sens[best])
         else:
@@ -252,11 +252,11 @@ def bisect_lambda_mc_sweep(
     """Smallest collapse rate with Monte-Carlo detection power >= 1/2, at
     each N of ``n_sweep``, in sweep order.
 
-    Simulates each seed's campaign once, at the largest N and at collapse
-    rate 0 with the collapse channel on. Under common random numbers a
-    seed's sample variance at rate lambda is ``w_t * (v0_t + lambda *
-    sens_t)``, where ``v0_t`` is the true variance at rate 0, ``w_t =
-    var_hat_t / v0_t`` does not depend on lambda and ``sens_t`` is
+    Simulates each seed's campaign once, at the largest N, of the set-up's
+    standard scenario: ``scenario`` with the collapse channel off. Under
+    common random numbers a seed's sample variance at rate lambda is ``w_t
+    * (v0_t + lambda * sens_t)``, where ``v0_t`` is the true variance at rate
+    0, ``w_t = var_hat_t / v0_t`` does not depend on lambda and ``sens_t`` is
     :func:`csl_sensitivity`. So each seed has an exact critical rate, the
     smallest lambda it detects:
 
@@ -277,12 +277,12 @@ def bisect_lambda_mc_sweep(
     at any campaign size, so each N reads its variances from a run prefix
     (see :func:`waxsim.protocol.run_campaign`), and every rate is
     bit-identical to the one-N sweep ``bisect_lambda_mc_sweep((n,), ...)[0]``.
-    For ``best-time`` each campaign draws only the rows of the sweep's best
-    times (``rows`` of :func:`waxsim.protocol.run_campaign`), each as the
-    full campaign draws it, so the rates are those of the full campaign;
-    ``chi-square-sum`` reads, and draws, every row. Best-time seeds fill
-    the table below with their variances at each N's best time, and one
-    array expression per N, the formula above, turns a column into rates.
+    For ``best-time`` each campaign draws only the best time's row (``rows``
+    of :func:`waxsim.protocol.run_campaign`), as the full campaign draws it,
+    so the rates are those of the full campaign; ``chi-square-sum`` reads,
+    and draws, every row. Best-time seeds fill the table below with their
+    variances in that row at each N, and one array expression per N, the
+    formula above, turns a column into rates.
 
     ``seeds`` must be non-empty; a ``range`` holds many at no cost. The
     per-seed rates are one float64 table, seeds x sweep, which is refused
@@ -292,11 +292,11 @@ def bisect_lambda_mc_sweep(
     """
     if not n_sweep:
         raise DomainError("n_sweep must be non-empty")
-    # only the standard error, and with it the best time, depends on N
-    times, sens, var_std, q, per_n = _detection_setup(n_sweep, time_grid, detection, scenario)
-
-    # best-time tests each N at its best time alone: draw only those rows
-    rows = sorted({best for _, best in per_n}) if q is None else None
+    times, sens, var_std, q, best, standard = _detection_setup(
+        n_sweep, time_grid, detection, scenario
+    )
+    # only the standard error depends on N
+    se_vars = [var_std * np.sqrt(2.0 / (n - 1)) for n in n_sweep]
 
     try:
         count = len(seeds)
@@ -306,25 +306,20 @@ def bisect_lambda_mc_sweep(
         raise DomainError("seeds must be non-empty")
     _check_memory(8 * count * len(n_sweep), f"oracle rates ({count} seeds x {len(n_sweep)} N)")
     table = np.empty((count, len(n_sweep)))
-    # each seed's campaign at the largest N and rate 0, collapse channel on
-    simulated = replace(
-        scenario,
-        csl=replace(scenario.csl, collapse_rate=0.0),
-        toggles=replace(scenario.toggles, csl=True),
-    )
     largest = max(n_sweep)
     for k, seed in enumerate(seeds):
         plan = CampaignConfig(times, largest, int(seed))
-        data = run_campaign(plan, simulated, run_counts=n_sweep, rows=rows)
+        # best-time tests the best time alone: draw only its row
+        data = run_campaign(plan, standard, run_counts=n_sweep, rows=[best] if q is None else None)
         v0 = data.samples.sigmas * data.samples.sigmas  # the same for every seed
-        for j, (n, (se_var, best)) in enumerate(zip(n_sweep, per_n)):
-            if q is None:  # N's variance at its best time; the rates follow below
-                table[k, j] = data.var_hats[n][rows.index(best)]
+        for j, (n, se_var) in enumerate(zip(n_sweep, se_vars)):
+            if q is None:  # N's variance at the best time; the rates follow below
+                table[k, j] = data.var_hats[n][0]
             else:
                 table[k, j] = _critical_rate(data.var_hats[n], v0, sens, var_std, se_var, q)
     if q is None:
         z = detection.confidence_z
-        for j, (se_var, best) in enumerate(per_n):
+        for j, se_var in enumerate(se_vars):
             v = table[:, j]
             rate = (z * se_var[best] - (v - var_std[best])) / (v / v0[best] * sens[best])
             table[:, j] = np.where(rate < 0.0, 0.0, rate)  # max(rate, 0.0): keeps -0.0

@@ -55,11 +55,14 @@ Memory contract: ``run_campaign`` keeps no sample array. Each worker draws
 its tiles into one reused tile buffer and keeps only the tile's moments, a
 24-byte record per tile; that table is the only allocation that grows with
 the campaign, and ``run_campaign`` refuses, with ``DomainError``, a table
-larger than the host's physical memory. ``PositionSamples.samples`` is a
-``CampaignSamples`` view: its shape and size cost nothing, while indexing a
-row, iterating and ``np.asarray`` re-draw the rows through the same tile
-kernel, so they give the bits the campaign drew. ``np.asarray`` refuses a
-``T x N`` array larger than physical memory.
+larger than the host's physical memory, and so a pool's buffers, two tiles
+per thread. A thread that the host refuses to start is a ``DomainError``
+too; the threads that did start draw no further tile.
+``PositionSamples.samples`` is a ``CampaignSamples`` view: its shape and
+size cost nothing, while indexing a row, iterating and ``np.asarray``
+re-draw the rows through the same tile kernel, so they give the bits the
+campaign drew. ``np.asarray`` refuses a ``T x N`` array larger than
+physical memory.
 
 The raw-sample CSV is produced by ``PositionSamples.csv_chunks``, which
 re-draws the same tiles: the header, then one string per tile, in tile
@@ -79,10 +82,12 @@ count (``workers``, ``waxsim campaign --workers``).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -100,8 +105,8 @@ class CampaignSamples:
     ``shape``, ``size`` and ``len()`` draw nothing. ``view[i]``, iteration
     and ``np.asarray(view)`` draw rows tile by tile through the campaign's
     kernel, so they return the positions the campaign's widths came from.
-    Tile ``k`` is grid index ``k // tiles_per_row`` and the
-    ``k % tiles_per_row``-th block of ``tile_runs`` runs.
+    A tile is addressed by its grid index ``i`` and its first run ``a``, a
+    multiple of ``tile_runs``: runs ``[a, a + tile_runs)``, cut at N.
     """
 
     seed: int
@@ -117,24 +122,18 @@ class CampaignSamples:
     def size(self) -> int:
         return self.sigmas.size * self.runs
 
-    @property
-    def tiles_per_row(self) -> int:
-        return -(-self.runs // self.tile_runs)
-
     def __len__(self) -> int:
         return self.sigmas.size
 
-    def draw_tile(self, k: int, out: np.ndarray) -> tuple[int, int, np.ndarray]:
-        """Draw tile ``k`` into the start of ``out``: (grid index, first run, runs)."""
-        i, j = divmod(k, self.tiles_per_row)
-        a = j * self.tile_runs
+    def draw_tile(self, i: int, a: int, out: np.ndarray) -> np.ndarray:
+        """Draw the tile of grid index ``i`` that starts at run ``a`` into the
+        start of ``out``; return the drawn runs."""
         count = min(self.tile_runs, self.runs - a)
-        return i, a, _draw_tile(self.seed, self.sigmas[i], i, a, count, out)
+        return _draw_tile(self.seed, self.sigmas[i], i, a, count, out)
 
     def _fill_row(self, i: int, row: np.ndarray) -> None:
-        first = i * self.tiles_per_row
-        for j in range(self.tiles_per_row):
-            self.draw_tile(first + j, row[j * self.tile_runs :])
+        for a in range(0, self.runs, self.tile_runs):
+            self.draw_tile(i, a, row[a:])
 
     def __getitem__(self, key: int) -> np.ndarray:
         # IndexError out of range, negative from the end, TypeError for a slice
@@ -187,14 +186,14 @@ class PositionSamples:
         """
         yield "t_s,run_index,x_m\n"
         view = self.samples
-        t_reprs = [repr(float(t)) for t in self.times]
         buffer = np.empty(min(view.runs, view.tile_runs))
-        for k in range(len(view) * view.tiles_per_row):
-            yield _tile_csv(view, t_reprs, k, buffer)
+        for i, t in enumerate(self.times.tolist()):
+            for a in range(0, view.runs, view.tile_runs):
+                yield _tile_lines(repr(t), a, view.draw_tile(i, a, buffer))
 
 
-def _tile_csv(view: CampaignSamples, t_reprs: Sequence[str], k: int, out: np.ndarray) -> str:
-    """CSV lines ``t_s,run_index,x_m`` of tile ``k``, re-drawn into ``out``.
+def _tile_lines(t_repr: str, first: int, xs: np.ndarray) -> str:
+    """CSV lines ``t_s,run_index,x_m`` of a tile: runs ``first, ...`` of ``xs``.
 
     A tile of normal doubles, which is every tile but a rare one, is
     formatted by the array kernel of :mod:`waxsim._dumpfmt`; a tile holding
@@ -203,10 +202,9 @@ def _tile_csv(view: CampaignSamples, t_reprs: Sequence[str], k: int, out: np.nda
     """
     from ._dumpfmt import all_normal, csv_lines
 
-    i, a, xs = view.draw_tile(k, out)
     if all_normal(xs):
-        return csv_lines(t_reprs[i], a, xs)
-    return _repr_lines(t_reprs[i], a, xs)
+        return csv_lines(t_repr, first, xs)
+    return _repr_lines(t_repr, first, xs)
 
 
 def _repr_lines(t_repr: str, first: int, xs: np.ndarray) -> str:
@@ -331,8 +329,9 @@ def run_campaign(
     DomainError
         If ``workers`` is below 1, ``run_counts`` is not a sequence of
         integers or holds a count outside ``[2, N]``, ``rows`` is empty or
-        holds a non-integer or an index outside ``[0, T)``, or the per-tile
-        moment table would not fit in the host's physical memory.
+        holds a non-integer or an index outside ``[0, T)``, the per-tile
+        moment table or the pool's tile buffers would not fit in the host's
+        physical memory, or the host refuses to start a pool thread.
     NumericalError
         If a row's sample variance overflows double precision.
 
@@ -351,8 +350,7 @@ def run_campaign(
     view = CampaignSamples(plan.rng_seed, sigmas, n, TILE_RUNS)
     if not counts:
         return PositionSamples(times, view, {})
-    per_row, tile_runs = view.tiles_per_row, view.tile_runs
-    # tile p of this campaign is tile p % per_row of row drawn[p // per_row]
+    tile_runs, per_row = TILE_RUNS, -(-n // TILE_RUNS)  # runs per tile, tiles per row
     count = len(drawn) * per_row
     _check_memory(
         count * _MOMENTS.itemsize, f"campaign tile moments ({len(drawn)} x {per_row} tiles)"
@@ -361,7 +359,8 @@ def run_campaign(
     # last[r, s]: the moments of run count counts[s]'s last tile in drawn
     # row r, cut to the runs that belong to the count
     last = np.empty((len(drawn), len(counts)), _MOMENTS)
-    undrawn = iter(range(count))
+    # the shared tile queue: (r, j) is the j-th tile of drawn row r
+    undrawn = itertools.product(range(len(drawn)), range(per_row))
     lock = threading.Lock()
     errors = np.geterr()
 
@@ -375,14 +374,14 @@ def run_campaign(
         with np.errstate(**errors):
             while True:
                 with lock:
-                    p = next(undrawn, None)
-                if p is None:
+                    r, j = next(undrawn, (None, None))
+                if r is None:
                     return
-                r, j = divmod(p, per_row)
-                _, _, tile = view.draw_tile(drawn[r] * per_row + j, out)
+                a = j * tile_runs
+                tile = view.draw_tile(drawn[r], a, out)
                 moments[r, j] = _tile_moments(tile, dev[: tile.size])
                 for s, m in enumerate(counts):
-                    kept = m - j * tile_runs  # m ends in this tile if 0 < kept <= size
+                    kept = m - a  # m ends in this tile if 0 < kept <= size
                     if kept == tile.size:
                         last[r, s] = moments[r, j]
                     elif 0 < kept < tile.size:
@@ -391,12 +390,21 @@ def run_campaign(
     if workers is None:
         workers = _available_cpus() if len(drawn) * n >= PARALLEL_MIN_DRAWS else 1
     # one task per thread, each with its own tile and scratch buffers
-    buffers = np.empty((min(workers, count), 2, min(n, tile_runs)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(drain, buffers))  # re-raises a thread's exception
+    tasks, size = min(workers, count), min(n, tile_runs)
+    if workers == 1:
+        drain(np.empty((2, size)))
     else:
-        drain(buffers[0])
+        _check_memory(16 * tasks * size, f"sampling buffers ({tasks} threads x 2 x {size} doubles)")
+        buffers = np.empty((tasks, 2, size))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            try:
+                started = [pool.submit(drain, b) for b in buffers]
+            except RuntimeError as exc:  # the host refused a thread
+                with lock:  # the threads that did start draw no further tile
+                    deque(undrawn, maxlen=0)
+                raise DomainError(f"cannot start {tasks} sampling threads: {exc}") from exc
+            for task in started:
+                task.result()  # re-raises a thread's exception
 
     var_hats = {}
     for s, m in enumerate(counts):

@@ -230,10 +230,8 @@ def detection_power_mc(
     ``confidence_z``. ``seeds`` must be non-empty. Returns the detected
     fraction.
     """
-    times, _, var_std, q, per_n = _detection_setup(
-        (n_per_time,), time_grid, detection, scenario
-    )
-    se_var, best = per_n[0]
+    times, _, var_std, q, best, _ = _detection_setup((n_per_time,), time_grid, detection, scenario)
+    se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
     if not seeds:
         raise DomainError("seeds must be non-empty")
     simulated = replace(

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -734,6 +735,15 @@ class TestWorkers:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "--workers" in err
+
+    def test_refused_thread_exits_2(self, capsys, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, out, err = run_cli(capsys, "campaign", "--workers", "2")
+        assert (code, out) == (2, "")
+        assert err == "waxsim: error: cannot start 2 sampling threads: can't start new thread\n"
 
     @pytest.mark.parametrize("command", ["rates", "expand", "bound", "feasibility"])
     def test_commands_without_workers_reject_it(self, capsys, command):

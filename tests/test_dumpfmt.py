@@ -1,7 +1,7 @@
 """The dump's array formatter against ``repr``, byte for byte.
 
 ``waxsim._dumpfmt.csv_lines`` spells ``f"{t_repr},{r},{x!r}\\n"`` for a
-whole tile of normal doubles; ``protocol._tile_csv`` hands any other tile
+whole tile of normal doubles; ``protocol._tile_lines`` hands any other tile
 to the ``repr`` path. Every check compares with the f-string.
 """
 import numpy as np
@@ -86,13 +86,8 @@ def test_any_finite_bit_pattern_matches_repr(raw):
 
 
 def tile_csv(t_repr, first, xs):
-    """``protocol._tile_csv`` of a tile that holds ``xs``."""
-
-    class Drawn:
-        def draw_tile(self, k, out):
-            return 0, first, xs
-
-    return protocol._tile_csv(Drawn(), [t_repr], 0, None)
+    """``protocol._tile_lines`` of a tile that holds ``xs``."""
+    return protocol._tile_lines(t_repr, first, xs)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from waxsim import (
 )
 import waxsim.cli as cli
 import waxsim.inference as inference
-from waxsim import protocol
+from waxsim import dynamics, protocol
 from waxsim.config import load_config
 from waxsim.constants import LAMBDA_GRW
 from waxsim.inference import _chi_square_quantile
@@ -358,11 +358,12 @@ class TestOracleSweep:
     @pytest.mark.parametrize("z", [3.0, 0.5])
     def test_best_time_rates_follow_the_scalar_rule(self, z):
         # each seed's rate by the formula on Python floats, one N at a time,
-        # from a campaign of every row; at z = 0.5 some rates clip at 0
+        # from a campaign of every row at rate 0 with the collapse channel on
+        # (the oracle's has it off); at z = 0.5 some rates clip at 0
         model = self.model()
         model["detection"] = DetectionConfig(confidence_z=z)
         scenario, sweep, seeds = model["scenario"], (100, 400, 1600), range(1, 17)
-        times, sens, var_std, _, per_n = inference._detection_setup(
+        times, sens, var_std, _, best, _ = inference._detection_setup(
             sweep, model["time_grid"], model["detection"], scenario
         )
         simulated = replace(
@@ -375,7 +376,8 @@ class TestOracleSweep:
             plan = protocol.CampaignConfig(times, max(sweep), seed)
             data = protocol.run_campaign(plan, simulated, run_counts=sweep)
             rates = []
-            for n, (se_var, best) in zip(sweep, per_n):
+            for n in sweep:
+                se_var = var_std * np.sqrt(2.0 / (n - 1))
                 var_hat, sigma = data.var_hats[n].item(best), data.samples.sigmas.item(best)
                 a = var_hat - var_std.item(best)
                 b = var_hat / (sigma * sigma) * sens.item(best)
@@ -386,6 +388,20 @@ class TestOracleSweep:
         medians = [sorted(column)[lower] for column in zip(*per_seed)]
         assert bisect_lambda_mc_sweep(sweep, seeds=seeds, **model) == medians
         assert (0.0 in sum(per_seed, [])) == (z < 1.0)
+
+    @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
+    def test_trap_state_prepared_once_per_sweep(self, monkeypatch, aggregation):
+        # the oracle's scenario keeps its prepared state across its campaigns
+        calls = []
+        real = dynamics.initial_state
+        monkeypatch.setattr(dynamics, "initial_state", lambda *a: calls.append(a) or real(*a))
+        model = self.model(aggregation)
+        counts = []
+        for seeds in (range(1, 3), range(1, 9)):
+            calls.clear()
+            bisect_lambda_mc_sweep((100, 400), seeds=seeds, **model)
+            counts.append(len(calls))
+        assert counts == [1, 1]  # the standard scenario's
 
     def test_rejects_an_empty_sweep(self):
         with pytest.raises(DomainError, match="n_sweep"):
@@ -490,3 +506,44 @@ class TestPreRegisteredTime:
         _, grid, scenario, detection = self.default()
         power = detection_power_mc(0.0, 400, grid, scenario, detection, seeds=range(1, 1001))
         assert round(power * 1000) <= 8
+
+    # custom configs on which a best time picked at each N, by the rounding
+    # of its standard errors, gave 7 and 4 distinct times over this sweep
+    SWEEP = "2,3,5,10,100,400,1600,6400,99999"
+    CUSTOM = {
+        "1e4-pa-1000-times": {
+            "environment.gas_pressure_pa": "1e4", "campaign.time_grid_s": "1:100:1000"
+        },
+        "1e8-pa": {"environment.gas_pressure_pa": "1e8"},
+    }
+
+    @staticmethod
+    def custom(overrides, *argv):
+        """``waxsim bound`` on a custom config over the 9-N sweep, and its grid."""
+        overrides = {"environment.preset": "custom", "bound.n_sweep": TestPreRegisteredTime.SWEEP,
+                     **overrides}
+        flags = [f"--{key}={value}" for key, value in overrides.items()]
+        grid = load_config(None, "<config>", overrides.items()).get("campaign.time_grid_s")
+        return ["bound", *flags, *argv], list(grid)
+
+    @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
+    @pytest.mark.parametrize("overrides", CUSTOM.values(), ids=CUSTOM)
+    def test_one_best_time_at_every_n(self, capsys, overrides, aggregation):
+        # N scales every standard error by the same factor
+        argv, _ = self.custom(overrides, "--detection.aggregation", aggregation)
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 10
+        assert len({line.rsplit(",", 1)[1] for line in lines[1:]}) == 1
+
+    @pytest.mark.parametrize("overrides", CUSTOM.values(), ids=CUSTOM)
+    def test_oracle_draws_one_row_per_seed(self, capsys, monkeypatch, overrides):
+        # 4 seeds x 2 tiles of the largest N, 99999 runs, all of the best time
+        assert protocol.TILE_RUNS < 99999 <= 2 * protocol.TILE_RUNS
+        calls = []
+        real = protocol._draw_tile
+        monkeypatch.setattr(protocol, "_draw_tile", lambda *a: calls.append(a[2]) or real(*a))
+        argv, grid = self.custom(overrides, "--oracle-check", "--oracle-seeds", "4")
+        assert cli.main(argv) == 0
+        best = float(capsys.readouterr().out.splitlines()[1].rsplit(",", 1)[1])
+        assert calls == [grid.index(best)] * 8

@@ -375,13 +375,13 @@ class TestInProcessDump:
 
     @pytest.fixture
     def drawn(self, monkeypatch):
-        """The index of each tile the samples view draws, in order."""
+        """The grid index and first run of each tile the samples view draws, in order."""
         tiles = []
         draw_tile = protocol.CampaignSamples.draw_tile
 
-        def recording(view, k, out):
-            tiles.append(k)
-            return draw_tile(view, k, out)
+        def recording(view, i, a, out):
+            tiles.append((i, a))
+            return draw_tile(view, i, a, out)
 
         monkeypatch.setattr(protocol.CampaignSamples, "draw_tile", recording)
         return tiles
@@ -405,9 +405,10 @@ class TestInProcessDump:
         chunks = data.csv_chunks()
         assert next(chunks) == "t_s,run_index,x_m\n"
         assert drawn == []  # the header draws nothing
+        tiles = [(i, a) for i in range(3) for a in (0, 4, 8)]
         for taken in range(9):
             next(chunks)
-            assert drawn == list(range(taken + 1))
+            assert drawn == tiles[: taken + 1]
         with pytest.raises(StopIteration):
             next(chunks)
 
@@ -415,7 +416,7 @@ class TestInProcessDump:
         chunks = data.csv_chunks()
         next(chunks), next(chunks)
         chunks.close()
-        assert drawn == [0]
+        assert drawn == [(0, 0)]
         with pytest.raises(StopIteration):
             next(chunks)
 
@@ -495,6 +496,67 @@ class TestMomentsEngine:
         monkeypatch.setattr(protocol, "ThreadPoolExecutor", RecordingPool)
         pooled = run_campaign(config, Scenario(silica, ground), workers=2)
         assert 1 <= len(submitted) <= 2
+        assert np.array_equal(serial.var_hat, pooled.var_hat)
+
+    def test_refused_thread_is_a_domain_error(self, silica, ground, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        refused = r"^cannot start 2 sampling threads: can't start new thread$"
+        with pytest.raises(DomainError, match=refused):
+            run_campaign(make_config(), Scenario(silica, ground), workers=2)
+
+    def test_started_threads_stop_when_one_is_refused(self, silica, ground, monkeypatch):
+        # the first thread starts and is held in its first tile until the pool
+        # shuts down; the host refuses the second. The first must then draw
+        # no further tile of the 3 x 25
+        monkeypatch.setattr(protocol, "TILE_RUNS", 4)
+        start, shutdown = threading.Thread.start, ThreadPoolExecutor.shutdown
+        draw = protocol._draw_tile
+        started, drawn, released = [], [], threading.Event()
+
+        def start_one(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        def releasing(pool, *args, **kwargs):
+            released.set()
+            return shutdown(pool, *args, **kwargs)
+
+        def held(*args):
+            released.wait(timeout=60)
+            drawn.append(args[2:4])
+            return draw(*args)
+
+        monkeypatch.setattr(threading.Thread, "start", start_one)
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", releasing)
+        monkeypatch.setattr(protocol, "_draw_tile", held)
+        with pytest.raises(DomainError, match="^cannot start 2 sampling threads"):
+            run_campaign(make_config(), Scenario(silica, ground), workers=2)
+        assert len(started) == 1
+        assert drawn in ([], [(0, 0)])
+
+    def test_pool_buffers_beyond_physical_memory_are_refused(self, silica, ground, monkeypatch):
+        # 3 tiles of 100 runs: a pool of at least 3 threads holds two tiles of
+        # doubles each, 4800 bytes (the 72 bytes of moments fit); refused
+        # before any thread starts
+        def no_thread(thread):
+            raise AssertionError("a thread started")
+
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 4799)
+        buffers = r"^sampling buffers \(3 threads x 2 x 100 doubles\) would take"
+        with pytest.raises(DomainError, match=buffers):
+            run_campaign(make_config(), Scenario(silica, ground), workers=10**6)
+        # the serial path holds one tile's buffers, as before
+        serial = run_campaign(make_config(), Scenario(silica, ground))
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 4800)
+        pooled = run_campaign(make_config(), Scenario(silica, ground), workers=10**6)
         assert np.array_equal(serial.var_hat, pooled.var_hat)
 
     def test_rows_are_redrawn_identically(self, silica, ground):

@@ -28,9 +28,9 @@ ASCII digits of 0 to 9,999. Lines are formatted in blocks of
 ``BLOCK_ROWS``, so the working set does not grow with the tile. The power
 and digit tables are built on first use, not on import.
 
-Only normal doubles are handled (:func:`all_normal`): a tile holding a
-zero, a subnormal, an infinity or a nan is formatted by ``repr`` itself.
-``repr`` is the reference; the tests compare the two byte for byte.
+Only normal doubles are handled (:func:`all_normal`): :func:`csv_lines`
+hands a tile holding a zero, a subnormal, an infinity or a nan to ``repr``
+itself. ``repr`` is the reference; the tests compare the two byte for byte.
 """
 from __future__ import annotations
 
@@ -113,8 +113,11 @@ def all_normal(xs: np.ndarray) -> bool:
 def csv_lines(t_repr: str, first: int, xs: np.ndarray) -> str:
     """``"".join(f"{t_repr},{r},{x!r}\\n" for r, x in enumerate(xs, first))``.
 
-    ``xs`` is a contiguous float64 array of normal doubles (:func:`all_normal`).
+    ``xs`` is a contiguous float64 array; the kernel spells it if it holds
+    only normal doubles (:func:`all_normal`), that f-string otherwise.
     """
+    if not all_normal(xs):
+        return "".join([f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs.tolist(), first)])
     head = (t_repr + ",").encode("ascii")
     width = len(str(first + max(xs.size - 1, 0)))
     template = np.frombuffer(head + b"0" * width + b"," + X_TEMPLATE + b"\n", np.uint8)

@@ -70,12 +70,8 @@ order, so a caller that writes each chunk as it comes (``waxsim campaign
 --dump-samples``) holds O(tile) memory, whatever the campaign size;
 ``"".join(csv_chunks())`` is the whole CSV as one string. With
 ``run_counts=()`` a campaign merges no variance and draws nothing, so a
-dump built on it draws each tile once. A tile's floats are formatted by
-the array kernel of :mod:`waxsim._dumpfmt`, which computes, with integer
-array arithmetic (the Schubfach algorithm), the shortest decimal that
-reads back to each double, the closest of those, and lays the lines out
-as ``repr`` does, byte for byte; ``repr`` is its reference, and formats a
-tile that holds a zero, a subnormal or a non-finite value. Tiles are
+dump built on it draws each tile once. Each tile's lines are spelled by
+:func:`waxsim._dumpfmt.csv_lines`, as ``repr`` spells them. Tiles are
 re-drawn and formatted one after another in the calling process, so the
 dump's bytes and its code path do not depend on the campaign's thread
 count (``workers``, ``waxsim campaign --workers``).
@@ -106,13 +102,12 @@ class CampaignSamples:
     and ``np.asarray(view)`` draw rows tile by tile through the campaign's
     kernel, so they return the positions the campaign's widths came from.
     A tile is addressed by its grid index ``i`` and its first run ``a``, a
-    multiple of ``tile_runs``: runs ``[a, a + tile_runs)``, cut at N.
+    multiple of ``TILE_RUNS``: runs ``[a, a + TILE_RUNS)``, cut at N.
     """
 
     seed: int
     sigmas: np.ndarray
     runs: int
-    tile_runs: int
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -128,11 +123,11 @@ class CampaignSamples:
     def draw_tile(self, i: int, a: int, out: np.ndarray) -> np.ndarray:
         """Draw the tile of grid index ``i`` that starts at run ``a`` into the
         start of ``out``; return the drawn runs."""
-        count = min(self.tile_runs, self.runs - a)
+        count = min(TILE_RUNS, self.runs - a)
         return _draw_tile(self.seed, self.sigmas[i], i, a, count, out)
 
     def _fill_row(self, i: int, row: np.ndarray) -> None:
-        for a in range(0, self.runs, self.tile_runs):
+        for a in range(0, self.runs, TILE_RUNS):
             self.draw_tile(i, a, row[a:])
 
     def __getitem__(self, key: int) -> np.ndarray:
@@ -181,35 +176,17 @@ class PositionSamples:
 
         Each tile is re-drawn into one reused buffer and formatted in this
         process, as the caller takes its chunk. A chunk holds at most
-        ``tile_runs`` lines, so writing the chunks one by one needs memory
+        ``TILE_RUNS`` lines, so writing the chunks one by one needs memory
         for one tile of text.
         """
+        from ._dumpfmt import csv_lines  # loaded only for a dump
+
         yield "t_s,run_index,x_m\n"
         view = self.samples
-        buffer = np.empty(min(view.runs, view.tile_runs))
+        buffer = np.empty(min(view.runs, TILE_RUNS))
         for i, t in enumerate(self.times.tolist()):
-            for a in range(0, view.runs, view.tile_runs):
-                yield _tile_lines(repr(t), a, view.draw_tile(i, a, buffer))
-
-
-def _tile_lines(t_repr: str, first: int, xs: np.ndarray) -> str:
-    """CSV lines ``t_s,run_index,x_m`` of a tile: runs ``first, ...`` of ``xs``.
-
-    A tile of normal doubles, which is every tile but a rare one, is
-    formatted by the array kernel of :mod:`waxsim._dumpfmt`; a tile holding
-    a zero, a subnormal or a non-finite value by :func:`_repr_lines`. Both
-    give the same bytes.
-    """
-    from ._dumpfmt import all_normal, csv_lines
-
-    if all_normal(xs):
-        return csv_lines(t_repr, first, xs)
-    return _repr_lines(t_repr, first, xs)
-
-
-def _repr_lines(t_repr: str, first: int, xs: np.ndarray) -> str:
-    """The lines ``t_s,run_index,x_m`` of ``xs``, each float by ``repr``: the kernel's reference."""
-    return "".join([f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs.tolist(), first)])
+            for a in range(0, view.runs, TILE_RUNS):
+                yield csv_lines(repr(t), a, view.draw_tile(i, a, buffer))
 
 
 @dataclass(frozen=True)
@@ -333,7 +310,7 @@ def run_campaign(
         moment table or the pool's tile buffers would not fit in the host's
         physical memory, or the host refuses to start a pool thread.
     NumericalError
-        If a row's sample variance overflows double precision.
+        If a draw's variance or a row's sample variance overflows double precision.
 
     Pool tasks run under the caller's numpy floating-point error state, as
     the serial path does.
@@ -341,16 +318,20 @@ def run_campaign(
     check_workers(workers)
     times = np.asarray(plan.time_grid)
     sigmas = np.sqrt(scenario.variance(times))
+    overflowed = ~np.isfinite(sigmas)
+    if overflowed.any():
+        t = times[overflowed][0].item()
+        raise NumericalError(f"sample variance overflows double precision at t = {t!r} s")
     n = plan.runs_per_time
     counts = [n] if run_counts is None else _integers(run_counts, "run_counts", "integers")
     for m in counts:
         if not 2 <= m <= n:
             raise DomainError(f"run counts must lie in [2, {n}], got {m}")
     drawn = _grid_rows(rows, times.size)
-    view = CampaignSamples(plan.rng_seed, sigmas, n, TILE_RUNS)
+    view = CampaignSamples(plan.rng_seed, sigmas, n)
     if not counts:
         return PositionSamples(times, view, {})
-    tile_runs, per_row = TILE_RUNS, -(-n // TILE_RUNS)  # runs per tile, tiles per row
+    per_row = -(-n // TILE_RUNS)  # tiles per row
     count = len(drawn) * per_row
     _check_memory(
         count * _MOMENTS.itemsize, f"campaign tile moments ({len(drawn)} x {per_row} tiles)"
@@ -377,7 +358,7 @@ def run_campaign(
                     r, j = next(undrawn, (None, None))
                 if r is None:
                     return
-                a = j * tile_runs
+                a = j * TILE_RUNS
                 tile = view.draw_tile(drawn[r], a, out)
                 moments[r, j] = _tile_moments(tile, dev[: tile.size])
                 for s, m in enumerate(counts):
@@ -390,7 +371,7 @@ def run_campaign(
     if workers is None:
         workers = _available_cpus() if len(drawn) * n >= PARALLEL_MIN_DRAWS else 1
     # one task per thread, each with its own tile and scratch buffers
-    tasks, size = min(workers, count), min(n, tile_runs)
+    tasks, size = min(workers, count), min(n, TILE_RUNS)
     if workers == 1:
         drain(np.empty((2, size)))
     else:
@@ -410,7 +391,7 @@ def run_campaign(
     for s, m in enumerate(counts):
         # the m-run campaign's tiles in its order: the whole tiles before m's
         # last tile, then that tile's record
-        heads = moments[:, : (m - 1) // tile_runs].tolist()
+        heads = moments[:, : (m - 1) // TILE_RUNS].tolist()
         var_hats[m] = np.array(
             [_merged_moments(h + [t])[2] / (m - 1) for h, t in zip(heads, last[:, s].tolist())]
         )

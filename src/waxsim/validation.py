@@ -227,8 +227,8 @@ def detection_power_mc(
     ``collapse_rate``, compares the sample variance against the
     standard-physics prediction at ``best_time`` (best-time) or at every
     grid time (chi-square-sum), and applies the threshold
-    ``confidence_z``. ``seeds`` must be non-empty. Returns the detected
-    fraction.
+    ``confidence_z``. Each campaign draws only the rows its test reads.
+    ``seeds`` must be non-empty. Returns the detected fraction.
     """
     times, _, var_std, q, best, _ = _detection_setup((n_per_time,), time_grid, detection, scenario)
     se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
@@ -239,9 +239,9 @@ def detection_power_mc(
         csl=replace(scenario.csl, collapse_rate=collapse_rate),
         toggles=replace(scenario.toggles, csl=True),
     )
-    hits = 0
+    hits, rows = 0, [best] if q is None else list(range(times.size))
     for seed in seeds:
-        data = run_campaign(CampaignConfig(times, n_per_time, int(seed)), simulated)
-        z = (data.var_hat - var_std) / se_var
-        hits += bool(z[best] >= detection.confidence_z if q is None else np.sum(z**2) >= q)
+        data = run_campaign(CampaignConfig(times, n_per_time, int(seed)), simulated, rows=rows)
+        z = (data.var_hat - var_std[rows]) / se_var[rows]
+        hits += bool(z[0] >= detection.confidence_z if q is None else np.sum(z**2) >= q)
     return hits / len(seeds)

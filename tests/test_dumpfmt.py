@@ -1,15 +1,15 @@
 """The dump's array formatter against ``repr``, byte for byte.
 
 ``waxsim._dumpfmt.csv_lines`` spells ``f"{t_repr},{r},{x!r}\\n"`` for a
-whole tile of normal doubles; ``protocol._tile_lines`` hands any other tile
-to the ``repr`` path. Every check compares with the f-string.
+whole tile: by the array kernel if it holds only normal doubles, by that
+f-string itself otherwise. Every check compares with the f-string.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waxsim import _dumpfmt, protocol
+from waxsim import _dumpfmt
 
 
 def repr_lines(t_repr, first, xs):
@@ -81,13 +81,13 @@ def test_any_finite_bit_pattern_matches_repr(raw):
     xs = xs[np.isfinite(xs)]
     normal = xs[np.abs(xs) >= np.finfo(float).tiny]
     assert mismatches(_dumpfmt.csv_lines("0.5", 3, normal), repr_lines("0.5", 3, normal)) == []
-    # and a whole tile, zeros and subnormals included, through the dispatch
+    # and a whole tile, zeros and subnormals included
     assert mismatches(tile_csv("0.5", 3, xs), repr_lines("0.5", 3, xs)) == []
 
 
 def tile_csv(t_repr, first, xs):
-    """``protocol._tile_lines`` of a tile that holds ``xs``."""
-    return protocol._tile_lines(t_repr, first, xs)
+    """``_dumpfmt.csv_lines`` of a tile that holds ``xs``."""
+    return _dumpfmt.csv_lines(t_repr, first, xs)
 
 
 @pytest.mark.parametrize(

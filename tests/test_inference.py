@@ -499,6 +499,21 @@ class TestPreRegisteredTime:
             )
             assert 0.85 <= rate / closed.lambda_min <= 1.15, n
 
+    def test_power_draws_only_the_best_times_row(self, monkeypatch):
+        # best-time reads one of each seed's 21 rows, and draws no other
+        _, grid, scenario, detection = self.default()
+        rows = []
+        draw_tile = protocol._draw_tile
+
+        def recording(seed, sigma, i, *args):
+            rows.append(i)
+            return draw_tile(seed, sigma, i, *args)
+
+        monkeypatch.setattr(protocol, "_draw_tile", recording)
+        detection_power_mc(0.0, 400, grid, scenario, detection, seeds=range(1, 5))
+        best = inference._detection_setup((400,), grid, detection, scenario)[4]
+        assert rows == [best] * 4
+
     def test_false_alarms_at_rate_zero_stay_near_the_normal_tail(self):
         # Phi(-3) is 0.135 %, about 1.4 of 1000 campaigns; 8 or more has a
         # binomial probability near 1e-5. Testing all 21 times detected

@@ -77,6 +77,19 @@ class TestNumericalFailure:
             with pytest.raises(NumericalError, match="sample variance overflows"):
                 run_campaign(make_config(), scenario)
 
+    # a dump merges no variance; it and the widths refuse before drawing a tile
+    @pytest.mark.parametrize("run_counts", [(), None], ids=["dump", "widths"])
+    def test_overflowing_draw_variance_is_refused(self, silica, ground, monkeypatch, run_counts):
+        drawn = []
+        monkeypatch.setattr(protocol, "_draw_tile", lambda *args: drawn.append(args))
+        # (drift t)^2 overflows at t = 1 s only
+        scenario = Scenario(silica, ground, drift_velocity_std=1e200)
+        message = r"^sample variance overflows double precision at t = 1\.0 s$"
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match=message):
+                run_campaign(CampaignConfig((0.0, 1.0), 3, 1), scenario, run_counts=run_counts)
+        assert drawn == []
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pool_tasks_keep_the_callers_error_state(self, silica, ground, workers):
         # the tile sums of squares overflow; numpy's error state is per thread

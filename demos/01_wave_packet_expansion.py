@@ -36,14 +36,14 @@ bare = expansion_curve(
 thermal = expansion_curve(
     particle,
     environment,
-    toggles=ChannelToggles(gas=False, blackbody=True, csl=False),
+    toggles=ChannelToggles(gas=False),
     time_grid=times,
 )
 with_collapse = expansion_curve(
     particle,
     environment,
     collapse,
-    ChannelToggles(gas=False, blackbody=True, csl=True),
+    ChannelToggles(gas=False),
     time_grid=times,
 )
 

@@ -58,7 +58,6 @@ SCHEMA: dict[str, tuple[str, object, str, str]] = {
     "csl.reference_mass_kg": ("float", amu, "kg", "reference mass for the rate"),
     "toggles.gas": ("bool", True, "-", "enable gas collisions"),
     "toggles.blackbody": ("bool", True, "-", "enable thermal-photon channels"),
-    "toggles.csl": ("bool", True, "-", "enable the collapse channel"),
     "campaign.time_grid_s": (
         "floatlist",
         tuple(float(t) for t in range(0, 105, 5)),
@@ -293,7 +292,6 @@ class RunConfig:
         return ChannelToggles(
             gas=self.get("toggles.gas"),
             blackbody=self.get("toggles.blackbody"),
-            csl=self.get("toggles.csl"),
         )
 
     def trap_frequency(self) -> float:

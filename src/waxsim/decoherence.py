@@ -86,20 +86,17 @@ class CSLParams:
 
 @dataclass(frozen=True)
 class ChannelToggles:
-    """Which decoherence channels feed the total budget."""
+    """Which standard decoherence channels feed the total budget.
+
+    The collapse channel has no toggle: it is off at collapse rate 0.
+    """
 
     gas: bool = True
     blackbody: bool = True
-    csl: bool = True
 
     @classmethod
     def none(cls) -> "ChannelToggles":
-        return cls(gas=False, blackbody=False, csl=False)
-
-    @classmethod
-    def standard(cls) -> "ChannelToggles":
-        """Only the conventional channels (gas and thermal photons)."""
-        return cls(gas=True, blackbody=True, csl=False)
+        return cls(gas=False, blackbody=False)
 
 
 @dataclass(frozen=True)
@@ -255,8 +252,11 @@ def lambda_csl(particle: Particle, csl: CSLParams) -> float:
     Returns
     -------
     float
-        Lambda_csl [m^-2 s^-1].
+        Lambda_csl [m^-2 s^-1]; exactly 0 when the rate is 0, before the
+        geometry is evaluated.
     """
+    if csl.collapse_rate == 0.0:
+        return 0.0
     a = csl.correlation_length
     factor = sphere_geometry_factor(particle.radius / a)
     mass_ratio = particle.mass / csl.reference_mass
@@ -275,10 +275,10 @@ def total_budget(
     ----------
     particle, env : Particle, Environment
     csl : CSLParams
-        Collapse parameters; rate 0, the default, or a disabled toggle
-        zeroes the collapse channel.
+        Collapse parameters; rate 0, the default, zeroes the collapse
+        channel.
     toggles : ChannelToggles
-        Channel selection.
+        Selection of the standard channels.
 
     Returns
     -------
@@ -304,7 +304,4 @@ def total_budget(
                     "gas rate outside model validity: molecular de Broglie "
                     "wavelength is not << radius"
                 )
-    csl_rate = 0.0
-    if toggles.csl:
-        csl_rate = lambda_csl(particle, csl)
-    return DecoherenceBudget(sc, ab, em, gas, csl_rate, tuple(warnings))
+    return DecoherenceBudget(sc, ab, em, gas, lambda_csl(particle, csl), tuple(warnings))

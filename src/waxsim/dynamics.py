@@ -243,14 +243,12 @@ class Scenario:
     particle : Particle
     environment : Environment
     csl : CSLParams
-        Collapse parameters; rate 0, the default, or ``toggles.csl`` off
-        zeroes the collapse channel. The Monte-Carlo oracle of
-        :mod:`waxsim.inference` uses only its correlation length and
-        reference mass.
+        Collapse parameters; rate 0, the default, zeroes the collapse
+        channel. The detection bound predicts, and its oracle simulates, at
+        rate 0: :mod:`waxsim.inference` uses only the correlation length
+        and reference mass.
     toggles : ChannelToggles
-        Channels in the budget. The detection bound predicts, and its
-        oracle simulates, with the collapse channel off, whatever
-        ``toggles.csl`` says.
+        Standard channels in the budget.
     trap_frequency : float
         Angular trap frequency [rad/s], > 0.
     occupancy : float
@@ -296,8 +294,8 @@ class Scenario:
 
         The one variance model, x_var(t) + (drift t)^2 + noise^2: campaigns
         (:func:`waxsim.protocol.run_campaign`) sample with it, the detection
-        bound and its oracle (:mod:`waxsim.inference`) predict with it with
-        the collapse channel off, and :func:`expansion_curve` takes it at each
+        bound and its oracle (:mod:`waxsim.inference`) predict with it at
+        collapse rate 0, and :func:`expansion_curve` takes it at each
         grid time with both instrumental terms at 0.
         """
         x_var = _x_var_free(self.state0, self.particle.mass, self.budget.total, times)
@@ -433,13 +431,13 @@ def expansion_curve(
 def collapse_validity(scenario: Scenario, times: Sequence[float]) -> tuple[str, ...]:
     """The collapse-validity flag, as zero or one warning.
 
-    It is raised when the collapse channel is active and a model width
+    It is raised when the collapse rate is above 0 and a model width
     sigma(t) (that of :func:`expansion_curve`, without the drift and readout
     terms) exceeds a/3 at a grid time: there the small-separation quadratic
     form stops being quantitatively reliable.
     """
     csl, particle = scenario.csl, scenario.particle
-    if scenario.toggles.csl and csl.collapse_rate > 0.0:
+    if csl.collapse_rate > 0.0:
         state0, total = scenario.state0, scenario.budget.total
         x_vars = (_x_var_free(state0, particle.mass, total, t) for t in times)
         if any(math.sqrt(v) > csl.correlation_length / 3.0 for v in x_vars):

@@ -111,6 +111,12 @@ def _chi_square_quantile(confidence_z: float, dof: int) -> float:
     return float(chdtri(dof, alpha))
 
 
+def _standard_error(var_std: np.ndarray, n: int) -> np.ndarray:
+    """Standard error of the sample variance of ``n`` normal draws whose
+    true variance is ``var_std``: ``var_std * sqrt(2 / (n - 1))``."""
+    return var_std * np.sqrt(2.0 / (n - 1))
+
+
 def _detection_setup(
     n_sweep: Sequence[int], time_grid: Sequence[float], detection: DetectionConfig,
     scenario: Scenario,
@@ -119,7 +125,7 @@ def _detection_setup(
 
     Returns ``(times, sens, var_std, q, best, standard)``: the grid, the
     :func:`csl_sensitivity` at each time, the per-draw variance of
-    ``standard``, the scenario with the collapse channel off (drift and
+    ``standard``, the scenario at collapse rate 0 (drift and
     readout terms included), the chi-square threshold (``None`` for
     best-time aggregation) and the index of the most sensitive time, the
     one time best-time aggregation tests: the first of the smallest
@@ -141,7 +147,7 @@ def _detection_setup(
         raise DomainError(
             "no sensitivity to the collapse rate: grid has no positive times"
         )
-    standard = replace(scenario, toggles=replace(scenario.toggles, csl=False))
+    standard = replace(scenario, csl=replace(scenario.csl, collapse_rate=0.0))
     var_std = standard.variance(times)
     per_time = np.full(times.size, np.inf)
     per_time[usable] = var_std[usable] / sens[usable]
@@ -157,7 +163,7 @@ def min_detectable_lambda(
     particle: Particle,
     env: Environment,
     csl_geometry: CSLParams = CSLParams(collapse_rate=0.0),
-    toggles: ChannelToggles = ChannelToggles.standard(),
+    toggles: ChannelToggles = ChannelToggles(),
     detection: DetectionConfig = DetectionConfig(),
     trap_frequency: float = DEFAULT_TRAP_FREQUENCY,
     occupancy: float = 0.0,
@@ -175,9 +181,9 @@ def min_detectable_lambda(
         and containing at least one t > 0.
     csl_geometry : CSLParams
         Correlation length and reference mass of the collapse model under
-        test (its rate field is unused).
+        test (its rate field is unused: the background model is at rate 0).
     toggles : ChannelToggles
-        Standard channels present in the background model.
+        Standard channels present in the background model, by default both.
     detection : DetectionConfig
     trap_frequency, occupancy, measurement_noise, drift_velocity_std
         Preparation and noise model, as in :class:`waxsim.dynamics.Scenario`.
@@ -205,7 +211,7 @@ def _closed_forms(
     usable = sens > 0.0
     results = []
     for n in n_sweep:
-        se_var = var_std * np.sqrt(2.0 / (n - 1))
+        se_var = _standard_error(var_std, n)
         if q is None:
             lam = float(detection.confidence_z * se_var[best] / sens[best])
         else:
@@ -253,7 +259,7 @@ def bisect_lambda_mc_sweep(
     each N of ``n_sweep``, in sweep order.
 
     Simulates each seed's campaign once, at the largest N, of the set-up's
-    standard scenario: ``scenario`` with the collapse channel off. Under
+    standard scenario: ``scenario`` at collapse rate 0. Under
     common random numbers a seed's sample variance at rate lambda is ``w_t
     * (v0_t + lambda * sens_t)``, where ``v0_t`` is the true variance at rate
     0, ``w_t = var_hat_t / v0_t`` does not depend on lambda and ``sens_t`` is
@@ -296,7 +302,7 @@ def bisect_lambda_mc_sweep(
         n_sweep, time_grid, detection, scenario
     )
     # only the standard error depends on N
-    se_vars = [var_std * np.sqrt(2.0 / (n - 1)) for n in n_sweep]
+    se_vars = [_standard_error(var_std, n) for n in n_sweep]
 
     try:
         count = len(seeds)

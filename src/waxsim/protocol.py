@@ -138,9 +138,6 @@ class CampaignSamples:
         self._fill_row(i, row)
         return row
 
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return (self[i] for i in range(len(self)))
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         _check_memory(8 * self.size, f"campaign samples ({len(self)} x {self.runs} doubles)")
         out = np.empty(self.shape)

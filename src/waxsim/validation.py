@@ -50,7 +50,7 @@ import numpy as np
 from .constants import hbar
 from .dynamics import DetectionConfig, GaussianState, Scenario, _check_evolution
 from .errors import DomainError, NumericalError
-from .inference import _detection_setup
+from .inference import _detection_setup, _standard_error
 from .protocol import CampaignConfig, run_campaign
 
 
@@ -223,22 +223,18 @@ def detection_power_mc(
 ) -> float:
     """Monte-Carlo detection probability at a given collapse rate.
 
-    Simulates one campaign per seed with the collapse channel active at
-    ``collapse_rate``, compares the sample variance against the
-    standard-physics prediction at ``best_time`` (best-time) or at every
-    grid time (chi-square-sum), and applies the threshold
-    ``confidence_z``. Each campaign draws only the rows its test reads.
+    Simulates one campaign per seed with the scenario's collapse rate set to
+    ``collapse_rate`` (0 simulates standard physics), compares the sample
+    variance against the standard-physics prediction at ``best_time``
+    (best-time) or at every grid time (chi-square-sum), and applies the
+    threshold ``confidence_z``. Each campaign draws only the rows its test reads.
     ``seeds`` must be non-empty. Returns the detected fraction.
     """
     times, _, var_std, q, best, _ = _detection_setup((n_per_time,), time_grid, detection, scenario)
-    se_var = var_std * np.sqrt(2.0 / (n_per_time - 1))
+    se_var = _standard_error(var_std, n_per_time)
     if not seeds:
         raise DomainError("seeds must be non-empty")
-    simulated = replace(
-        scenario,
-        csl=replace(scenario.csl, collapse_rate=collapse_rate),
-        toggles=replace(scenario.toggles, csl=True),
-    )
+    simulated = replace(scenario, csl=replace(scenario.csl, collapse_rate=collapse_rate))
     hits, rows = 0, [best] if q is None else list(range(times.size))
     for seed in seeds:
         data = run_campaign(CampaignConfig(times, n_per_time, int(seed)), simulated, rows=rows)

@@ -88,14 +88,14 @@ def test_criterion_03_curve_ordering(silica, ground):
     blackbody = expansion_curve(
         silica,
         ground,
-        toggles=ChannelToggles(gas=False, blackbody=True, csl=False),
+        toggles=ChannelToggles(gas=False),
         time_grid=grid,
     )
     both = expansion_curve(
         silica,
         ground,
         csl,
-        ChannelToggles(gas=False, blackbody=True, csl=True),
+        ChannelToggles(gas=False),
         time_grid=grid,
     )
     assert np.all(bare.sigmas < blackbody.sigmas)

@@ -245,10 +245,8 @@ class TestCli:
 
     def test_expand_csl_dominates_bare_curve(self, capsys):
         no_channels = ("--toggles.gas", "false", "--toggles.blackbody", "false")
-        _, bare, _ = run_cli(capsys, "expand", *no_channels, "--toggles.csl", "false")
-        _, csl, _ = run_cli(
-            capsys, "expand", *no_channels, "--toggles.csl", "true", "--csl.lambda_hz", "1e-13"
-        )
+        _, bare, _ = run_cli(capsys, "expand", *no_channels, "--csl.lambda_hz", "0")
+        _, csl, _ = run_cli(capsys, "expand", *no_channels, "--csl.lambda_hz", "1e-13")
         bare_sigma = np.array([float(v) for v in csv_column(bare, "sigma_m")])
         csl_sigma = np.array([float(v) for v in csv_column(csl, "sigma_m")])
         assert np.all(csl_sigma >= bare_sigma)
@@ -368,6 +366,7 @@ class TestCli:
             assert code == 0
             assert load_config(out) == expected
             assert "optical_permittivity" not in out
+            assert "toggles.csl" not in out
 
     @pytest.mark.parametrize(
         "key", ["particle.optical_permittivity_re", "particle.optical_permittivity_im"]
@@ -380,6 +379,14 @@ class TestCli:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert key in err
+
+    def test_collapse_toggle_in_config_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text("toggles.csl = false\n")
+        code, out, err = run_cli(capsys, "rates", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert "unknown config key 'toggles.csl'" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rates.csv"
@@ -682,6 +689,37 @@ class TestBoundCommand:
         assert bound.parse_args([]).oracle_seeds == 64
 
 
+class TestCollapseRateZero:
+    """Rate 0 switches the collapse channel off: its geometry is never evaluated."""
+
+    # a correlation length or reference mass whose geometry divides by zero
+    # or overflows at any nonzero rate
+    GEOMETRY = [
+        ("--csl.correlation_length_m", "1e-300"),
+        ("--csl.correlation_length_m", "1e300"),
+        ("--csl.reference_mass_kg", "1e-300"),
+    ]
+
+    @pytest.mark.parametrize("geometry", GEOMETRY)
+    @pytest.mark.parametrize(
+        "command", [("rates",), ("expand",), ("campaign",), ("campaign", "--dump-samples")]
+    )
+    def test_unused_geometry_runs(self, capsys, command, geometry):
+        code, out, err = run_cli(capsys, *command, *geometry)
+        assert (code, err) == (0, "")
+        assert "inf" not in out and "nan" not in out
+        if command == ("rates",):
+            assert "\ncsl,0.0\n" in out
+
+    # the bound prices the collapse rate, so it evaluates the geometry at rate 1
+    @pytest.mark.parametrize("geometry", GEOMETRY)
+    def test_bound_still_fails_on_the_geometry(self, capsys, geometry):
+        code, out, err = run_cli(capsys, "bound", *geometry)
+        assert (code, out) == (3, "")
+        assert err.startswith("waxsim: numerical failure: ")
+        assert len(err.splitlines()) == 1
+
+
 class TestOptionSpelling:
     def test_abbreviated_option_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -689,7 +727,8 @@ class TestOptionSpelling:
         assert exc.value.code == 2
 
     # each is spelt as its config key: --environment.preset, --toggles.gas,
-    # --toggles.blackbody, --toggles.csl and --csl.lambda_hz
+    # --toggles.blackbody and --csl.lambda_hz; the collapse channel has no
+    # toggle of its own, it is off at --csl.lambda_hz 0
     @pytest.mark.parametrize(
         "argv",
         [
@@ -699,6 +738,7 @@ class TestOptionSpelling:
             ("--no-blackbody",),
             ("--csl",),
             ("--csl.lambda", "1e-13"),
+            ("--toggles.csl", "false"),
         ],
     )
     def test_removed_spelling_is_a_usage_error(self, capsys, argv):

@@ -11,6 +11,7 @@ from waxsim import (
     Environment,
     Particle,
     csl_sphere_factor_bruteforce,
+    decoherence,
     fused_silica_particle,
     lambda_blackbody,
     lambda_csl,
@@ -120,6 +121,16 @@ class TestCSL:
     def test_zero_rate_is_zero(self, silica):
         assert lambda_csl(silica, CSLParams(collapse_rate=0.0)) == 0.0
 
+    def test_zero_rate_skips_the_geometry(self, silica, monkeypatch):
+        # rate 0 is the off switch: a geometry that would divide by zero or
+        # overflow is never evaluated, as lambda_gas skips its model at
+        # pressure 0
+        def refuse(ratio):
+            raise AssertionError("geometry factor evaluated at rate 0")
+
+        monkeypatch.setattr(decoherence, "sphere_geometry_factor", refuse)
+        assert lambda_csl(silica, CSLParams(0.0)) == 0.0
+
     def test_point_limit(self):
         # R << a: the geometry factor drops out
         tiny = fused_silica_particle(radius=1e-12)
@@ -184,11 +195,11 @@ class TestGeometryFactor:
 
 class TestBudget:
     def test_all_off_is_zero(self, silica, ground):
-        budget = total_budget(silica, ground, CSLParams(1e-13), ChannelToggles.none())
+        budget = total_budget(silica, ground, CSLParams(0.0), ChannelToggles.none())
         assert budget.total == 0.0
 
     def test_gas_off_blackbody_on(self, silica, ground):
-        toggles = ChannelToggles(gas=False, blackbody=True, csl=False)
+        toggles = ChannelToggles(gas=False)
         budget = total_budget(silica, ground, toggles=toggles)
         assert budget.gas_collisions == 0.0
         assert budget.csl == 0.0
@@ -199,7 +210,7 @@ class TestBudget:
         )
 
     def test_single_channel(self, silica, ground):
-        toggles = ChannelToggles(gas=True, blackbody=False, csl=False)
+        toggles = ChannelToggles(gas=True, blackbody=False)
         budget = total_budget(silica, ground, toggles=toggles)
         assert budget.total == budget.gas_collisions
         assert budget.gas_collisions == lambda_gas(silica, ground)

@@ -220,7 +220,7 @@ class TestExpansionCurve:
         on = expansion_curve(
             silica,
             ground,
-            toggles=ChannelToggles(gas=False, blackbody=True, csl=False),
+            toggles=ChannelToggles(gas=False),
             time_grid=grid,
         )
         assert np.all(on.sigmas[1:] > off.sigmas[1:])
@@ -236,7 +236,7 @@ class TestExpansionCurve:
             silica,
             ground,
             csl,
-            ChannelToggles(gas=False, blackbody=False, csl=True),
+            ChannelToggles.none(),
             time_grid=grid,
         )
         assert np.all(with_csl.sigmas > ballistic.sigmas)
@@ -255,7 +255,7 @@ class TestExpansionCurve:
 
     def test_quadratic_validity_flag(self, silica, ground):
         csl = CSLParams(collapse_rate=1e-13, correlation_length=100e-9)
-        toggles = ChannelToggles(gas=False, blackbody=False, csl=True)
+        toggles = ChannelToggles.none()
         short = expansion_curve(silica, ground, csl, toggles, time_grid=[1e-7])
         long = expansion_curve(silica, ground, csl, toggles, time_grid=[10.0])
         assert not any("quadratic validity" in w for w in short.warnings)

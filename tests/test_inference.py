@@ -358,19 +358,15 @@ class TestOracleSweep:
     @pytest.mark.parametrize("z", [3.0, 0.5])
     def test_best_time_rates_follow_the_scalar_rule(self, z):
         # each seed's rate by the formula on Python floats, one N at a time,
-        # from a campaign of every row at rate 0 with the collapse channel on
-        # (the oracle's has it off); at z = 0.5 some rates clip at 0
+        # from a campaign of every row at rate 0 (the oracle's draws only the
+        # best time's); at z = 0.5 some rates clip at 0
         model = self.model()
         model["detection"] = DetectionConfig(confidence_z=z)
         scenario, sweep, seeds = model["scenario"], (100, 400, 1600), range(1, 17)
         times, sens, var_std, _, best, _ = inference._detection_setup(
             sweep, model["time_grid"], model["detection"], scenario
         )
-        simulated = replace(
-            scenario,
-            csl=replace(scenario.csl, collapse_rate=0.0),
-            toggles=replace(scenario.toggles, csl=True),
-        )
+        simulated = replace(scenario, csl=replace(scenario.csl, collapse_rate=0.0))
         per_seed = []
         for seed in seeds:
             plan = protocol.CampaignConfig(times, max(sweep), seed)

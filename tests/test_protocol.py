@@ -154,7 +154,7 @@ class TestStatistics:
     def test_collapse_channel_inflates_samples(self, silica, space):
         config = make_config(time_grid=(100.0,), runs_per_time=20_000, rng_seed=3)
         csl = CSLParams(collapse_rate=1e-12)
-        off = run_campaign(config, Scenario(silica, space, toggles=ChannelToggles.standard()))
+        off = run_campaign(config, Scenario(silica, space, CSLParams(collapse_rate=0.0)))
         on = run_campaign(config, Scenario(silica, space, csl, ChannelToggles()))
         assert np.var(on.samples[0]) > np.var(off.samples[0])
 

@@ -74,9 +74,9 @@ PROBES = {
         ),
         ("numpy", *LAYERS),
     ),
-    # with the collapse channel on, which adds the a/3 check on the widths
+    # at a nonzero collapse rate, which adds the a/3 check on the widths
     "expand with csl": (
-        run_main("expand", "--toggles.csl", "true", "--csl.lambda_hz", "1e-8"),
+        run_main("expand", "--csl.lambda_hz", "1e-8"),
         ("numpy", *LAYERS),
     ),
     "bound": (run_main("bound"), (*LAYERS, *SCIPY_MODULES)),

@@ -8,7 +8,7 @@ builds three curves over 100 s of free flight:
 
   1. no decoherence at all (the pure quantum baseline),
   2. thermal photons only, for a 300 K lab and a 400 K sphere
-     (gas collisions deliberately excluded),
+     (gas collisions excluded: the lab is taken at pressure 0),
   3. the same plus a collapse model at a = 100 nm, lambda = 1e-13 Hz.
 
 The collapse curve separates visibly from the thermal one at late times,
@@ -26,26 +26,15 @@ from waxsim import (
 )
 
 particle = fused_silica_particle()  # 120 nm, 2200 kg/m^3, 400 K inside
-environment = ground_environment()
+environment = ground_environment(gas_pressure=0.0)  # 300 K, no residual gas
 collapse = CSLParams(collapse_rate=1e-13, correlation_length=100e-9)
 times = np.geomspace(0.1, 100.0, 16)
 
 bare = expansion_curve(
-    particle, environment, toggles=ChannelToggles.none(), time_grid=times
+    particle, environment, toggles=ChannelToggles(blackbody=False), time_grid=times
 )
-thermal = expansion_curve(
-    particle,
-    environment,
-    toggles=ChannelToggles(gas=False),
-    time_grid=times,
-)
-with_collapse = expansion_curve(
-    particle,
-    environment,
-    collapse,
-    ChannelToggles(gas=False),
-    time_grid=times,
-)
+thermal = expansion_curve(particle, environment, time_grid=times)
+with_collapse = expansion_curve(particle, environment, collapse, time_grid=times)
 
 print(f"sphere mass: {particle.mass:.4e} kg")
 print(f"ground-state width sigma(0): {initial_state(particle).sigma:.4e} m")

@@ -56,7 +56,6 @@ SCHEMA: dict[str, tuple[str, object, str, str]] = {
     "csl.lambda_hz": ("float", 0.0, "Hz", "collapse rate"),
     "csl.correlation_length_m": ("float", 100e-9, "m", "collapse correlation length"),
     "csl.reference_mass_kg": ("float", amu, "kg", "reference mass for the rate"),
-    "toggles.gas": ("bool", True, "-", "enable gas collisions"),
     "toggles.blackbody": ("bool", True, "-", "enable thermal-photon channels"),
     "campaign.time_grid_s": (
         "floatlist",
@@ -289,10 +288,7 @@ class RunConfig:
         )
 
     def toggles(self) -> ChannelToggles:
-        return ChannelToggles(
-            gas=self.get("toggles.gas"),
-            blackbody=self.get("toggles.blackbody"),
-        )
+        return ChannelToggles(blackbody=self.get("toggles.blackbody"))
 
     def trap_frequency(self) -> float:
         """Angular trap frequency [rad/s]."""

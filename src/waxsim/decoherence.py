@@ -86,17 +86,13 @@ class CSLParams:
 
 @dataclass(frozen=True)
 class ChannelToggles:
-    """Which standard decoherence channels feed the total budget.
+    """Whether the thermal-photon channels feed the total budget.
 
-    The collapse channel has no toggle: it is off at collapse rate 0.
+    The other channels have no toggle: gas collisions are off at pressure 0
+    and the collapse channel at collapse rate 0.
     """
 
-    gas: bool = True
     blackbody: bool = True
-
-    @classmethod
-    def none(cls) -> "ChannelToggles":
-        return cls(gas=False, blackbody=False)
 
 
 @dataclass(frozen=True)
@@ -116,7 +112,7 @@ class BlackbodyRates:
 
 @dataclass(frozen=True)
 class DecoherenceBudget:
-    """Per-channel localization rates [m^-2 s^-1]; disabled channels are 0, the total finite."""
+    """Per-channel localization rates [m^-2 s^-1]; a channel that is off is 0, the total finite."""
 
     blackbody_scattering: float
     blackbody_absorption: float
@@ -213,8 +209,6 @@ def lambda_gas(particle: Particle, env: Environment) -> float:
     """
     if env.gas_pressure == 0.0:
         return 0.0
-    if env.gas_temperature <= 0.0:
-        raise DomainError("gas_temperature must be > 0 at nonzero pressure")
     vbar = _mean_gas_speed(env)
     return (
         _GAS_PREFACTOR
@@ -269,16 +263,17 @@ def total_budget(
     csl: CSLParams = CSLParams(collapse_rate=0.0),
     toggles: ChannelToggles = ChannelToggles(),
 ) -> DecoherenceBudget:
-    """Assemble the per-channel localization budget with disabled channels at 0.
+    """Assemble the per-channel localization budget; a channel that is off is 0.
 
     Parameters
     ----------
     particle, env : Particle, Environment
+        Pressure 0 in ``env`` zeroes the gas channel.
     csl : CSLParams
         Collapse parameters; rate 0, the default, zeroes the collapse
         channel.
     toggles : ChannelToggles
-        Selection of the standard channels.
+        Whether the thermal-photon channels are on.
 
     Returns
     -------
@@ -292,16 +287,14 @@ def total_budget(
         bb = lambda_blackbody(particle, env)
         sc, ab, em = bb.scattering, bb.absorption, bb.emission
         warnings.extend(bb.warnings)
-    gas = 0.0
-    if toggles.gas:
-        gas = lambda_gas(particle, env)
-        if env.gas_pressure > 0.0:
-            gas_wavelength = 2.0 * math.pi * hbar / (
-                env.gas_particle_mass * _mean_gas_speed(env)
+    gas = lambda_gas(particle, env)
+    if env.gas_pressure > 0.0:
+        gas_wavelength = 2.0 * math.pi * hbar / (
+            env.gas_particle_mass * _mean_gas_speed(env)
+        )
+        if gas_wavelength > particle.radius / _VALIDITY_FACTOR:
+            warnings.append(
+                "gas rate outside model validity: molecular de Broglie "
+                "wavelength is not << radius"
             )
-            if gas_wavelength > particle.radius / _VALIDITY_FACTOR:
-                warnings.append(
-                    "gas rate outside model validity: molecular de Broglie "
-                    "wavelength is not << radius"
-                )
     return DecoherenceBudget(sc, ab, em, gas, lambda_csl(particle, csl), tuple(warnings))

@@ -242,13 +242,14 @@ class Scenario:
     ----------
     particle : Particle
     environment : Environment
+        Its pressure 0 zeroes the gas channel.
     csl : CSLParams
         Collapse parameters; rate 0, the default, zeroes the collapse
         channel. The detection bound predicts, and its oracle simulates, at
         rate 0: :mod:`waxsim.inference` uses only the correlation length
         and reference mass.
     toggles : ChannelToggles
-        Standard channels in the budget.
+        Whether the thermal-photon channels are in the budget.
     trap_frequency : float
         Angular trap frequency [rad/s], > 0.
     occupancy : float

@@ -183,7 +183,8 @@ def min_detectable_lambda(
         Correlation length and reference mass of the collapse model under
         test (its rate field is unused: the background model is at rate 0).
     toggles : ChannelToggles
-        Standard channels present in the background model, by default both.
+        Whether the thermal-photon channels are in the background model, by
+        default on; the gas channel is off at pressure 0 in ``env``.
     detection : DetectionConfig
     trap_frequency, occupancy, measurement_noise, drift_velocity_std
         Preparation and noise model, as in :class:`waxsim.dynamics.Scenario`.

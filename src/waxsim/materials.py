@@ -148,7 +148,8 @@ class Environment:
     gas_particle_mass : float
         Mass of one gas molecule [kg], > 0.
     gas_temperature : float
-        Kinetic temperature of the residual gas [K], >= 0.
+        Kinetic temperature of the residual gas [K], >= 0, and > 0 at
+        nonzero pressure.
     preset : str
         One of ``ground``, ``space``, ``custom``. Named presets pin the
         invariants below; ``custom`` allows anything physical.
@@ -173,6 +174,8 @@ class Environment:
             raise DomainError(
                 f"gas_temperature must be >= 0, got {self.gas_temperature}"
             )
+        if self.gas_temperature == 0.0 and self.gas_pressure > 0.0:
+            raise DomainError("gas_temperature must be > 0 at nonzero pressure")
         if self.preset not in PRESETS:
             raise DomainError(f"unknown preset {self.preset!r}")
         if self.preset == "ground" and self.temperature != 300.0:

@@ -15,5 +15,11 @@ def ground():
 
 
 @pytest.fixture
+def no_gas():
+    """The ground preset at pressure 0: its gas channel is off."""
+    return ground_environment(gas_pressure=0.0)
+
+
+@pytest.fixture
 def space():
     return space_environment()

@@ -78,26 +78,15 @@ def test_criterion_02_cubic_law(silica):
     report(2, "decoherence excess follows the t^3 law with the 2/3 coefficient", started)
 
 
-def test_criterion_03_curve_ordering(silica, ground):
+def test_criterion_03_curve_ordering(silica, no_gas):
     started = time.perf_counter()
     grid = np.geomspace(1.01, 100.0, 40)
     csl = CSLParams(collapse_rate=1e-13, correlation_length=100e-9)
     bare = expansion_curve(
-        silica, ground, toggles=ChannelToggles.none(), time_grid=grid
+        silica, no_gas, toggles=ChannelToggles(blackbody=False), time_grid=grid
     )
-    blackbody = expansion_curve(
-        silica,
-        ground,
-        toggles=ChannelToggles(gas=False),
-        time_grid=grid,
-    )
-    both = expansion_curve(
-        silica,
-        ground,
-        csl,
-        ChannelToggles(gas=False),
-        time_grid=grid,
-    )
+    blackbody = expansion_curve(silica, no_gas, time_grid=grid)
+    both = expansion_curve(silica, no_gas, csl, time_grid=grid)
     assert np.all(bare.sigmas < blackbody.sigmas)
     assert np.all(blackbody.sigmas < both.sigmas)
     elapsed = time.perf_counter() - started

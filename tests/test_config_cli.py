@@ -87,12 +87,12 @@ class TestConfigParsing:
             # particle block
             particle.radius_m = 60e-9
             csl.lambda_hz = 1e-13   # trailing comment
-            toggles.gas = false
+            environment.gas_pressure_pa = 0
             """
         )
         assert cfg.get("particle.radius_m") == 60e-9
         assert cfg.get("csl.lambda_hz") == 1e-13
-        assert cfg.toggles().gas is False
+        assert cfg.environment().gas_pressure == 0.0
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -110,7 +110,7 @@ class TestConfigParsing:
 
     def test_bad_bool_rejected(self):
         with pytest.raises(ConfigError):
-            load_config("toggles.gas = maybe\n")
+            load_config("toggles.blackbody = maybe\n")
 
     def test_enum_rejected(self):
         with pytest.raises(ConfigError):
@@ -200,7 +200,7 @@ class TestCli:
 
     def test_rates_ground_no_gas(self, capsys):
         code, out, _ = run_cli(
-            capsys, "rates", "--environment.preset", "ground", "--toggles.gas", "false"
+            capsys, "rates", "--environment.preset", "ground", "--environment.gas_pressure_pa", "0"
         )
         assert code == 0
         rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
@@ -221,7 +221,7 @@ class TestCli:
         [
             ("campaign.seed", "abc", "not an integer: 'abc'"),
             ("particle.radius_m", "tiny", "not a number: 'tiny'"),
-            ("toggles.gas", "maybe", "not a boolean: 'maybe'"),
+            ("toggles.blackbody", "maybe", "not a boolean: 'maybe'"),
             ("bound.n_sweep", "100,x", "not an integer: 'x'"),
             ("campaign.time_grid_s", "0,y", "not a number: 'y'"),
         ],
@@ -244,7 +244,7 @@ class TestCli:
         assert sigma == sorted(sigma)
 
     def test_expand_csl_dominates_bare_curve(self, capsys):
-        no_channels = ("--toggles.gas", "false", "--toggles.blackbody", "false")
+        no_channels = ("--environment.gas_pressure_pa", "0", "--toggles.blackbody", "false")
         _, bare, _ = run_cli(capsys, "expand", *no_channels, "--csl.lambda_hz", "0")
         _, csl, _ = run_cli(capsys, "expand", *no_channels, "--csl.lambda_hz", "1e-13")
         bare_sigma = np.array([float(v) for v in csv_column(bare, "sigma_m")])
@@ -367,26 +367,22 @@ class TestCli:
             assert load_config(out) == expected
             assert "optical_permittivity" not in out
             assert "toggles.csl" not in out
+            assert "toggles.gas" not in out
 
     @pytest.mark.parametrize(
-        "key", ["particle.optical_permittivity_re", "particle.optical_permittivity_im"]
+        "key, raw",
+        [
+            ("particle.optical_permittivity_re", "2.1"),
+            ("particle.optical_permittivity_im", "2.1"),
+            ("toggles.csl", "false"),
+            ("toggles.gas", "false"),
+        ],
     )
-    def test_removed_key_in_config_file_exits_2(self, capsys, tmp_path, key):
+    def test_removed_key_in_config_file_exits_2(self, capsys, tmp_path, key, raw):
         path = tmp_path / "old.cfg"
-        path.write_text(f"{key} = 2.1\n")
+        path.write_text(f"{key} = {raw}\n")
         code, out, err = run_cli(capsys, "rates", "--config", str(path))
-        assert code == 2
-        assert out == ""
-        assert len(err.strip().splitlines()) == 1
-        assert key in err
-
-    def test_collapse_toggle_in_config_file_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "old.cfg"
-        path.write_text("toggles.csl = false\n")
-        code, out, err = run_cli(capsys, "rates", "--config", str(path))
-        assert (code, out) == (2, "")
-        assert len(err.strip().splitlines()) == 1
-        assert "unknown config key 'toggles.csl'" in err
+        assert (code, out, err) == (2, "", f"waxsim: error: {path}:1: unknown config key '{key}'\n")
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rates.csv"
@@ -476,6 +472,21 @@ class TestCli:
     def test_negative_drop_height_exits_2_on_every_command(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--feasibility.drop_height_m=-1")
         line = "waxsim: error: feasibility.drop_height_m must be >= 0, got -1.0\n"
+        assert (code, out, err) == (2, "", line)
+
+    # feasibility and --print-config read no gas rate, but the environment
+    # that every command builds carries the rule
+    @pytest.mark.parametrize(
+        "argv",
+        [("rates",), ("expand",), ("campaign",), ("bound",), ("feasibility",),
+         ("rates", "--print-config")],
+        ids=["rates", "expand", "campaign", "bound", "feasibility", "print-config"],
+    )
+    def test_zero_gas_temperature_at_pressure_exits_2_on_every_command(self, capsys, argv):
+        code, out, err = run_cli(
+            capsys, *argv, "--environment.preset", "custom", "--environment.gas_temperature_k", "0"
+        )
+        line = "waxsim: error: gas_temperature must be > 0 at nonzero pressure\n"
         assert (code, out, err) == (2, "", line)
 
     def test_zero_drop_height_is_a_height(self, capsys):
@@ -726,9 +737,10 @@ class TestOptionSpelling:
             cli.main(["rates", "--csl.lambda_h", "1e-13"])
         assert exc.value.code == 2
 
-    # each is spelt as its config key: --environment.preset, --toggles.gas,
-    # --toggles.blackbody and --csl.lambda_hz; the collapse channel has no
-    # toggle of its own, it is off at --csl.lambda_hz 0
+    # each is spelt as its config key: --environment.preset,
+    # --toggles.blackbody and --csl.lambda_hz; gas collisions and the
+    # collapse channel have no toggle of their own, they are off at
+    # --environment.gas_pressure_pa 0 and --csl.lambda_hz 0
     @pytest.mark.parametrize(
         "argv",
         [
@@ -739,6 +751,7 @@ class TestOptionSpelling:
             ("--csl",),
             ("--csl.lambda", "1e-13"),
             ("--toggles.csl", "false"),
+            ("--toggles.gas", "false"),
         ],
     )
     def test_removed_spelling_is_a_usage_error(self, capsys, argv):

@@ -194,13 +194,14 @@ class TestGeometryFactor:
 
 
 class TestBudget:
-    def test_all_off_is_zero(self, silica, ground):
-        budget = total_budget(silica, ground, CSLParams(0.0), ChannelToggles.none())
+    def test_all_off_is_zero(self, silica, no_gas):
+        budget = total_budget(
+            silica, no_gas, CSLParams(0.0), ChannelToggles(blackbody=False)
+        )
         assert budget.total == 0.0
 
-    def test_gas_off_blackbody_on(self, silica, ground):
-        toggles = ChannelToggles(gas=False)
-        budget = total_budget(silica, ground, toggles=toggles)
+    def test_gas_off_blackbody_on(self, silica, no_gas):
+        budget = total_budget(silica, no_gas)
         assert budget.gas_collisions == 0.0
         assert budget.csl == 0.0
         assert budget.total == (
@@ -210,7 +211,7 @@ class TestBudget:
         )
 
     def test_single_channel(self, silica, ground):
-        toggles = ChannelToggles(gas=True, blackbody=False)
+        toggles = ChannelToggles(blackbody=False)
         budget = total_budget(silica, ground, toggles=toggles)
         assert budget.total == budget.gas_collisions
         assert budget.gas_collisions == lambda_gas(silica, ground)

@@ -18,6 +18,7 @@ from waxsim import (
     evolve_numeric,
     expansion_curve,
     fused_silica_particle,
+    ground_environment,
     initial_state,
     rk4_integrate,
 )
@@ -204,41 +205,29 @@ def test_rk4_is_fourth_order():
 
 
 class TestExpansionCurve:
-    def test_single_point_grid(self, silica, ground):
+    def test_single_point_grid(self, silica, no_gas):
         curve = expansion_curve(
-            silica, ground, toggles=ChannelToggles.none(), time_grid=[0.0]
+            silica, no_gas, toggles=ChannelToggles(blackbody=False), time_grid=[0.0]
         )
         state0 = initial_state(silica)
         assert curve.sigmas.shape == (1,)
         assert_allclose(curve.sigmas[0], state0.sigma, rtol=1e-12)
 
-    def test_decohered_curve_dominates(self, silica, ground):
+    def test_decohered_curve_dominates(self, silica, no_gas):
         grid = np.linspace(0.0, 100.0, 41)
         off = expansion_curve(
-            silica, ground, toggles=ChannelToggles.none(), time_grid=grid
+            silica, no_gas, toggles=ChannelToggles(blackbody=False), time_grid=grid
         )
-        on = expansion_curve(
-            silica,
-            ground,
-            toggles=ChannelToggles(gas=False),
-            time_grid=grid,
-        )
+        on = expansion_curve(silica, no_gas, time_grid=grid)
         assert np.all(on.sigmas[1:] > off.sigmas[1:])
         assert on.sigmas[0] == off.sigmas[0]
 
-    def test_csl_only_curve_above_ballistic(self, silica, ground):
+    def test_csl_only_curve_above_ballistic(self, silica, no_gas):
         grid = np.geomspace(0.1, 100.0, 20)
         csl = CSLParams(collapse_rate=1e-13, correlation_length=100e-9)
-        ballistic = expansion_curve(
-            silica, ground, toggles=ChannelToggles.none(), time_grid=grid
-        )
-        with_csl = expansion_curve(
-            silica,
-            ground,
-            csl,
-            ChannelToggles.none(),
-            time_grid=grid,
-        )
+        toggles = ChannelToggles(blackbody=False)
+        ballistic = expansion_curve(silica, no_gas, toggles=toggles, time_grid=grid)
+        with_csl = expansion_curve(silica, no_gas, csl, toggles, time_grid=grid)
         assert np.all(with_csl.sigmas > ballistic.sigmas)
 
     def test_sigma_nondecreasing(self, silica, space):
@@ -253,11 +242,11 @@ class TestExpansionCurve:
         with pytest.raises(DomainError):
             expansion_curve(silica, ground, time_grid=[1.0, 1.0])
 
-    def test_quadratic_validity_flag(self, silica, ground):
+    def test_quadratic_validity_flag(self, silica, no_gas):
         csl = CSLParams(collapse_rate=1e-13, correlation_length=100e-9)
-        toggles = ChannelToggles.none()
-        short = expansion_curve(silica, ground, csl, toggles, time_grid=[1e-7])
-        long = expansion_curve(silica, ground, csl, toggles, time_grid=[10.0])
+        toggles = ChannelToggles(blackbody=False)
+        short = expansion_curve(silica, no_gas, csl, toggles, time_grid=[1e-7])
+        long = expansion_curve(silica, no_gas, csl, toggles, time_grid=[10.0])
         assert not any("quadratic validity" in w for w in short.warnings)
         assert any("quadratic validity" in w for w in long.warnings)
 
@@ -277,22 +266,25 @@ class TestExpansionCurve:
         assert np.array_equal(curve.sigmas, want)
 
     @pytest.mark.parametrize(
-        "grid, kwargs",
+        "grid, gas_pressure, kwargs",
         [
-            (GRID, dict(occupancy=3.0, measurement_noise=1e-9, drift_velocity_std=1e-10)),
-            (RANDOM_GRID, dict(toggles=ChannelToggles.none())),
+            (GRID, 1e-5, dict(occupancy=3.0, measurement_noise=1e-9, drift_velocity_std=1e-10)),
+            (RANDOM_GRID, 0.0, dict(toggles=ChannelToggles(blackbody=False))),
             (
                 RANDOM_GRID,
+                0.0,
                 dict(
-                    toggles=ChannelToggles.none(), occupancy=3.0,
+                    toggles=ChannelToggles(blackbody=False), occupancy=3.0,
                     measurement_noise=1e-9, drift_velocity_std=1.0,
                 ),
             ),
         ],
         ids=["0:20:7", "ballistic", "drift"],
     )
-    def test_scalar_variance_matches_each_array_element(self, silica, ground, grid, kwargs):
-        scenario = Scenario(silica, ground, **kwargs)
+    def test_scalar_variance_matches_each_array_element(
+        self, silica, grid, gas_pressure, kwargs
+    ):
+        scenario = Scenario(silica, ground_environment(gas_pressure=gas_pressure), **kwargs)
         want = scenario.variance(grid)
         got = [scenario.variance(t) for t in grid.tolist()]
         assert all(type(v) is float for v in got)

@@ -138,9 +138,10 @@ class TestStatistics:
         se = target * math.sqrt(2.0 / (config.runs_per_time - 1))
         assert abs(sample_var - target) < 3.0 * se
 
-    def test_ground_state_width_at_release(self, silica, ground):
+    def test_ground_state_width_at_release(self, silica, no_gas):
         config = make_config(time_grid=(0.0, 1.0), runs_per_time=100_000, rng_seed=5)
-        data = run_campaign(config, Scenario(silica, ground, toggles=ChannelToggles.none()))
+        off = ChannelToggles(blackbody=False)
+        data = run_campaign(config, Scenario(silica, no_gas, toggles=off))
         sample_std = np.std(data.samples[0], ddof=1)
         assert_allclose(sample_std, SIGMA0, rtol=0.02)
 

@@ -147,7 +147,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     overrides = [
         (key, raw)

@@ -1,5 +1,6 @@
 """Config parsing, canonical echo, CLI subcommands and exit codes."""
 import argparse
+import errno
 import hashlib
 import os
 import re
@@ -345,6 +346,34 @@ class TestCli:
         code, out, _ = run_cli(capsys, "rates", "--print-config")
         assert code == 0
         assert "environment.preset = space" in out
+
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda path: None, f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{{path}}'"),
+            (os.mkdir, f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{{path}}'"),
+            (
+                lambda path: path.write_bytes(b"campaign.seed = 3\n\xff\n"),
+                "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte",
+            ),
+        ],
+        ids=["missing", "directory", "not-utf-8"],
+    )
+    @pytest.mark.parametrize("named_by", ["--config", "WAXSIM_CONFIG"])
+    def test_unreadable_config_file_exits_2(
+        self, capsys, tmp_path, monkeypatch, make, reason, named_by
+    ):
+        path = tmp_path / "run.cfg"
+        make(path)
+        if named_by == "WAXSIM_CONFIG":
+            monkeypatch.setenv("WAXSIM_CONFIG", str(path))
+            argv = ["rates"]
+        else:
+            argv = ["rates", "--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        reason = reason.format(path=path)
+        assert err == f"waxsim: error: cannot read config file {path}: {reason}\n"
 
     def test_print_config_round_trips(self, capsys):
         code, out, _ = run_cli(
@@ -744,21 +773,22 @@ class TestOptionSpelling:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--preset", "space"),
-            ("--toggles", "none"),
-            ("--no-gas",),
-            ("--no-blackbody",),
-            ("--csl",),
-            ("--csl.lambda", "1e-13"),
-            ("--toggles.csl", "false"),
-            ("--toggles.gas", "false"),
+            ("rates", "--preset", "space"),
+            ("rates", "--toggles", "none"),
+            ("rates", "--no-gas"),
+            ("rates", "--no-blackbody"),
+            ("rates", "--csl"),
+            ("rates", "--csl.lambda", "1e-13"),
+            ("rates", "--toggles.csl", "false"),
+            ("rates", "--toggles.gas", "false"),
+            ("expand", "--csl.lambda", "1e-13"),
         ],
     )
     def test_removed_spelling_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["rates", *argv])
+            cli.main(list(argv))
         assert exc.value.code == 2
-        assert argv[0] in capsys.readouterr().err
+        assert argv[1] in capsys.readouterr().err
 
 
 class TestHelpDefaults:

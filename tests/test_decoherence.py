@@ -112,10 +112,6 @@ class TestGas:
             lambda_gas(large, ground) / lambda_gas(small, ground), 4.0, rtol=1e-12
         )
 
-    def test_zero_gas_temperature_with_pressure_rejected(self, silica):
-        with pytest.raises(DomainError):
-            lambda_gas(silica, _custom_env(300.0, pressure=1e-6, gas_temp=0.0))
-
 
 class TestCSL:
     def test_zero_rate_is_zero(self, silica):

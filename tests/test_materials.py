@@ -162,3 +162,13 @@ def test_custom_environment_allows_extremes():
         gas_temperature=0.0,
     )
     assert env.preset == "custom"
+
+
+def test_zero_gas_temperature_with_pressure_rejected():
+    with pytest.raises(DomainError, match="gas_temperature must be > 0 at nonzero pressure"):
+        Environment(
+            temperature=300.0,
+            gas_pressure=1e-6,
+            gas_particle_mass=4.81e-26,
+            gas_temperature=0.0,
+        )

@@ -78,6 +78,25 @@ def test_dump_kernel_spells_2e6_random_doubles_as_repr_does():
             pytest.fail("kernel, repr: %r, %r" % next(p for p in pairs if p[0] != p[1]))
 
 
+# uniform bit patterns above are almost all in exponent form (about 3 % have
+# a decimal point position in [-4, 16]); this check on about 2e6 values
+# log-uniform over 1e-5 to 1e17, with random significand bits and signs,
+# is mostly positional: 0.000ddd, ddd.ddd and ddd00.0
+def test_dump_kernel_spells_2e6_positional_doubles_as_repr_does():
+    rng = np.random.default_rng(2015)
+    for first in range(0, 2 * 10**6, 10**5):
+        magnitudes = 10 ** rng.uniform(-5, 17, 10**5)
+        bits = magnitudes.view(np.uint64) & np.uint64(0x7FF0_0000_0000_0000)
+        bits |= rng.integers(0, 2**52, 10**5, dtype=np.uint64)
+        bits |= rng.integers(0, 2, 10**5, dtype=np.uint64) << np.uint64(63)
+        xs = bits.view(np.float64)
+        got = _dumpfmt.csv_lines("0.5", first, xs)
+        want = "".join(f"0.5,{r},{x!r}\n" for r, x in enumerate(xs.tolist(), first))
+        if got != want:
+            pairs = zip(got.splitlines(), want.splitlines())
+            pytest.fail("kernel, repr: %r, %r" % next(p for p in pairs if p[0] != p[1]))
+
+
 # tier-1 cuts run prefixes mostly at tiles of 4 runs; this check at the real
 # TILE_RUNS: a 3-time campaign of 3 * TILE_RUNS + 5 runs, read at 2, every
 # tile boundary +-1 and N, on 1, 2 and 3 workers and on rows (2, 0), must

@@ -1,32 +1,29 @@
 """The dump's CSV lines, with every float spelled as ``repr`` spells it, a tile at a time.
 
 ``repr`` of a double is the shortest decimal that reads back to the same
-double, and of those the closest to it (ties to an even last digit). This
-module finds those digits for a whole array at once with the Schubfach
-algorithm (R. Giulietti, "The Schubfach way to render doubles", 2020; the
-algorithm of ``Double.toString`` in Java 19 and later): three values,
-rounded to odd, bracket the double's rounding interval in units of
-``10**k``, and a few integer comparisons choose the digits. The brackets
-are products of a 126-bit power of ten ``g`` with the scaled significand
-and with the interval's two ends, which differ from it by a power of two;
-so per value one product is formed, as two exact 128-bit partial products,
-and each end's product is derived from it by adding or subtracting ``g``
-shifted left, with explicit carries and borrows. Every step is ``uint64``
-array arithmetic; a 128-bit product is assembled from 32-bit halves, and a
-wrapped product is only ever taken from arrays, since numpy warns when a
-scalar integer operation overflows.
+double, and of those the closest to it (ties to an even last digit). They
+are found for a whole array at once with the Schubfach algorithm (R.
+Giulietti, "The Schubfach way to render doubles", 2020; ``Double.toString``
+in Java 19 and later): three values, rounded to odd, bracket the double's
+rounding interval in units of ``10**k``, and a few integer comparisons
+choose the digits. Per value one product of a 126-bit power of ten ``g``
+with the scaled significand is formed, as two exact 128-bit partial
+products; the products of the interval's ends, which differ from it by a
+power of two, add or subtract ``g`` shifted left, with explicit carries
+and borrows. Every step is ``uint64`` array arithmetic, a 128-bit product
+assembled from 32-bit halves; a wrapped product is only taken from arrays,
+since numpy warns when a scalar integer operation overflows.
 
 The digits are then laid out as ``repr`` does: exponent form
 ``d[.ddd]e±XX`` when the decimal point position ``decpt`` (the value is
 ``0.ddd * 10**decpt``) is at most -4 or above 16, positional form
-(``0.000ddd``, ``ddd.ddd``, ``ddd00.0``) otherwise. Each line of
-``t_s,run_index,x_m`` is written into fixed character columns, one slot
-for every character any line can have, with a mask of the slots a line
-uses; compressing the mask gives the text. Decimal digits are written four
-at a time, by one division by 10,000 and one lookup in a table of the
-ASCII digits of 0 to 9,999. Lines are formatted in blocks of
-``BLOCK_ROWS``, so the working set does not grow with the tile. The power
-and digit tables are built on first use, not on import.
+(``0.000ddd``, ``ddd.ddd``, ``ddd00.0``) otherwise. ``BLOCK_ROWS`` lines
+of ``t_s,run_index,x_m`` are built at a time, one row of uint64 words per
+line: the head and the run index; the comma, sign and prefix, a word from a
+table; the digits, looked up four at a time, the point placed by shifting
+the digits after it one byte on. Each row is stored a word at a time at its
+line's offset, then the suffix (``e±XX`` and the newline): nothing is
+deleted afterwards. The tables are built on first use, not on import.
 
 Only normal doubles are handled (:func:`all_normal`): :func:`csv_lines`
 hands a tile holding a zero, a subnormal, an infinity or a nan to ``repr``
@@ -38,9 +35,8 @@ import functools
 
 import numpy as np
 
-# lines formatted at once: a block takes about 1.5 MB of scratch (traced),
-# whatever the tile size
-BLOCK_ROWS = 4096
+# lines formatted at once: about 2 MB of scratch (traced), whatever the tile size
+BLOCK_ROWS = 8192
 
 # decimal exponents k of the interval brackets of normal doubles
 K_MIN, K_MAX = -324, 292
@@ -50,15 +46,8 @@ _LOW32 = _U(2**32 - 1)
 _LOW52 = _U(2**52 - 1)
 _LOW63 = _U(2**63 - 1)
 _HIDDEN = _U(2**52)
-# the x_m slots: sign, "0.", three zeros, the 17 digits each followed by a
-# "." slot (but the last), the 0 of a trailing ".0", "e", sign, 3 digits
-X_TEMPLATE = b"-0.000" + b"0." * 16 + b"0" + b"0e+000"
-X_DIGITS = slice(6, 39, 2)
-X_POINTS = slice(7, 38, 2)
-X_ZERO, X_E = 39, 40
-# 1 to 17: the place of each significand digit
-_PLACES = np.arange(1, 18, dtype=np.uint8)
-_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
+# decpt of normal doubles' shortest digits: k + 16 or k + 17
+D_MIN, D_MAX = K_MIN + 16, K_MAX + 17
 # a 128-bit integer per value: its high and its low 64 bits
 _Wide = tuple[np.ndarray, np.ndarray]
 
@@ -91,17 +80,41 @@ def _powers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _digit_table() -> np.ndarray:
-    """Per v in ``[0, 10_000)``: the four ASCII digits of v, zero-padded, as one uint32.
+def _tables() -> dict[str, np.ndarray]:
+    """The tables of :func:`_x_field` and :func:`_block`, built on first use; read-only.
 
-    Built on first use; read-only.
+    Per v below 10,000: ``digits``, its ASCII digits; ``places[j]``, the place
+    of its last nonzero digit as digit group j (-64 for 0). Per byte count b:
+    ``low``, the words of a mask of the bytes below b. Per decpt - D_MIN:
+    ``p``, ``m0`` (the least m), ``dot`` (the words of the character after
+    digit p at byte p), the ``suffix`` and its ``size``; and per sign, ``lead``
+    (the comma, sign and prefix but its last) and ``shift`` (8 times its length).
     """
-    return np.frombuffer("".join(f"{v:04d}" for v in range(10_000)).encode("ascii"), np.uint32)
-
-
-def _four_digits(values: np.ndarray) -> np.ndarray:
-    """The ASCII digits of values below 10,000, zero-padded to four rows, the last the units."""
-    return _digit_table().take(values, mode="clip").view(np.uint8).reshape(-1, 4).T
+    text = [f"{v:04d}" for v in range(10_000)]
+    last = [len(v.rstrip("0")) or -64 for v in text]
+    rows = []
+    for decpt in range(D_MIN, D_MAX + 1):
+        exp_form = decpt <= -4 or decpt > 16
+        small = not exp_form and decpt <= 0  # 0.000ddd
+        p = 1 if exp_form else max(decpt, 0)
+        prefix = b"0.000"[: 2 - decpt] if small else b"."
+        suffix = (f"e{decpt - 1:+03d}\n" if exp_form else "\n").encode("ascii")
+        rows.append((p, 0 if exp_form or small else decpt + 1, len(suffix),
+                     int.from_bytes(suffix, "little"), prefix[-1] << 8 * p, prefix[:-1]))
+    p, m0, size, suffix, dot, prefix = zip(*rows)
+    lead = [b"," + sign + t for sign in (b"", b"-") for t in prefix]
+    # each digit group's first digit is at place 1, 5, 9, 13 or 14 (d17: 0001)
+    ints = dict(places=np.add(last, [[0], [4], [8], [12], [13]]), p=p, m0=m0, size=size,
+                shift=[8 * len(t) for t in lead])
+    tables = {name: np.array(values, np.int64) for name, values in ints.items()}
+    tables["digits"] = np.frombuffer("".join(text).encode("ascii"), "<u4").astype(np.uint64)
+    tables["suffix"] = np.array(suffix, np.uint64)
+    tables["lead"] = np.array([int.from_bytes(t, "little") for t in lead], np.uint64)
+    for name, values in (("low", [2 ** (8 * b) - 1 for b in range(18)]), ("dot", dot)):
+        tables[name] = np.array([[v >> 64 * j & 2**64 - 1 for v in values] for j in range(3)], _U)
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
 
 
 def all_normal(xs: np.ndarray) -> bool:
@@ -114,106 +127,92 @@ def csv_lines(t_repr: str, first: int, xs: np.ndarray) -> str:
     """``"".join(f"{t_repr},{r},{x!r}\\n" for r, x in enumerate(xs, first))``.
 
     ``xs`` is a contiguous float64 array; the kernel spells it if it holds
-    only normal doubles (:func:`all_normal`), that f-string otherwise.
+    only normal doubles (:func:`all_normal`) and ``t_repr`` has at least 3
+    characters, as a float's ``repr`` has, that f-string otherwise.
     """
-    if not all_normal(xs):
+    if len(t_repr) < 3 or not all_normal(xs):
         return "".join([f"{t_repr},{r},{x!r}\n" for r, x in enumerate(xs.tolist(), first)])
-    head = (t_repr + ",").encode("ascii")
-    width = len(str(first + max(xs.size - 1, 0)))
-    template = np.frombuffer(head + b"0" * width + b"," + X_TEMPLATE + b"\n", np.uint8)
-    return "".join(
-        _block(template, len(head), first + a, xs[a : a + BLOCK_ROWS])
-        for a in range(0, xs.size, BLOCK_ROWS)
-    )
+    head, blocks = (t_repr + ",").encode("ascii"), range(0, xs.size, BLOCK_ROWS)
+    return "".join(_block(head, first + a, xs[a : a + BLOCK_ROWS]) for a in blocks)
 
 
-def _block(template: np.ndarray, head: int, first: int, xs: np.ndarray) -> str:
-    """The lines of ``xs``, the first one with run index ``first``.
+def _x_field(bits: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's text from the comma on but the suffix, in three words:
+    the lead, the digits below p, the character after digit p, and digits p
+    to m one byte on; its length with the suffix; its suffix's size; its suffix."""
+    t = _tables()
+    f, decpt = _shortest(bits)
+    # the 17 digits in groups d1-d4, d5-d8, d9-d12, d13-d16, d17; as ASCII in words w
+    top, rest = _divmod(f, 10**9)
+    mid, last = _divmod(rest, 10)
+    g = [v.view(np.int64) for v in (*_divmod(top, 10_000), *_divmod(mid, 10_000), last)]
+    w = [t["digits"].take(g[0]) | (t["digits"].take(g[1]) << _U(32)),
+         t["digits"].take(g[2]) | (t["digits"].take(g[3]) << _U(32)), last + _U(ord("0"))]
+    # significant digits: up to the last that is not 0
+    count = functools.reduce(np.maximum, [t["places"][j].take(g[j]) for j in range(5)])
+    d = decpt.astype(np.int64) - D_MIN
+    p = t["p"].take(d)
+    m = np.maximum(count, t["m0"].take(d))
+    low = [table.take(m) for table in t["low"]]
+    dot = [table.take(d) & mask for table, mask in zip(t["dot"], low)]
+    a = [w[j] & t["low"][j].take(p) for j in range(2)]
+    b = [(w[j] & low[j]) ^ a[j] for j in range(2)] + [w[2] & low[2]]
+    a = [a[0] | dot[0] | (b[0] << _U(8)), a[1] | dot[1] | (b[1] << _U(8)) | (b[0] >> _U(56)),
+         dot[2] | (b[2] << _U(8)) | (b[1] >> _U(56))]
+    lead = d + (bits >> _U(63)).view(np.int64) * (D_MAX - D_MIN + 1)  # per sign and decpt
+    s = t["shift"].take(lead)
+    u, r = s.view(np.uint64), _U(64) - s.view(np.uint64)
+    x = [t["lead"].take(lead) | (a[0] << u), (a[1] << u) | (a[0] >> r), (a[2] << u) | (a[1] >> r)]
+    size = t["size"].take(d)
+    # the lead, m digits, the point (none after a lone digit: 1e+16), the suffix
+    length = (s >> 3) + m + 1 - (m == p) + size
+    return x, length, size, t["suffix"].take(d)
 
-    ``chars`` and ``used`` hold one row per character slot of ``template``
-    and one column per line, so that each slot is written contiguously.
-    Every row of both is written here: the template's constant slots, then
-    the digits and signs. Unused slots are zeroed and deleted from the text.
-    """
-    chars = np.empty((template.size, xs.size), np.uint8)
-    used = np.empty(chars.shape, bool)
-    x = template.size - 1 - len(X_TEMPLATE)
-    index = slice(head, x - 1)
-    xc = chars[x:]
-    # the template's constant slots: the head, the comma after the run index
-    # with the x_m slots before the digits, the points, the "0" of a trailing
-    # ".0" with the "e", and the newline; the other slots are written below
-    for rows in (slice(0, head), slice(x - 1, x + X_DIGITS.start), slice(x + X_ZERO, x + X_E + 1)):
-        chars[rows] = template[rows, None]
-    xc[X_POINTS] = ord(".")
-    chars[-1] = ord("\n")
-    # the head, the units digit of the run index, its comma and the newline
-    # are in every line
-    used[:head] = True
-    used[x - 2 : x] = True
-    used[-1] = True
 
+def _block(head: bytes, first: int, xs: np.ndarray) -> str:
+    """The lines of ``xs``, the first one with run index ``first``."""
+    t = _tables()
+    x, length, size, suffix = _x_field(xs.view(np.uint64))
+    # a line's row: the head and the run index, right-aligned to end at word
+    # k, then x; a line with g fewer run digits than the widest starts g on
+    h, narrow, wide = len(head), len(str(first)), len(str(first + xs.size - 1))
+    k = -(-(h + wide) // 8)
+    g = 0 if wide == narrow else np.zeros(xs.size, np.int64)
+    for e in range(narrow, wide):
+        g[: 10**e - first] += 1
+    row = [_U(0)] * k + x
     runs = np.arange(first, first + xs.size, dtype=np.uint64)
-    _put_digits(chars[index], runs)
-    # no leading zeros: the slot of 10**p is used from 10**p on
-    width = x - 1 - head
-    np.greater_equal(runs, _POWERS_OF_TEN[width - 1 : 0 : -1, None], out=used[index][:-1])
-
-    f, decpt = _shortest(xs.view(np.uint64))
-    digits = xc[X_DIGITS]
-    _put_digits(digits, f)
-    # significant digits: up to the last that is not 0 (the first never is);
-    # a bool array read as uint8 multiplies without a cast
-    n = ((digits > ord("0")).view(np.uint8) * _PLACES[:, None]).max(axis=0)
-    exp_form = (decpt <= -4) | (decpt > 16)
-    fixed = ~exp_form
-
-    # the masks compare slot places with per-line counts, both one byte wide,
-    # which numpy compares without a cast
-    slots = used[x:]
-    slots[0] = xs < 0
-    # positional 0.000ddd: "0." and -decpt zeros before the digits
-    slots[1:3] = fixed & (decpt <= 0)
-    zeros = np.where(fixed & (decpt < 0), -decpt, 0).astype(np.uint8)
-    np.less_equal(_PLACES[:3, None], zeros, out=slots[3:6])
-    # the significant digits, or the digits up to the point if that is further
-    shown = np.where(fixed, np.maximum(n, decpt), n).astype(np.uint8)
-    np.less_equal(_PLACES[:, None], shown, out=slots[X_DIGITS])
-    # the point follows digit decpt, or the first digit in exponent form
-    point = np.where(fixed, np.maximum(decpt, 0), n > 1).astype(np.uint8)
-    np.equal(_PLACES[:16, None], point, out=slots[X_POINTS])
-    slots[X_ZERO] = fixed & (decpt >= n)
-    # "e", the exponent's sign and two or three digits
-    exponent = decpt - 1
-    xc[X_E + 1] = np.where(exponent < 0, ord("-"), ord("+"))
-    size = np.abs(exponent)
-    xc[X_E + 2 : X_E + 5] = _four_digits(size)[1:]
-    slots[X_E : X_E + 2] = exp_form
-    slots[X_E + 2] = exp_form & (size >= 100)
-    slots[X_E + 3 : X_E + 5] = exp_form
-
-    # slots that no line of the block uses are left out of the transpose
-    kept = used.any(axis=1)
-    chars = chars[kept] * used[kept].view(np.uint8)
-    return chars.T.tobytes().translate(None, b"\0").decode("ascii")
+    for end in range(8 * k - 4, 8 * k - wide - 4, -4):
+        runs, group = _divmod(runs, 10_000) if end > 8 * k - wide else (None, runs)
+        row[end // 8] |= t["digits"].take(group.view(np.int64)) << _U(8 * (end % 8))
+    heads = [int.from_bytes(head, "little") << 8 * (8 * k - h - j) for j in range(narrow, wide + 1)]
+    masks = [-(1 << 8 * (8 * k - j)) % (1 << 64 * k) for j in range(narrow, wide + 1)]
+    for i in range(k):
+        word = [np.array([v >> 64 * i & 2**64 - 1 for v in c], np.uint64) for c in (heads, masks)]
+        row[i] = word[0].take(wide - narrow - g) | (row[i] & word[1].take(wide - narrow - g))
+    ends = np.cumsum(length + (h + wide - g))
+    out = np.zeros((int(ends[-1]) >> 3) + len(row) + 4, "<u8")
+    # each row from its line's offset on, 16 bytes into the buffer, then the
+    # suffix; word j gets word j shifted and the spill of word j - 1, from
+    # the last on. The words up to ``ored`` may hold the line before's last
+    # bytes and are ORed in; the others hold their own line's bytes only (and
+    # zeros), and are written, a later line in a later pass
+    start = ends - length + (16 - 8 * k)
+    pieces = (start, row, (7 + 8 * k - h - narrow) // 8), (ends + 16 - size, [suffix], 1)
+    for start, words, ored in pieces:
+        at, s = start >> 3, ((start & 7) << 3).view(np.uint64)
+        r = _U(63) - s
+        for j in range(len(words), -1, -1):
+            word = (words[j - 1] >> _U(1)) >> r if j else 0
+            word = word | (words[j] << s) if j < len(words) else word
+            out[j:][at] = word if j > ored else out[j:][at] | word
+    return str(memoryview(out.view(np.uint8)[16 : 16 + int(ends[-1])]), "ascii")
 
 
-def _put_digits(rows: np.ndarray, values: np.ndarray) -> None:
-    """Write the ASCII digits of ``values`` into ``rows``, the last row the units digit.
-
-    Four digits at a time: a division by 10,000 and a lookup in
-    :func:`_digit_table`. No value may have more digits than there are rows.
-    """
-    end = len(rows)
-    while end > 0:
-        start = max(end - 4, 0)
-        group = values
-        if start:
-            values = values // _U(10_000)
-            group = group - values * _U(10_000)
-        # below 10,000, so the uint64 reads as the index type as it is
-        rows[start:end] = _four_digits(group.view(np.int64))[start - end :]
-        end = start
+def _divmod(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """``a // b`` and ``a % b``, by one division."""
+    q = a // _U(b)
+    return q, a - q * _U(b)
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -64,7 +64,8 @@ def test_edge_table_matches_repr():
     assert mismatches(got, repr_lines("1e-05", 99_000, EDGES)) == []
 
 
-@pytest.mark.parametrize("t_repr", ["0.0", "100.0", "1e-05"])
+# a head shorter than any float's repr takes the f-string
+@pytest.mark.parametrize("t_repr", ["0.0", "100.0", "1e-05", "t"])
 @pytest.mark.parametrize("first", [0, 9, 2**16 * 7, 9_998, 99_999_998, 10**12 - 2])
 def test_tile_of_normal_draws_matches_repr(t_repr, first):
     # a tile as the dump draws it: more than one block, a ragged last one;
@@ -72,6 +73,44 @@ def test_tile_of_normal_draws_matches_repr(t_repr, first):
     # the digits are looked up four at a time
     xs = np.random.default_rng(first).standard_normal(2 * _dumpfmt.BLOCK_ROWS + 3) * 1e-3
     assert mismatches(_dumpfmt.csv_lines(t_repr, first, xs), repr_lines(t_repr, first, xs)) == []
+
+
+def shapes(text):
+    """The set of line shapes in a dump text: ("e", exponent digits) or ("f", decpt)."""
+    found = set()
+    for line in text.splitlines():
+        x = line.rsplit(",", 1)[1].lstrip("-")
+        if "e" in x:
+            found.add(("e", len(x.split("e")[1]) - 1))
+        elif x.startswith("0."):
+            found.add(("f", -(len(x[2:]) - len(x[2:].lstrip("0")))))
+        else:
+            found.add(("f", x.index(".")))
+    return found
+
+
+def test_block_mixing_every_line_shape_matches_repr():
+    # one block holding every shape at once: log-uniform magnitudes from
+    # 1e-6 to 1e18 with random significands, short significands (one digit,
+    # ddd00.0), 3-digit exponents, both signs; run indices cross 10**4
+    rng = np.random.default_rng(32)
+    n = _dumpfmt.BLOCK_ROWS
+    short = [float(f"{d}e{e}") for d, e in zip(rng.integers(1, 1000, n // 4),
+                                                rng.integers(-9, 19, n // 4))]
+    huge = [float(f"{d}e{e}") for d, e in zip(rng.integers(1, 10**6, 64),
+                                               rng.integers(-300, 300, 64))]
+    xs = np.concatenate([10 ** rng.uniform(-6, 18, n - len(short) - len(huge)), short, huge])
+    xs = rng.permutation(xs) * rng.choice([-1.0, 1.0], n)
+    first = 10**4 - n // 2
+    want = repr_lines("2.5", first, xs)
+    assert {("f", decpt) for decpt in range(-3, 17)} | {("e", 2), ("e", 3)} <= shapes(want)
+    assert mismatches(_dumpfmt.csv_lines("2.5", first, xs), want) == []
+
+
+def test_19_digit_run_indices_match_repr():
+    first = 2**63 - 9001
+    xs = np.random.default_rng(19).standard_normal(9000)
+    assert mismatches(_dumpfmt.csv_lines("0.0", first, xs), repr_lines("0.0", first, xs)) == []
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)

@@ -97,7 +97,7 @@ PROBES = {
     "import formatter": (
         "from waxsim import _dumpfmt\n"
         "assert _dumpfmt._powers.cache_info().currsize == 0\n"
-        "assert _dumpfmt._digit_table.cache_info().currsize == 0\n",
+        "assert _dumpfmt._tables.cache_info().currsize == 0\n",
         (FORMATTER,),
     ),
     # no command loads multiprocessing; a dump formats its tiles in this

@@ -13,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import waxsim
 from waxsim import _dumpfmt
@@ -117,6 +119,33 @@ def test_run_prefixes_at_the_real_tile_size():
         picked = slice(None) if rows is None else sorted(rows)
         for m in counts:
             assert got[m].tobytes() == want[m][picked].tobytes(), (workers, rows, m)
+
+
+# a pool of 2 or 3 threads gives the serial path's bits: every run count's
+# variances and every re-drawn row, at 1 to 3 times and 1 to 3 real tiles per
+# row, with random run counts, drawn rows and seeds (100 campaigns)
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_pooled_campaigns_equal_serial_ones(data):
+    draw = data.draw
+    times = draw(st.integers(1, 3))
+    n = (draw(st.integers(1, 3)) - 1) * TILE_RUNS + draw(st.integers(2, TILE_RUNS))
+    counts = draw(st.lists(st.integers(2, n), min_size=1, max_size=4))
+    rows = draw(st.none() | st.lists(st.integers(0, times - 1), min_size=1, max_size=3))
+    workers = draw(st.sampled_from([2, 3]))
+    config = load_config(None, "<config>", [
+        ("campaign.time_grid_s", ",".join(str(5.0 * (k + 1)) for k in range(times))),
+        ("campaign.runs_per_time", str(n)),
+        ("campaign.seed", str(draw(st.integers(0, 2**32)))),
+    ])
+    plan, scenario = config.campaign(), config.scenario()
+    serial = run_campaign(plan, scenario, 1, run_counts=counts, rows=rows)
+    pooled = run_campaign(plan, scenario, workers, run_counts=counts, rows=rows)
+    assert sorted(serial.var_hats) == sorted(pooled.var_hats) == sorted(set(counts))
+    for m in serial.var_hats:
+        assert serial.var_hats[m].tobytes() == pooled.var_hats[m].tobytes(), m
+    for i in sorted(set(range(times) if rows is None else rows)):
+        assert serial.samples[i].tobytes() == pooled.samples[i].tobytes(), i
 
 
 # the Monte-Carlo oracle of the default bound, at the CLI's default seed

@@ -25,7 +25,8 @@ grid rule (:func:`grid_times`), the run and worker counts, the memory rule
 (:func:`_check_memory`), the campaign plan
 (:class:`CampaignConfig`) and the detection threshold
 (:class:`DetectionConfig`). numpy is imported only where an array is built:
-on reading :attr:`ExpansionCurve.times` and :attr:`ExpansionCurve.sigmas`.
+on reading :attr:`ExpansionCurve.times` and :attr:`ExpansionCurve.sigmas`,
+and in :meth:`Scenario.grid_variance`.
 The config, :func:`expansion_curve` and the commands ``rates``, ``expand``
 and ``feasibility`` run without it.
 """
@@ -296,12 +297,43 @@ class Scenario:
         The one variance model, x_var(t) + (drift t)^2 + noise^2: campaigns
         (:func:`waxsim.protocol.run_campaign`) sample with it, the detection
         bound and its oracle (:mod:`waxsim.inference`) predict with it at
-        collapse rate 0, and :func:`expansion_curve` takes it at each
-        grid time with both instrumental terms at 0.
+        collapse rate 0 (both through :meth:`grid_variance`), and
+        :func:`expansion_curve` takes it at each grid time with both
+        instrumental terms at 0.
         """
         x_var = _x_var_free(self.state0, self.particle.mass, self.budget.total, times)
         drift = self.drift_velocity_std * times
         return x_var + drift * drift + self.measurement_noise**2
+
+    def grid_variance(self, time_grid: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only arrays of the per-draw variance and standard deviation
+        at each time of a :func:`grid_times` grid, memoised for the last grid
+        as :attr:`state0` and :attr:`budget` are. NumericalError where a
+        variance overflows: the noise's square, or the first such time.
+        """
+        memo = self.__dict__.get("_grid_memo")
+        if memo is not None and memo[0] == time_grid:
+            return memo[1]
+        import numpy as np
+
+        try:
+            self.measurement_noise**2
+        except OverflowError:  # where float ** raises, numpy's would be inf
+            raise NumericalError(
+                "measurement noise variance overflows double precision at "
+                f"measurement_noise = {self.measurement_noise!r} m"
+            ) from None
+        times = np.array(time_grid)
+        with np.errstate(over="ignore"):  # an inf is refused below, at its time
+            variance = self.variance(times)
+        overflowed = ~np.isfinite(variance)
+        if overflowed.any():
+            t = times[overflowed][0].item()
+            raise NumericalError(f"sample variance overflows double precision at t = {t!r} s")
+        sigmas = np.sqrt(variance)
+        variance.flags.writeable = sigmas.flags.writeable = False
+        self.__dict__["_grid_memo"] = (time_grid, (variance, sigmas))
+        return variance, sigmas
 
 
 def grid_times(time_grid: Sequence[float]) -> tuple[float, ...]:

@@ -135,7 +135,8 @@ def _detection_setup(
     """
     for n in n_sweep:
         _check_runs(n, "n_per_time")
-    times = np.array(grid_times(time_grid))
+    grid = grid_times(time_grid)
+    times = np.array(grid)
     sens = csl_sensitivity(times, scenario.particle, scenario.csl)
     usable = sens > 0.0
     if not np.any(usable):
@@ -148,7 +149,7 @@ def _detection_setup(
             "no sensitivity to the collapse rate: grid has no positive times"
         )
     standard = replace(scenario, csl=replace(scenario.csl, collapse_rate=0.0))
-    var_std = standard.variance(times)
+    var_std = standard.grid_variance(grid)[0]
     per_time = np.full(times.size, np.inf)
     per_time[usable] = var_std[usable] / sens[usable]
     q = None
@@ -313,17 +314,17 @@ def bisect_lambda_mc_sweep(
         raise DomainError("seeds must be non-empty")
     _check_memory(8 * count * len(n_sweep), f"oracle rates ({count} seeds x {len(n_sweep)} N)")
     table = np.empty((count, len(n_sweep)))
-    largest = max(n_sweep)
+    # best-time tests the best time alone: draw only its row
+    grid, largest, rows = tuple(times.tolist()), max(n_sweep), [best] if q is None else None
+    v0 = np.square(standard.grid_variance(grid)[1])  # the same for every seed
     for k, seed in enumerate(seeds):
-        plan = CampaignConfig(times, largest, int(seed))
-        # best-time tests the best time alone: draw only its row
-        data = run_campaign(plan, standard, run_counts=n_sweep, rows=[best] if q is None else None)
-        v0 = data.samples.sigmas * data.samples.sigmas  # the same for every seed
-        for j, (n, se_var) in enumerate(zip(n_sweep, se_vars)):
-            if q is None:  # N's variance at the best time; the rates follow below
-                table[k, j] = data.var_hats[n][0]
-            else:
-                table[k, j] = _critical_rate(data.var_hats[n], v0, sens, var_std, se_var, q)
+        data = run_campaign(CampaignConfig(grid, largest, int(seed)), standard,
+                            run_counts=n_sweep, rows=rows)
+        if q is None:  # each N's variance at the best time; the rates follow below
+            table[k] = [data.var_hats[n][0] for n in n_sweep]
+        else:
+            table[k] = [_critical_rate(data.var_hats[n], v0, sens, var_std, se_var, q)
+                        for n, se_var in zip(n_sweep, se_vars)]
     if q is None:
         z = detection.confidence_z
         for j, se_var in enumerate(se_vars):

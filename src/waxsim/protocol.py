@@ -61,8 +61,8 @@ too; the threads that did start draw no further tile.
 ``PositionSamples.samples`` is a ``CampaignSamples`` view: its shape and
 size cost nothing, while indexing a row, iterating and ``np.asarray``
 re-draw the rows through the same tile kernel, so they give the bits the
-campaign drew. ``np.asarray`` refuses a ``T x N`` array larger than
-physical memory.
+campaign drew; its ``sigmas`` are read-only. ``np.asarray`` refuses a
+``T x N`` array larger than physical memory.
 
 The raw-sample CSV is produced by ``PositionSamples.csv_chunks``, which
 re-draws the same tiles: the header, then one string per tile, in tile
@@ -98,9 +98,11 @@ from .errors import DomainError, NumericalError
 class CampaignSamples:
     """Read-only ``T x N`` view of a campaign's positions, re-drawn on demand.
 
-    ``shape``, ``size`` and ``len()`` draw nothing. ``view[i]``, iteration
-    and ``np.asarray(view)`` draw rows tile by tile through the campaign's
-    kernel, so they return the positions the campaign's widths came from.
+    ``sigmas``, each row's standard deviation, is read-only, so the rows
+    stay those the campaign drew. ``shape``, ``size`` and ``len()`` draw
+    nothing. ``view[i]``, iteration and ``np.asarray(view)`` draw rows tile
+    by tile through the campaign's kernel, so they return the positions the
+    campaign's widths came from.
     A tile is addressed by its grid index ``i`` and its first run ``a``, a
     multiple of ``TILE_RUNS``: runs ``[a, a + TILE_RUNS)``, cut at N.
     """
@@ -309,22 +311,22 @@ def run_campaign(
     NumericalError
         If a draw's variance or a row's sample variance overflows double precision.
 
-    Pool tasks run under the caller's numpy floating-point error state, as
-    the serial path does.
+    Beyond its draws and tile moments a call costs little: the variance
+    model runs once per scenario and grid
+    (:meth:`~waxsim.dynamics.Scenario.grid_variance`), so the seeds of an
+    oracle sweep share it and its read-only ``sigmas``. The serial path runs
+    the tile body on the calling thread; a pool task runs the same body
+    under the tile queue's lock and the caller's numpy error state.
     """
     check_workers(workers)
-    times = np.asarray(plan.time_grid)
-    sigmas = np.sqrt(scenario.variance(times))
-    overflowed = ~np.isfinite(sigmas)
-    if overflowed.any():
-        t = times[overflowed][0].item()
-        raise NumericalError(f"sample variance overflows double precision at t = {t!r} s")
+    _, sigmas = scenario.grid_variance(plan.time_grid)
     n = plan.runs_per_time
     counts = [n] if run_counts is None else _integers(run_counts, "run_counts", "integers")
     for m in counts:
         if not 2 <= m <= n:
             raise DomainError(f"run counts must lie in [2, {n}], got {m}")
-    drawn = _grid_rows(rows, times.size)
+    drawn = _grid_rows(rows, sigmas.size)
+    times = np.array(plan.time_grid)
     view = CampaignSamples(plan.rng_seed, sigmas, n)
     if not counts:
         return PositionSamples(times, view, {})
@@ -337,46 +339,47 @@ def run_campaign(
     # last[r, s]: the moments of run count counts[s]'s last tile in drawn
     # row r, cut to the runs that belong to the count
     last = np.empty((len(drawn), len(counts)), _MOMENTS)
-    # the shared tile queue: (r, j) is the j-th tile of drawn row r
-    undrawn = itertools.product(range(len(drawn)), range(per_row))
-    lock = threading.Lock()
-    errors = np.geterr()
 
-    def drain(buffers: np.ndarray) -> None:
-        """Draw the next undrawn tile until none is left; record its moments.
-
-        Runs under the caller's numpy floating-point error state, which is
-        per thread and does not reach pool threads by itself.
-        """
-        out, dev = buffers
-        with np.errstate(**errors):
-            while True:
-                with lock:
-                    r, j = next(undrawn, (None, None))
-                if r is None:
-                    return
-                a = j * TILE_RUNS
-                tile = view.draw_tile(drawn[r], a, out)
-                moments[r, j] = _tile_moments(tile, dev[: tile.size])
-                for s, m in enumerate(counts):
-                    kept = m - a  # m ends in this tile if 0 < kept <= size
-                    if kept == tile.size:
-                        last[r, s] = moments[r, j]
-                    elif 0 < kept < tile.size:
-                        last[r, s] = _tile_moments(tile[:kept], dev[:kept])
+    def draw(r: int, j: int, out: np.ndarray, dev: np.ndarray) -> None:
+        # the one tile body: the j-th tile of drawn row r, drawn into out
+        # (dev is scratch); record its moments, and each count's that ends in it
+        a = j * TILE_RUNS
+        tile = view.draw_tile(drawn[r], a, out)
+        moments[r, j] = record = _tile_moments(tile, dev[: tile.size])
+        for s, m in enumerate(counts):
+            kept = m - a  # m ends in this tile if 0 < kept <= size
+            if kept == tile.size:
+                last[r, s] = record
+            elif 0 < kept < tile.size:
+                last[r, s] = _tile_moments(tile[:kept], dev[:kept])
 
     if workers is None:
         workers = _available_cpus() if len(drawn) * n >= PARALLEL_MIN_DRAWS else 1
+    # the tile queue: (r, j) is the j-th tile of drawn row r
+    undrawn = itertools.product(range(len(drawn)), range(per_row))
     # one task per thread, each with its own tile and scratch buffers
     tasks, size = min(workers, count), min(n, TILE_RUNS)
     if workers == 1:
-        drain(np.empty((2, size)))
+        out, dev = np.empty((2, size))
+        for r, j in undrawn:
+            draw(r, j, out, dev)
     else:
         _check_memory(16 * tasks * size, f"sampling buffers ({tasks} threads x 2 x {size} doubles)")
-        buffers = np.empty((tasks, 2, size))
+        lock, errors = threading.Lock(), np.geterr()
+
+        def drain(out: np.ndarray, dev: np.ndarray) -> None:
+            # numpy's error state is per thread; a pool thread takes the caller's
+            with np.errstate(**errors):
+                while True:
+                    with lock:
+                        r, j = next(undrawn, (None, None))
+                    if r is None:
+                        return
+                    draw(r, j, out, dev)
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             try:
-                started = [pool.submit(drain, b) for b in buffers]
+                started = [pool.submit(drain, *b) for b in np.empty((tasks, 2, size))]
             except RuntimeError as exc:  # the host refused a thread
                 with lock:  # the threads that did start draw no further tile
                     deque(undrawn, maxlen=0)
@@ -384,17 +387,17 @@ def run_campaign(
             for task in started:
                 task.result()  # re-raises a thread's exception
 
-    var_hats = {}
+    # each count's sum of squared deviations: the m-run campaign's tiles in
+    # its order, the whole tiles before m's last tile, then that tile's record
+    m2 = last["m2"]
     for s, m in enumerate(counts):
-        # the m-run campaign's tiles in its order: the whole tiles before m's
-        # last tile, then that tile's record
-        heads = moments[:, : (m - 1) // TILE_RUNS].tolist()
-        var_hats[m] = np.array(
-            [_merged_moments(h + [t])[2] / (m - 1) for h, t in zip(heads, last[:, s].tolist())]
-        )
-    if not all(np.isfinite(v).all() for v in var_hats.values()):
+        if before := (m - 1) // TILE_RUNS:
+            heads = moments[:, :before].tolist()
+            m2[:, s] = [_merged_moments(h + [t])[2] for h, t in zip(heads, last[:, s].tolist())]
+    var = m2.T / np.subtract(counts, 1)[:, None]
+    if not np.isfinite(var).all():
         raise NumericalError("sample variance overflows double precision")
-    return PositionSamples(times, view, var_hats)
+    return PositionSamples(times, view, dict(zip(counts, var)))
 
 
 def _integers(values: Sequence[int], name: str, what: str) -> list[int]:

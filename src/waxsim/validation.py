@@ -236,8 +236,9 @@ def detection_power_mc(
         raise DomainError("seeds must be non-empty")
     simulated = replace(scenario, csl=replace(scenario.csl, collapse_rate=collapse_rate))
     hits, rows = 0, [best] if q is None else list(range(times.size))
+    grid, var_std, se_var = tuple(times.tolist()), var_std[rows], se_var[rows]
     for seed in seeds:
-        data = run_campaign(CampaignConfig(times, n_per_time, int(seed)), simulated, rows=rows)
-        z = (data.var_hat - var_std[rows]) / se_var[rows]
+        data = run_campaign(CampaignConfig(grid, n_per_time, int(seed)), simulated, rows=rows)
+        z = (data.var_hat - var_std) / se_var
         hits += bool(z[0] >= detection.confidence_z if q is None else np.sum(z**2) >= q)
     return hits / len(seeds)

@@ -463,6 +463,18 @@ class TestCli:
              "particle mass overflows at radius 1e+300 m, density 2200.0 kg/m^3"),
             (("feasibility", "--campaign.time_grid_s", "1e200"),
              "drop distance at t = 1e+200 s is inf"),
+            *[
+                ((*command, key, "1e160"), reason)
+                for command in [("campaign",), ("campaign", "--dump-samples"), ("bound",),
+                                ("bound", "--oracle-check", "--oracle-seeds", "2")]
+                for key, reason in [
+                    ("--campaign.measurement_noise_m", "measurement noise variance overflows "
+                     "double precision at measurement_noise = 1e+160 m"),
+                    # (drift t)^2 at the first positive grid time
+                    ("--campaign.drift_velocity_std_m_s",
+                     "sample variance overflows double precision at t = 5.0 s"),
+                ]
+            ],
         ],
     )
     def test_overflow_names_the_quantity_and_input(self, capsys, argv, reason):

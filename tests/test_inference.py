@@ -400,6 +400,24 @@ class TestOracleSweep:
             counts.append(len(calls))
         assert counts == [1, 1]  # the standard scenario's
 
+    @pytest.mark.parametrize("aggregation", ["best-time", "chi-square-sum"])
+    def test_variance_model_evaluated_once_per_scenario(self, monkeypatch, aggregation):
+        # the sweep's campaigns share its standard scenario's variances; the
+        # power check's share those of the simulated one
+        calls = []
+        real = Scenario.variance
+        monkeypatch.setattr(Scenario, "variance", lambda *a: calls.append(a[1]) or real(*a))
+        model = self.model(aggregation)
+        counts = []
+        for seeds in (range(1, 3), range(1, 41)):
+            calls.clear()
+            bisect_lambda_mc_sweep((100, 400), seeds=seeds, **model)
+            counts.append(len(calls))
+            calls.clear()
+            detection_power_mc(1e-6, 100, seeds=seeds, **model)
+            counts.append(len(calls))
+        assert counts == [1, 2, 1, 2]
+
     def test_rejects_an_empty_sweep(self):
         with pytest.raises(DomainError, match="n_sweep"):
             bisect_lambda_mc_sweep((), seeds=self.SEEDS, **self.model())

@@ -581,6 +581,14 @@ class TestMomentsEngine:
         with pytest.raises(IndexError):
             samples[3]
 
+    def test_sigmas_are_read_only(self, silica, ground):
+        # the rows re-drawn are those the widths came from; seeds of one
+        # scenario and grid share the array
+        data = run_campaign(make_config(), Scenario(silica, ground))
+        with pytest.raises(ValueError, match="read-only"):
+            data.samples.sigmas[2] = 1.0
+        assert np.var(data.samples[2], ddof=1) == data.var_hat[2]
+
     def test_more_workers_than_cores_lose_no_tile(self, silica, ground, monkeypatch):
         # 753 tiles shared by 8 threads that switch every microsecond: a tile
         # drawn twice or skipped leaves a stale record and moves var_hat

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waxsim
-from waxsim import _dumpfmt
+from waxsim import _dumpfmt, cli
 from waxsim.config import load_config
 from waxsim.protocol import TILE_RUNS, run_campaign
 
@@ -97,6 +98,34 @@ def test_dump_kernel_spells_2e6_positional_doubles_as_repr_does():
         if got != want:
             pairs = zip(got.splitlines(), want.splitlines())
             pytest.fail("kernel, repr: %r, %r" % next(p for p in pairs if p[0] != p[1]))
+
+
+# a tile is formatted in the fewest equal blocks of at most BLOCK_ROWS lines,
+# so a block's length, and with it the scratch, follows the tile's. Tier-1
+# bounds the one-tile peak at 2**16 runs; this check at one block of
+# BLOCK_ROWS lines, two of about half that, two of almost BLOCK_ROWS, two of
+# 10,000 lines (the benchmark's dump) and six: the traced peak of writing a
+# one-time dump
+@pytest.mark.parametrize(
+    "runs", [_dumpfmt.BLOCK_ROWS, _dumpfmt.BLOCK_ROWS + 1, 2 * _dumpfmt.BLOCK_ROWS - 1, 20_000,
+             2**16],
+)
+def test_dump_memory_is_one_tile_at_every_block_length(tmp_path, runs):
+    def emit_peak(n):
+        config = load_config(None, "<config>", [
+            ("campaign.time_grid_s", "0.5"), ("campaign.runs_per_time", str(n)),
+        ])
+        data = run_campaign(config.campaign(), config.scenario(), run_counts=())
+        tracemalloc.start()
+        try:
+            cli._emit(data.csv_chunks(), str(tmp_path / "dump.csv"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    emit_peak(2)  # loads scipy.special and builds the kernel's tables
+    # the bound of tier-1's test_dump_memory_is_one_tile
+    assert emit_peak(runs) <= 8_600_000
 
 
 # tier-1 cuts run prefixes mostly at tiles of 4 runs; this check at the real

@@ -137,7 +137,13 @@ def _detection_setup(
         _check_runs(n, "n_per_time")
     grid = grid_times(time_grid)
     times = np.array(grid)
-    sens = csl_sensitivity(times, scenario.particle, scenario.csl)
+    with np.errstate(over="ignore"):  # an inf is refused below, at its time
+        sens = csl_sensitivity(times, scenario.particle, scenario.csl)
+    if not np.isfinite(sens).all():
+        raise NumericalError(
+            "collapse-rate sensitivity overflows double precision at "
+            f"t = {times[~np.isfinite(sens)][0].item()!r} s"
+        )
     usable = sens > 0.0
     if not np.any(usable):
         if np.any(times > 0.0):  # sensitivity ~ t^3 underflows at tiny times

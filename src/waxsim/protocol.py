@@ -345,13 +345,19 @@ def run_campaign(
         # (dev is scratch); record its moments, and each count's that ends in it
         a = j * TILE_RUNS
         tile = view.draw_tile(drawn[r], a, out)
-        moments[r, j] = record = _tile_moments(tile, dev[: tile.size])
-        for s, m in enumerate(counts):
-            kept = m - a  # m ends in this tile if 0 < kept <= size
-            if kept == tile.size:
-                last[r, s] = record
-            elif 0 < kept < tile.size:
-                last[r, s] = _tile_moments(tile[:kept], dev[:kept])
+        try:
+            moments[r, j] = record = _tile_moments(tile, dev[: tile.size])
+            for s, m in enumerate(counts):
+                kept = m - a  # m ends in this tile if 0 < kept <= size
+                if kept == tile.size:
+                    last[r, s] = record
+                elif 0 < kept < tile.size:
+                    last[r, s] = _tile_moments(tile[:kept], dev[:kept])
+        except FloatingPointError:  # a square or a sum overflows under np.errstate(over="raise")
+            t = plan.time_grid[drawn[r]]
+            raise NumericalError(
+                f"sample variance overflows double precision at t = {t!r} s"
+            ) from None
 
     if workers is None:
         workers = _available_cpus() if len(drawn) * n >= PARALLEL_MIN_DRAWS else 1

@@ -475,6 +475,19 @@ class TestCli:
                      "sample variance overflows double precision at t = 5.0 s"),
                 ]
             ],
+            # the noise's square is finite; the tile's squared deviations are not
+            *[
+                ((*command, "--campaign.measurement_noise_m", "1e154"),
+                 "sample variance overflows double precision at t = 0.0 s")
+                for command in [("campaign",), ("campaign", "--workers", "2")]
+            ],
+            # the t**3 of the collapse-rate sensitivity, before any variance
+            *[
+                ((*command, "--campaign.time_grid_s", grid),
+                 f"collapse-rate sensitivity overflows double precision at t = {t} s")
+                for command in [("bound",), ("bound", "--oracle-check", "--oracle-seeds", "2")]
+                for grid, t in [("1e200", "1e+200"), ("1e103", "1e+103")]
+            ],
         ],
     )
     def test_overflow_names_the_quantity_and_input(self, capsys, argv, reason):
@@ -1204,7 +1217,7 @@ class TestStreamedDump:
 
         assert emit_peak(6) <= 1.25 * emit_peak(2)
         # formatting one tile by repr peaked at 8.6 MB (Python 3.11, numpy 2.4); the
-        # array kernel formats it a block of lines at a time in about 4.8 MB
+        # array kernel formats it in 6 blocks of about 10,900 lines in about 5.7 MB
         assert emit_peak(1) <= 8_600_000
 
 

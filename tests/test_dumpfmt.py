@@ -64,14 +64,23 @@ def test_edge_table_matches_repr():
     assert mismatches(got, repr_lines("1e-05", 99_000, EDGES)) == []
 
 
-# a head shorter than any float's repr takes the f-string
-@pytest.mark.parametrize("t_repr", ["0.0", "100.0", "1e-05", "t"])
+# a tile is cut into the fewest equal blocks of at most BLOCK_ROWS lines: 2
+# that differ by a line, 2 of 10,000 (the dump's tile at 20,000 runs), 3 of
+# the same length, and 6 of a whole tile of TILE_RUNS lines. A head shorter
+# than any float's repr takes the f-string, which cuts no blocks: one size for it
+SIZES = [_dumpfmt.BLOCK_ROWS + 1, 20_000, 2 * _dumpfmt.BLOCK_ROWS + 3, 2**16]
+
+
+@pytest.mark.parametrize(
+    "t_repr, size",
+    [(t_repr, size) for t_repr in ["0.0", "100.0", "1e-05"] for size in SIZES] + [("t", SIZES[2])],
+)
 @pytest.mark.parametrize("first", [0, 9, 2**16 * 7, 9_998, 99_999_998, 10**12 - 2])
-def test_tile_of_normal_draws_matches_repr(t_repr, first):
-    # a tile as the dump draws it: more than one block, a ragged last one;
-    # the last three run indices gain a digit at a multiple of 10**4, where
-    # the digits are looked up four at a time
-    xs = np.random.default_rng(first).standard_normal(2 * _dumpfmt.BLOCK_ROWS + 3) * 1e-3
+def test_tile_of_normal_draws_matches_repr(t_repr, size, first):
+    # a tile as the dump draws it; its run indices gain a digit inside a block
+    # (from 9, 9,998 and 99,999,998 on, where the digits are looked up four at
+    # a time) or the first index is already wide
+    xs = np.random.default_rng(first).standard_normal(size) * 1e-3
     assert mismatches(_dumpfmt.csv_lines(t_repr, first, xs), repr_lines(t_repr, first, xs)) == []
 
 

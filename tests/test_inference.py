@@ -94,6 +94,12 @@ class TestClosedForm:
         )
         assert noisy.lambda_min >= clean.lambda_min
 
+    def test_overflowing_sensitivity_names_its_time(self, silica, space):
+        # t * t * t overflows at 1e103 s, under numpy's default error state too
+        message = r"^collapse-rate sensitivity overflows double precision at t = 1e\+103 s$"
+        with pytest.raises(NumericalError, match=message):
+            min_detectable_lambda(100, (5.0, 1e103), silica, space, GEOMETRY)
+
     def test_grw_unit_identity(self, silica, space):
         res = min_detectable_lambda(100, GRID, silica, space, GEOMETRY)
         assert res.lambda_min_grw == res.lambda_min / LAMBDA_GRW
@@ -423,11 +429,13 @@ class TestOracleSweep:
             bisect_lambda_mc_sweep((), seeds=self.SEEDS, **self.model())
 
     def test_seeds_keep_the_callers_error_state(self):
-        # the tile sums of squares overflow
+        # the tile sums of squares overflow at the best time, the row drawn;
+        # only a raised overflow names its time
         model = self.model()
         model["scenario"] = replace(model["scenario"], measurement_noise=1e154)
+        message = r"^sample variance overflows double precision at t = 100\.0 s$"
         with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(NumericalError, match=message):
                 bisect_lambda_mc_sweep((100, 400), seeds=self.SEEDS, **model)
 
     def test_bound_oracle_runs_one_campaign_per_seed(self, capsys, monkeypatch):

@@ -92,11 +92,14 @@ class TestNumericalFailure:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pool_tasks_keep_the_callers_error_state(self, silica, ground, workers):
-        # the tile sums of squares overflow; numpy's error state is per thread
+        # the tile sums of squares overflow; numpy's error state is per thread.
+        # Only a raised overflow names its time: a thread that warned instead
+        # would fail the test with the RuntimeWarning
         config = make_config(time_grid=(10.0,), runs_per_time=1000)
         scenario = Scenario(silica, ground, drift_velocity_std=1e152)
+        message = r"^sample variance overflows double precision at t = 10\.0 s$"
         with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(NumericalError, match=message):
                 run_campaign(config, scenario, workers=workers)
 
 

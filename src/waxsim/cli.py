@@ -38,7 +38,7 @@ import sys
 from typing import Iterable
 
 from .config import SCHEMA, RunConfig, _canonical, load_config
-from .dynamics import check_workers, collapse_validity, expansion_curve
+from .dynamics import check_workers, collapse_validity, csv_table, expansion_curve
 from .errors import ConfigError, DomainError, NumericalError, WaxsimError
 from .materials import drop_distance
 
@@ -174,9 +174,7 @@ def _cmd_rates(config: RunConfig, args) -> tuple[str, list[str]]:
         ("csl", budget.csl),
         ("total", budget.total),
     ]
-    lines = ["channel,lambda_m2s"]
-    lines.extend(f"{name},{value!r}" for name, value in rows)
-    return "\n".join(lines) + "\n", list(budget.warnings)
+    return csv_table("channel,lambda_m2s", rows), list(budget.warnings)
 
 
 @_scalar
@@ -226,12 +224,8 @@ def _cmd_bound(config: RunConfig, args) -> tuple[str, list[str]]:
                     f"{res.lambda_min:.3e} Hz vs Monte-Carlo {mc:.3e} Hz"
                 )
 
-    lines = ["n_per_time,lambda_min_hz,lambda_min_grw,best_time_s"]
-    for res in results:
-        lines.append(
-            f"{res.n_per_time},{res.lambda_min!r},{res.lambda_min_grw!r},{res.best_time!r}"
-        )
-    return "\n".join(lines) + "\n", warnings
+    rows = [(r.n_per_time, r.lambda_min, r.lambda_min_grw, r.best_time) for r in results]
+    return csv_table("n_per_time,lambda_min_hz,lambda_min_grw,best_time_s", rows), warnings
 
 
 @_scalar

@@ -22,13 +22,13 @@ flagged results are conservative).
 
 The input rules every command applies also live here, in pure Python: the
 grid rule (:func:`grid_times`), the run and worker counts, the memory rule
-(:func:`_check_memory`), the campaign plan
-(:class:`CampaignConfig`) and the detection threshold
-(:class:`DetectionConfig`). numpy is imported only where an array is built:
-on reading :attr:`ExpansionCurve.times` and :attr:`ExpansionCurve.sigmas`,
-and in :meth:`Scenario.grid_variance`.
-The config, :func:`expansion_curve` and the commands ``rates``, ``expand``
-and ``feasibility`` run without it.
+(:func:`_check_memory`), the campaign plan (:class:`CampaignConfig`) and
+the detection threshold (:class:`DetectionConfig`). So does the cell rule
+of every table the commands print but the dump (:func:`csv_table`). numpy
+is imported only where an array is built: on reading
+:attr:`ExpansionCurve.times` and :attr:`ExpansionCurve.sigmas`, and in
+:meth:`Scenario.grid_variance`. The config, :func:`expansion_curve` and
+the commands ``rates``, ``expand`` and ``feasibility`` run without it.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .constants import hbar
 from .decoherence import ChannelToggles, CSLParams, DecoherenceBudget, total_budget
@@ -207,11 +207,17 @@ class ExpansionCurve:
 
     def to_csv(self) -> str:
         """CSV text: header ``t_s,sigma_m,lambda_total_m2s``, one row per sample."""
-        total = repr(float(self.budget.total))
-        lines = ["t_s,sigma_m,lambda_total_m2s"]
-        for t, s in zip(self.time_values, self.sigma_values):
-            lines.append(f"{t!r},{s!r},{total}")
-        return "\n".join(lines) + "\n"
+        total = float(self.budget.total)
+        rows = ((t, s, total) for t, s in zip(self.time_values, self.sigma_values))
+        return csv_table("t_s,sigma_m,lambda_total_m2s", rows)
+
+
+def csv_table(header: str, rows: Iterable[Iterable[float | int | str]]) -> str:
+    """CSV text of a table a command prints: ``header``, then each row's cells
+    joined by commas, each line ending in ``\\n``; a float is spelled as ``repr``
+    spells a Python float, an int in decimal and a string as it is."""
+    lines = (",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in r) for r in rows)
+    return "".join(f"{line}\n" for line in (header, *lines))
 
 
 def _x_var_free(

@@ -90,7 +90,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import CampaignConfig, Scenario, _check_memory, check_workers
+from .dynamics import CampaignConfig, Scenario, _check_memory, check_workers, csv_table
 from .errors import DomainError, NumericalError
 
 
@@ -464,9 +464,5 @@ def campaign_curve(
 
 def campaign_to_csv(estimates: Sequence[WidthEstimate]) -> str:
     """CSV text: header ``t_s,sigma_hat_m,sigma_err_m,n_samples``."""
-    lines = ["t_s,sigma_hat_m,sigma_err_m,n_samples"]
-    for e in estimates:
-        lines.append(
-            f"{e.t!r},{e.sigma_hat!r},{e.standard_error!r},{e.sample_count}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = ((e.t, e.sigma_hat, e.standard_error, e.sample_count) for e in estimates)
+    return csv_table("t_s,sigma_hat_m,sigma_err_m,n_samples", rows)

@@ -191,13 +191,16 @@ def test_default_bound_passes_its_oracle_check(tmp_path, aggregation):
 
 # 21 x 4e6 = 84 M draws, which needed a 672 MB sample array when campaigns
 # held their samples; tiles and moments keep it far lower. A fresh
-# interpreter, since this process's peak holds the other checks' memory
+# interpreter, since this process's peak holds the other checks' memory. It
+# reads its own high-water mark, VmHWM (Linux): Linux carries ru_maxrss
+# across fork and exec, so the child's would hold this process's peak
 def test_large_campaign_runs_in_bounded_memory(tmp_path):
     script = (
-        "import resource\n"
+        "import re\n"
         "from waxsim import cli\n"
         "assert cli.main(['campaign', '--campaign.runs_per_time', '4000000', '-o', 'out.csv']) == 0\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(int(re.search(r'VmHWM:\\s+(\\d+) kB', fh.read()).group(1)) / 1024)\n"
     )
     proc = run_python("-c", script, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -119,7 +119,8 @@ def initial_state(
 
     x_var = (2 nbar + 1) hbar / (2 m omega), p_var = (2 nbar + 1) hbar m
     omega / 2, xp_cov = 0. ``occupancy`` = 0 is the motional ground state,
-    which saturates the Heisenberg bound.
+    which saturates the Heisenberg bound. NumericalError where either
+    variance is not finite and above 0 in double precision.
     """
     if trap_frequency <= 0.0:
         raise DomainError(f"trap_frequency must be > 0, got {trap_frequency}")
@@ -127,11 +128,16 @@ def initial_state(
         raise DomainError(f"occupancy must be >= 0, got {occupancy}")
     width = (2.0 * occupancy + 1.0)
     m_omega = particle.mass * trap_frequency
-    return GaussianState(
-        x_var=width * hbar / (2.0 * m_omega),
-        xp_cov=0.0,
-        p_var=width * hbar * m_omega / 2.0,
-    )
+    # m omega may underflow to 0, or overflow where the frequency is inf
+    x_var = width * hbar / (2.0 * m_omega) if m_omega > 0.0 else math.inf
+    p_var = width * hbar * m_omega / 2.0
+    for name, var in (("x_var", x_var), ("p_var", p_var)):
+        if not 0.0 < var < math.inf:
+            raise NumericalError(
+                f"trap state {name} = {var!r} is not finite and > 0 at angular trap "
+                f"frequency {trap_frequency!r} rad/s, occupancy {occupancy!r}"
+            )
+    return GaussianState(x_var=x_var, xp_cov=0.0, p_var=p_var)
 
 
 def _check_evolution(mass: float, localization_rate: float, t: float) -> None:

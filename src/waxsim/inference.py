@@ -223,7 +223,13 @@ def _closed_forms(
         if q is None:
             lam = float(detection.confidence_z * se_var[best] / sens[best])
         else:
-            lam = float(np.sqrt(q / np.sum((sens[usable] / se_var[usable]) ** 2)))
+            pooled = np.sum((sens[usable] / se_var[usable]) ** 2)
+            if pooled == 0.0:
+                raise NumericalError(
+                    "pooled collapse-rate sensitivity sum((sens / se)^2) underflows "
+                    f"to 0 at N = {n}"
+                )
+            lam = float(np.sqrt(q / pooled))
         results.append(DetectionResult(lambda_min=lam, best_time=float(times[best]), n_per_time=n))
     return results
 

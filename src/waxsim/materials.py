@@ -52,7 +52,7 @@ def sphere_mass(radius: float, density: float) -> float:
     -------
     float
         Mass [kg], density * (4/3) pi radius^3. Raises NumericalError if
-        it overflows.
+        it overflows or underflows to 0.
     """
     if radius <= 0.0:
         raise DomainError(f"radius must be > 0, got {radius}")
@@ -62,9 +62,10 @@ def sphere_mass(radius: float, density: float) -> float:
         mass = density * (4.0 / 3.0) * math.pi * radius**3
     except OverflowError:  # float ** raises where * gives inf
         mass = math.inf
-    if not math.isfinite(mass):
+    if not 0.0 < mass < math.inf:
+        flow = "overflows" if mass else "underflows"
         raise NumericalError(
-            f"particle mass overflows at radius {radius!r} m, density {density!r} kg/m^3"
+            f"particle mass {flow} at radius {radius!r} m, density {density!r} kg/m^3"
         )
     return mass
 

@@ -488,10 +488,35 @@ class TestCli:
                 for command in [("bound",), ("bound", "--oracle-check", "--oracle-seeds", "2")]
                 for grid, t in [("1e200", "1e+200"), ("1e103", "1e+103")]
             ],
+            (("rates", "--particle.radius_m", "1e-120"),
+             "particle mass underflows at radius 1e-120 m, density 2200.0 kg/m^3"),
+            (("rates", "--particle.density_kg_m3", "1e-320"),
+             "particle mass underflows at radius 1.2e-07 m, density 1e-320 kg/m^3"),
+            # each (sens / se)^2 underflows, so the pooled sum is 0 at the first N
+            (("bound", "--detection.aggregation", "chi-square-sum",
+              "--campaign.measurement_noise_m", "1e150"),
+             "pooled collapse-rate sensitivity sum((sens / se)^2) underflows to 0 at N = 100"),
         ],
     )
     def test_overflow_names_the_quantity_and_input(self, capsys, argv, reason):
         assert run_cli(capsys, *argv) == (3, "", f"waxsim: numerical failure: {reason}\n")
+
+    @pytest.mark.parametrize("command", ["rates", "expand", "campaign", "bound", "feasibility"])
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("trap.occupancy", "1e308", "x_var = inf is not finite and > 0 at angular trap "
+             "frequency 628318.5307179586 rad/s, occupancy 1e+308"),
+            # 2 pi times the frequency is inf, and m omega with it
+            ("trap.frequency_hz", "1e308", "x_var = 0.0 is not finite and > 0 at angular "
+             "trap frequency inf rad/s, occupancy 0.0"),
+            ("trap.frequency_hz", "1e-300", "p_var = 0.0 is not finite and > 0 at angular "
+             "trap frequency 6.283185307179586e-300 rad/s, occupancy 0.0"),
+        ],
+    )
+    def test_trap_state_out_of_range_names_its_inputs(self, capsys, command, key, value, reason):
+        line = f"waxsim: numerical failure: trap state {reason}\n"
+        assert run_cli(capsys, command, f"--{key}", value) == (3, "", line)
 
     @pytest.mark.parametrize("command", ["rates", "expand", "campaign", "bound", "feasibility"])
     @pytest.mark.parametrize("grid", ["", "5,5,10", "10,5", "-1,5"])

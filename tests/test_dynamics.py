@@ -302,3 +302,10 @@ class TestExpansionCurve:
         assert len(lines) == 3
         t, sigma, total = lines[1].split(",")
         assert float(t) == 0.0 and float(sigma) > 0.0 and float(total) > 0.0
+
+
+def test_csv_table_spells_each_cell_by_its_type():
+    # a numpy float64 is spelled as the Python float it holds
+    rows = [(np.float64(0.1), 3, "total"), (1e-300, np.int64(-2), 2.0)]
+    assert dynamics.csv_table("a,b,c", rows) == "a,b,c\n0.1,3,total\n1e-300,-2,2.0\n"
+    assert dynamics.csv_table("a", []) == "a\n"

@@ -291,6 +291,13 @@ class TestExactOracle:
         below = detection_power_mc(rate * (1.0 - 1e-9), n, seeds=seeds, **model)
         assert above >= 0.5 > below
 
+    def test_critical_rate_without_a_real_root_is_zero(self):
+        # sum_t (a_t + lambda b_t)^2 = 1 with a = (10, -10), b = (11, -9):
+        # 202 lambda^2 + 400 lambda + 199 = 0 has discriminant 200^2 - 202 * 199 = -198
+        ones = np.ones(2)
+        rate = inference._critical_rate(np.array([11.0, -9.0]), ones, ones, ones, ones, 1.0)
+        assert rate == 0.0
+
     def test_one_campaign_per_seed(self, in_space, monkeypatch):
         calls = []
         real = inference.run_campaign

@@ -49,10 +49,15 @@ def test_sphere_mass_rejects_nonpositive(radius, density):
         sphere_mass(radius, density)
 
 
-@pytest.mark.parametrize("radius,density", [(1e300, 2200.0), (1e102, 2200.0), (1.2e-7, 1e308)])
-def test_sphere_mass_overflow_is_a_numerical_error(radius, density):
-    # radius**3 raises at 1e300; elsewhere the products overflow to inf silently
-    reason = f"particle mass overflows at radius {radius!r} m, density {density!r} kg/m^3"
+@pytest.mark.parametrize(
+    "radius,density,flow",
+    [(1e300, 2200.0, "overflows"), (1e102, 2200.0, "overflows"), (1.2e-7, 1e308, "overflows"),
+     (1e-120, 2200.0, "underflows"), (1.2e-7, 1e-320, "underflows")],
+)
+def test_sphere_mass_overflow_is_a_numerical_error(radius, density, flow):
+    # radius**3 raises at 1e300; elsewhere the products overflow to inf, or
+    # underflow to 0, silently
+    reason = f"particle mass {flow} at radius {radius!r} m, density {density!r} kg/m^3"
     with pytest.raises(NumericalError, match=re.escape(reason)):
         sphere_mass(radius, density)
 

@@ -90,6 +90,14 @@ class TestNumericalFailure:
                 run_campaign(CampaignConfig((0.0, 1.0), 3, 1), scenario, run_counts=run_counts)
         assert drawn == []
 
+    def test_overflowing_merged_variance_is_refused(self, silica, ground):
+        # the noise's square is finite; the tile's squared deviations are not,
+        # and with overflow ignored only the merged variances show it
+        scenario = Scenario(silica, ground, measurement_noise=1e154)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match=r"^sample variance overflows double precision$"):
+                run_campaign(make_config(), scenario)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pool_tasks_keep_the_callers_error_state(self, silica, ground, workers):
         # the tile sums of squares overflow; numpy's error state is per thread.

@@ -513,6 +513,7 @@ class TestCli:
             ("trap.frequency_hz", "1e-300", "p_var = 0.0 is not finite and > 0 at angular "
              "trap frequency 6.283185307179586e-300 rad/s, occupancy 0.0"),
         ],
+        ids=["occupancy", "high-frequency", "low-frequency"],
     )
     def test_trap_state_out_of_range_names_its_inputs(self, capsys, command, key, value, reason):
         line = f"waxsim: numerical failure: trap state {reason}\n"

@@ -70,11 +70,23 @@ class TestScenario:
 
 
 class TestNumericalFailure:
-    def test_overflowing_variance_is_refused(self, silica, ground):
-        # (drift t)^2 overflows to inf; numpy is told only to stay quiet
-        scenario = Scenario(silica, ground, drift_velocity_std=1e160)
+    @pytest.mark.parametrize(
+        "model, where",
+        [
+            # (drift t)^2 overflows to inf, first at t = 1 s
+            (dict(drift_velocity_std=1e160), r" at t = 1\.0 s"),
+            # the noise's square is finite; the tile's squared deviations are
+            # not, and only the merged variances show it
+            (dict(measurement_noise=1e154), ""),
+        ],
+        ids=["drift", "merged"],
+    )
+    def test_overflowing_variance_is_refused(self, silica, ground, model, where):
+        # numpy is told only to stay quiet
+        scenario = Scenario(silica, ground, **model)
+        message = f"^sample variance overflows double precision{where}$"
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="sample variance overflows"):
+            with pytest.raises(NumericalError, match=message):
                 run_campaign(make_config(), scenario)
 
     # a dump merges no variance; it and the widths refuse before drawing a tile
@@ -89,14 +101,6 @@ class TestNumericalFailure:
             with pytest.raises(NumericalError, match=message):
                 run_campaign(CampaignConfig((0.0, 1.0), 3, 1), scenario, run_counts=run_counts)
         assert drawn == []
-
-    def test_overflowing_merged_variance_is_refused(self, silica, ground):
-        # the noise's square is finite; the tile's squared deviations are not,
-        # and with overflow ignored only the merged variances show it
-        scenario = Scenario(silica, ground, measurement_noise=1e154)
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericalError, match=r"^sample variance overflows double precision$"):
-                run_campaign(make_config(), scenario)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pool_tasks_keep_the_callers_error_state(self, silica, ground, workers):

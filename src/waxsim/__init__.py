@@ -10,11 +10,10 @@ Importing the package loads none of its modules, and so neither numpy nor
 scipy: each public name imports its module on first use (PEP 562). The
 scalar modules (``constants``, ``errors``, ``materials``, ``decoherence``,
 ``dynamics``) load no numpy; ``dynamics`` imports it in its array functions,
-``protocol``, ``inference`` and ``validation`` at import. scipy is imported
-by the functions that use it (campaign sampling, chi-square thresholds, the
-quadrature oracle). ``validation`` holds the verification oracles (RK4
-moments, sphere-factor quadrature, Monte-Carlo detection power); it imports
-``protocol`` and ``inference``, and no model or command imports it.
+``protocol`` and ``inference`` at import. scipy is imported by the functions
+that use it (campaign sampling, chi-square thresholds). The verification
+oracles (RK4 moments, sphere-factor quadrature, Monte-Carlo detection power)
+are not part of the package: they live in the test tree, ``tests/oracles.py``.
 """
 from importlib import import_module
 
@@ -68,12 +67,6 @@ _EXPORTS = {
         "campaign_curve",
         "campaign_to_csv",
         "run_campaign",
-    ),
-    "validation": (
-        "csl_sphere_factor_bruteforce",
-        "detection_power_mc",
-        "evolve_numeric",
-        "rk4_integrate",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -29,7 +29,7 @@ from .dynamics import (
     AGGREGATIONS, CampaignConfig, DetectionConfig, Scenario, _check_memory, _check_runs,
     grid_times,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 from .materials import (
     AIR_MOLECULE_MASS,
     PRESETS,
@@ -291,8 +291,12 @@ class RunConfig:
         return ChannelToggles(blackbody=self.get("toggles.blackbody"))
 
     def trap_frequency(self) -> float:
-        """Angular trap frequency [rad/s]."""
-        return 2.0 * math.pi * self.get("trap.frequency_hz")
+        """Angular trap frequency [rad/s]; NumericalError where it overflows."""
+        hz = self.get("trap.frequency_hz")
+        omega = 2.0 * math.pi * hz
+        if omega == math.inf:
+            raise NumericalError(f"trap state angular frequency overflows at frequency {hz!r} Hz")
+        return omega
 
     def campaign(self) -> CampaignConfig:
         return CampaignConfig(

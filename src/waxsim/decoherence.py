@@ -27,7 +27,7 @@ correlation length a, reference mass m0)
 
 The collapse normalization is fixed by the point-particle decoherence
 function lambda (m/m0)^2 (1 - exp(-s^2/4a^2)): expanding at small separation
-s gives the quadratic coefficient above. ``waxsim.validation`` re-derives
+s gives the quadratic coefficient above. ``tests/oracles.py`` re-derives
 f(R/a) by brute-force quadrature of the underlying smeared-mass-density
 double integral, with no reference to the closed form.
 """
@@ -169,20 +169,33 @@ def lambda_blackbody(particle: Particle, env: Environment) -> BlackbodyRates:
     -------
     BlackbodyRates
         (scattering, absorption, emission) in m^-2 s^-1, plus validity
-        warnings.
+        warnings. Raises NumericalError, naming the channel, the radius and
+        the temperature, where a rate is not finite in double precision.
     """
     cm = _clausius_mossotti(complex(particle.thermal_permittivity))
     R = particle.radius
+    temperatures = {"environment": env.temperature, "internal": particle.internal_temperature}
 
-    kT_env = kB * env.temperature / (hbar * c)  # 1/m
-    kT_int = kB * particle.internal_temperature / (hbar * c)
+    def rate(channel, prefactor, r_power, label, t_power, factor):
+        """prefactor c R^r_power (kB T / hbar c)^t_power factor, at the ``label`` temperature."""
+        T = temperatures[label]
+        try:
+            value = prefactor * c * R**r_power * (kB * T / (hbar * c)) ** t_power * factor
+        except OverflowError:  # a float ** raises where a * gives inf
+            value = math.inf
+        if not math.isfinite(value):
+            raise NumericalError(
+                f"blackbody {channel} rate overflows double precision at radius {R!r} m, "
+                f"{label} temperature {T!r} K"
+            )
+        return value
 
-    scattering = _SCATTERING_PREFACTOR * c * R**6 * kT_env**9 * cm.real**2
-    absorption = _ABS_EMIT_PREFACTOR * c * R**3 * kT_env**6 * cm.imag
-    emission = _ABS_EMIT_PREFACTOR * c * R**3 * kT_int**6 * cm.imag
+    scattering = rate("scattering", _SCATTERING_PREFACTOR, 6, "environment", 9, cm.real**2)
+    absorption = rate("absorption", _ABS_EMIT_PREFACTOR, 3, "environment", 6, cm.imag)
+    emission = rate("emission", _ABS_EMIT_PREFACTOR, 3, "internal", 6, cm.imag)
 
     warnings = []
-    for label, T in (("environment", env.temperature), ("internal", particle.internal_temperature)):
+    for label, T in temperatures.items():
         if thermal_wavelength(T) < _VALIDITY_FACTOR * R:
             warnings.append(
                 f"blackbody rates outside model validity: thermal wavelength at "

@@ -11,9 +11,9 @@ rate Lambda (the -Lambda [x,[x,rho]] master-equation term) evolves them as
 
 whose closed-form solution is polynomial in t; the t^3 term in <x^2> is the
 decoherence signature the measurement protocol targets.
-:func:`waxsim.validation.evolve_numeric` integrates the same system with a
-generic fixed-step 4th-order Runge-Kutta scheme as an independent check on
-the closed form.
+``evolve_numeric`` in the test tree (``tests/oracles.py``) integrates the
+same system with a generic fixed-step 4th-order Runge-Kutta scheme as an
+independent check on the closed form.
 
 The quadratic localization form holds for wave-packet spreads small against
 the collapse correlation length; curves that leave that regime are flagged,

@@ -1,8 +1,9 @@
 """Verification oracles: independent routes to what the models compute.
 
-None of them is used by a model or a command; the tests and the acceptance
-suite compare against them. Importing this module loads numpy and the
-sampling and inference layers, but no scipy.
+They live in the test tree, apart from the models they check: no model or
+command uses them, and the installed package does not ship them. The tests
+import this module as ``oracles``. Importing it loads numpy and the sampling
+and inference layers, but no scipy.
 
 Moment evolution
 ----------------
@@ -41,17 +42,16 @@ rates of :func:`waxsim.inference.bisect_lambda_mc_sweep`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import hbar
-from .dynamics import DetectionConfig, GaussianState, Scenario, _check_evolution
-from .errors import DomainError, NumericalError
-from .inference import _detection_setup, _standard_error
-from .protocol import CampaignConfig, run_campaign
+from waxsim.constants import hbar
+from waxsim.dynamics import DetectionConfig, GaussianState, Scenario, _check_evolution
+from waxsim.errors import DomainError
+from waxsim.inference import _detection_setup, _standard_error
+from waxsim.protocol import CampaignConfig, run_campaign
 
 
 def rk4_integrate(
@@ -86,7 +86,6 @@ def evolve_numeric(
     localization_rate: float,
     t: float,
     steps: int = 10_000,
-    tolerance: float | None = None,
 ) -> GaussianState:
     """Integrate the moment ODEs with fixed-step RK4 (verification path).
 
@@ -96,10 +95,6 @@ def evolve_numeric(
         As in :func:`waxsim.dynamics.evolve_free`.
     steps : int
         Number of RK4 steps, >= 1.
-    tolerance : float, optional
-        If given, the integration is repeated with 2x the steps; a relative
-        change in sigma above ``tolerance`` raises NumericalError. The
-        finer result is returned.
 
     Returns
     -------
@@ -116,15 +111,6 @@ def evolve_numeric(
     if t == 0.0:
         return state
     y = rk4_integrate(deriv, y0, 0.0, t, steps)
-    if tolerance is not None:
-        y_fine = rk4_integrate(deriv, y0, 0.0, t, 2 * steps)
-        sigma, sigma_fine = math.sqrt(y[0]), math.sqrt(y_fine[0])
-        if abs(sigma - sigma_fine) > tolerance * sigma_fine:
-            raise NumericalError(
-                "moment integration not converged: halving the step changes "
-                f"sigma by {abs(sigma - sigma_fine) / sigma_fine:.3e} relative"
-            )
-        y = y_fine
     return GaussianState(x_var=y[0], xp_cov=y[1], p_var=y[2])
 
 

@@ -15,10 +15,8 @@ from waxsim import (
     CSLParams,
     Environment,
     Scenario,
-    csl_sphere_factor_bruteforce,
     drop_distance,
     evolve_free,
-    evolve_numeric,
     expansion_curve,
     fused_silica_particle,
     ground_environment,
@@ -26,11 +24,11 @@ from waxsim import (
     lambda_blackbody,
     min_detectable_lambda,
     bisect_lambda_mc_sweep,
-    detection_power_mc,
     space_environment,
     sphere_geometry_factor,
 )
 from waxsim.constants import hbar
+from oracles import csl_sphere_factor_bruteforce, detection_power_mc, evolve_numeric
 
 GEOMETRY = CSLParams(collapse_rate=0.0, correlation_length=100e-9)
 

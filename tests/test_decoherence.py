@@ -10,7 +10,6 @@ from waxsim import (
     DomainError,
     Environment,
     Particle,
-    csl_sphere_factor_bruteforce,
     decoherence,
     fused_silica_particle,
     lambda_blackbody,
@@ -20,6 +19,7 @@ from waxsim import (
     thermal_wavelength,
     total_budget,
 )
+from oracles import csl_sphere_factor_bruteforce
 
 # Goldens frozen with 50-digit arithmetic from the closed forms in
 # docs/models.md at the default material constants (eps_bb = 2.1 + 0.25i),

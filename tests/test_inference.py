@@ -17,7 +17,6 @@ from waxsim import (
     Scenario,
     bisect_lambda_mc_sweep,
     csl_sensitivity,
-    detection_power_mc,
     ground_environment,
     min_detectable_lambda,
     space_environment,
@@ -28,6 +27,7 @@ from waxsim import dynamics, protocol
 from waxsim.config import load_config
 from waxsim.constants import LAMBDA_GRW
 from waxsim.inference import _chi_square_quantile
+from oracles import detection_power_mc
 
 GEOMETRY = CSLParams(collapse_rate=0.0, correlation_length=100e-9)
 # composition of the collapse-rate and moment-evolution goldens at

@@ -2,7 +2,7 @@
 
 Importing waxsim loads none of its modules; the scalar commands (``rates``,
 ``expand``, ``feasibility``, ``--print-config``) load no numpy and no
-sampling, inference or oracle layer, and at its defaults no command but
+sampling or inference layer, and at its defaults no command but
 ``campaign`` loads scipy. Each check runs in a fresh interpreter, since the
 pytest process itself has numpy and scipy loaded. The checks are on ``sys.modules``, not on timings.
 The interpreters are independent, so the ``loaded`` fixture runs them
@@ -20,7 +20,7 @@ import waxsim
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(waxsim.__file__)))
 SCIPY_MODULES = ("scipy.stats", "scipy.interpolate", "scipy.special")
-LAYERS = ("waxsim.protocol", "waxsim.inference", "waxsim.validation")
+LAYERS = ("waxsim.protocol", "waxsim.inference")
 FORMATTER = "waxsim._dumpfmt"
 
 
@@ -108,18 +108,6 @@ PROBES = {
         + run_main("bound"),
         ("multiprocessing", "concurrent.futures.process"),
     ),
-    # the oracles import at once; scipy.interpolate loads on the first call
-    "quadrature oracle": (
-        "import sys\n"
-        "import waxsim\n"
-        "from waxsim import csl_sphere_factor_bruteforce\n"
-        "from waxsim.validation import csl_sphere_factor_bruteforce as direct\n"
-        "assert waxsim.csl_sphere_factor_bruteforce is csl_sphere_factor_bruteforce is direct\n"
-        "assert 'csl_sphere_factor_bruteforce' in waxsim.__all__\n"
-        "assert 'scipy.interpolate' not in sys.modules\n"
-        "csl_sphere_factor_bruteforce(1.0)\n",
-        SCIPY_MODULES,
-    ),
 }
 
 
@@ -162,7 +150,7 @@ def test_bound_without_oracle_check_loads_no_oracle(loaded):
 
 
 def test_oracle_check_loads_no_reference_oracle(loaded):
-    # the command's oracle is the sweep in inference; validation is the tests'
+    # the command's oracle is the sweep in inference; tests/oracles.py is the tests'
     assert loaded("bound oracle-check") == ["waxsim.protocol", "waxsim.inference"]
 
 
@@ -193,19 +181,20 @@ def test_serial_commands_load_no_process_pool(loaded):
     assert loaded("serial commands") == []
 
 
-def test_quadrature_oracle_resolves_lazily(loaded):
-    assert "scipy.interpolate" in loaded("quadrature oracle")
-
-
-def test_unknown_attribute_still_raises():
+# the verification oracles live in the test tree, not the package
+@pytest.mark.parametrize(
+    "name",
+    [
+        "no_such_name",
+        "csl_sphere_factor_bruteforce",
+        "detection_power_mc",
+        "evolve_numeric",
+        "rk4_integrate",
+    ],
+)
+def test_unknown_attribute_still_raises(name):
     with pytest.raises(AttributeError):
-        waxsim.no_such_name
-
-
-def test_power_oracle_lives_in_validation():
-    from waxsim import validation
-
-    assert waxsim.detection_power_mc is validation.detection_power_mc
+        getattr(waxsim, name)
 
 
 def test_every_public_name_resolves():

@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,7 +141,7 @@ def test_run_prefixes_at_the_real_tile_size():
     ])
     plan, scenario = config.campaign(), config.scenario()
     counts = sorted({2, n} | {k * TILE_RUNS + d for k in (1, 2, 3) for d in (-1, 0, 1)})
-    want = {m: run_campaign(replace(plan, runs_per_time=m), scenario).var_hat for m in counts}
+    want = {m: run_campaign(plan.replace(runs_per_time=m), scenario).var_hat for m in counts}
     for workers, rows in ((1, None), (2, None), (3, None), (None, (2, 0))):
         got = run_campaign(plan, scenario, workers, run_counts=counts, rows=rows).var_hats
         picked = slice(None) if rows is None else sorted(rows)

@@ -17,9 +17,10 @@ def main() -> int:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         return code
     except KeyboardInterrupt:
-        # raised in exec() of a string (a dataclass method made at import), the
-        # interrupt sets CPython's unhandled-interrupt flag, which would turn
-        # exit 130 of ``python -m`` into death by SIGINT; exec("") clears it
+        # raised in exec() or eval() of a string (code a library builds at
+        # import, such as a namedtuple's __new__), the interrupt sets CPython's
+        # unhandled-interrupt flag, which would turn exit 130 of ``python -m``
+        # into death by SIGINT; exec("") clears it
         exec("")
         print("waxsim: interrupted", file=sys.stderr)
         return 130

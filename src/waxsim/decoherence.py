@@ -34,8 +34,8 @@ double integral, with no reference to the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .constants import amu, c, hbar, kB
 from .errors import DomainError, NumericalError
 from .materials import Environment, Particle
@@ -52,7 +52,7 @@ _GAS_PREFACTOR = 8.0 * math.sqrt(2.0 * math.pi) / (3.0 * math.sqrt(3.0))
 _VALIDITY_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
+@record
 class CSLParams:
     """Collapse-model parameters.
 
@@ -84,7 +84,7 @@ class CSLParams:
             )
 
 
-@dataclass(frozen=True)
+@record
 class ChannelToggles:
     """Whether the thermal-photon channels feed the total budget.
 
@@ -95,7 +95,7 @@ class ChannelToggles:
     blackbody: bool = True
 
 
-@dataclass(frozen=True)
+@record
 class BlackbodyRates:
     """The three thermal-photon localization rates [m^-2 s^-1].
 
@@ -110,7 +110,7 @@ class BlackbodyRates:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class DecoherenceBudget:
     """Per-channel localization rates [m^-2 s^-1]; a channel that is off is 0, the total finite."""
 
@@ -302,9 +302,13 @@ def total_budget(
         warnings.extend(bb.warnings)
     gas = lambda_gas(particle, env)
     if env.gas_pressure > 0.0:
-        gas_wavelength = 2.0 * math.pi * hbar / (
-            env.gas_particle_mass * _mean_gas_speed(env)
-        )
+        momentum = env.gas_particle_mass * _mean_gas_speed(env)
+        if not momentum:
+            raise NumericalError(
+                "gas molecular momentum underflows to 0 at gas temperature "
+                f"{env.gas_temperature!r} K, molecule mass {env.gas_particle_mass!r} kg"
+            )
+        gas_wavelength = 2.0 * math.pi * hbar / momentum
         if gas_wavelength > particle.radius / _VALIDITY_FACTOR:
             warnings.append(
                 "gas rate outside model validity: molecular de Broglie "

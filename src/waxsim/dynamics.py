@@ -35,10 +35,10 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ._record import record
 from .constants import hbar
 from .decoherence import ChannelToggles, CSLParams, DecoherenceBudget, total_budget
 from .errors import DomainError, NumericalError
@@ -64,18 +64,18 @@ def heisenberg_allowance(x_var: float, xp_cov: float, p_var: float) -> float:
     return 32.0 * _EPS * (x_var * p_var + xp_cov * xp_cov)
 
 
-@dataclass(frozen=True)
+@record
 class GaussianState:
     """Centered second moments of the 1-D center-of-mass state.
 
     Attributes
     ----------
     x_var : float
-        Position variance <x^2> [m^2], > 0.
+        Position variance <x^2> [m^2], finite and > 0.
     xp_cov : float
-        Symmetrized covariance <xp+px>/2 [kg m^2/s].
+        Symmetrized covariance <xp+px>/2 [kg m^2/s], finite.
     p_var : float
-        Momentum variance <p^2> [kg^2 m^2/s^2], > 0.
+        Momentum variance <p^2> [kg^2 m^2/s^2], finite and > 0.
 
     The Heisenberg bound x_var p_var - xp_cov^2 >= hbar^2/4 is enforced at
     construction with 1e-9 relative slack plus the floating-point allowance
@@ -87,10 +87,11 @@ class GaussianState:
     p_var: float
 
     def __post_init__(self) -> None:
-        if self.x_var <= 0.0:
-            raise DomainError(f"x_var must be > 0, got {self.x_var}")
-        if self.p_var <= 0.0:
-            raise DomainError(f"p_var must be > 0, got {self.p_var}")
+        for name, var in (("x_var", self.x_var), ("p_var", self.p_var)):
+            if not 0.0 < var < math.inf:
+                raise DomainError(f"{name} = {var!r} is not finite and > 0")
+        if not math.isfinite(self.xp_cov):
+            raise DomainError(f"xp_cov = {self.xp_cov!r} is not finite")
         bound = 0.25 * hbar * hbar * (1.0 - _PURITY_TOLERANCE)
         allowance = heisenberg_allowance(self.x_var, self.xp_cov, self.p_var)
         if self.heisenberg_product < bound - allowance:
@@ -131,13 +132,13 @@ def initial_state(
     # m omega may underflow to 0, or overflow where the frequency is inf
     x_var = width * hbar / (2.0 * m_omega) if m_omega > 0.0 else math.inf
     p_var = width * hbar * m_omega / 2.0
-    for name, var in (("x_var", x_var), ("p_var", p_var)):
-        if not 0.0 < var < math.inf:
-            raise NumericalError(
-                f"trap state {name} = {var!r} is not finite and > 0 at angular trap "
-                f"frequency {trap_frequency!r} rad/s, occupancy {occupancy!r}"
-            )
-    return GaussianState(x_var=x_var, xp_cov=0.0, p_var=p_var)
+    try:
+        return GaussianState(x_var=x_var, xp_cov=0.0, p_var=p_var)
+    except DomainError as error:  # a variance out of range: name the inputs
+        raise NumericalError(
+            f"trap state {error} at angular trap frequency {trap_frequency!r} rad/s, "
+            f"occupancy {occupancy!r}"
+        ) from None
 
 
 def _check_evolution(mass: float, localization_rate: float, t: float) -> None:
@@ -183,7 +184,7 @@ def evolve_free(
     )
 
 
-@dataclass(frozen=True)
+@record
 class ExpansionCurve:
     """Sampled wave-packet width sigma(t) and the budget that produced it.
 
@@ -226,6 +227,15 @@ def csv_table(header: str, rows: Iterable[Iterable[float | int | str]]) -> str:
     return "".join(f"{line}\n" for line in (header, *lines))
 
 
+def _mass_squared(mass: float) -> float:
+    """``mass**2``, the divisor of the t^2 and t^3 terms; NumericalError
+    where it underflows to 0."""
+    mass2 = mass**2
+    if not mass2:
+        raise NumericalError(f"particle mass squared underflows to 0 at mass {mass!r} kg")
+    return mass2
+
+
 def _x_var_free(
     state: GaussianState, mass: float, localization_rate: float, times: float | np.ndarray
 ) -> float | np.ndarray:
@@ -238,16 +248,17 @@ def _x_var_free(
     Python's ``t**2`` is the libm ``pow``, which may miss the product by 1
     ulp, while numpy's array ``t**2`` is the product.
     """
+    mass2 = _mass_squared(mass)
     h2L = hbar * hbar * localization_rate
     return (
         state.x_var
         + 2.0 * state.xp_cov * times / mass
-        + state.p_var * (times * times) / mass**2
-        + (2.0 / 3.0) * h2L * (times * times * times) / mass**2
+        + state.p_var * (times * times) / mass2
+        + (2.0 / 3.0) * h2L * (times * times * times) / mass2
     )
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """One sphere in one environment: the inputs of the variance model.
 
@@ -396,7 +407,7 @@ def _check_memory(needed: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@record
 class CampaignConfig:
     """Measurement plan for one campaign (:func:`waxsim.protocol.run_campaign`);
     what is measured is a :class:`Scenario`.
@@ -426,7 +437,7 @@ class CampaignConfig:
 AGGREGATIONS = ("best-time", "chi-square-sum")
 
 
-@dataclass(frozen=True)
+@record
 class DetectionConfig:
     """Detection threshold and aggregation rule (:mod:`waxsim.inference`)."""
 

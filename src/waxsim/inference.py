@@ -40,20 +40,27 @@ set-up, and so do its oracle rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from ._record import record
 from .constants import LAMBDA_GRW, hbar
 from .decoherence import ChannelToggles, CSLParams, lambda_csl
-from .dynamics import DetectionConfig, Scenario, _check_memory, _check_runs, grid_times
+from .dynamics import (
+    DetectionConfig,
+    Scenario,
+    _check_memory,
+    _check_runs,
+    _mass_squared,
+    grid_times,
+)
 from .errors import DomainError, NumericalError
 from .materials import DEFAULT_TRAP_FREQUENCY, Environment, Particle
 from .protocol import CampaignConfig, run_campaign
 
 
-@dataclass(frozen=True)
+@record
 class DetectionResult:
     """Smallest detectable collapse rate for a given campaign size.
 
@@ -89,8 +96,8 @@ def csl_sensitivity(
     The cube is ``(t * t * t)``, the rule of the variance model, so one
     time gives the same bits alone or in an array, on any CPU.
     """
-    rate_per_hz = lambda_csl(particle, replace(csl_geometry, collapse_rate=1.0))
-    return (2.0 / 3.0) * hbar * hbar * rate_per_hz * (t * t * t) / particle.mass**2
+    rate_per_hz = lambda_csl(particle, csl_geometry.replace(collapse_rate=1.0))
+    return (2.0 / 3.0) * hbar * hbar * rate_per_hz * (t * t * t) / _mass_squared(particle.mass)
 
 
 def _chi_square_quantile(confidence_z: float, dof: int) -> float:
@@ -154,7 +161,7 @@ def _detection_setup(
         raise DomainError(
             "no sensitivity to the collapse rate: grid has no positive times"
         )
-    standard = replace(scenario, csl=replace(scenario.csl, collapse_rate=0.0))
+    standard = scenario.replace(csl=scenario.csl.replace(collapse_rate=0.0))
     var_std = standard.grid_variance(grid)[0]
     per_time = np.full(times.size, np.inf)
     per_time[usable] = var_std[usable] / sens[usable]

@@ -16,8 +16,8 @@ Environments come in two named presets:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import DERIVED, record
 from .constants import amu as _amu
 from .constants import g as _g
 from .errors import DomainError, NumericalError
@@ -94,7 +94,7 @@ def drop_distance(free_fall_time: float) -> float:
     return drop
 
 
-@dataclass(frozen=True)
+@record
 class Particle:
     """Geometric and material description of the nanosphere.
 
@@ -118,7 +118,7 @@ class Particle:
     mass_density: float
     thermal_permittivity: complex = FUSED_SILICA_THERMAL_PERMITTIVITY
     internal_temperature: float = 400.0
-    mass: float = field(init=False)
+    mass: float = DERIVED
 
     def __post_init__(self) -> None:
         if self.internal_temperature < 0.0:
@@ -136,7 +136,7 @@ def fused_silica_particle(radius: float = 120e-9, **overrides) -> Particle:
     return Particle(radius=radius, mass_density=FUSED_SILICA_DENSITY, **overrides)
 
 
-@dataclass(frozen=True)
+@record
 class Environment:
     """Thermal and vacuum conditions around the particle.
 

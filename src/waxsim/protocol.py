@@ -85,16 +85,16 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._record import record
 from .dynamics import CampaignConfig, Scenario, _check_memory, check_workers, csv_table
 from .errors import DomainError, NumericalError
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CampaignSamples:
     """Read-only ``T x N`` view of a campaign's positions, re-drawn on demand.
 
@@ -148,7 +148,7 @@ class CampaignSamples:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
-@dataclass(frozen=True)
+@record
 class PositionSamples:
     """Synthetic position records, one row of ``samples`` per grid time.
 
@@ -188,7 +188,7 @@ class PositionSamples:
                 yield csv_lines(repr(t), a, view.draw_tile(i, a, buffer))
 
 
-@dataclass(frozen=True)
+@record
 class WidthEstimate:
     """Estimated wave-packet width at one grid time."""
 

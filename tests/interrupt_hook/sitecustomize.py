@@ -3,10 +3,10 @@
 With this directory on ``PYTHONPATH``, the interpreter imports this module
 at start-up, and its finder raises ``KeyboardInterrupt`` at the first
 ``import waxsim.cli``, before ``cli.main`` can run. It raises it inside
-``exec`` of a string, as a SIGINT that lands in a method that
-``dataclasses`` generates at import is raised: CPython then marks the
-interrupt as unhandled, and ``python -m`` would end by SIGINT even after a
-handler caught it.
+``exec`` of a string, as a SIGINT is raised that lands in code a library
+builds from a string at import, such as a namedtuple's ``__new__``: CPython
+then marks the interrupt as unhandled, and ``python -m`` would end by SIGINT
+even after a handler caught it.
 """
 import sys
 

@@ -42,7 +42,6 @@ rates of :func:`waxsim.inference.bisect_lambda_mc_sweep`.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -220,7 +219,7 @@ def detection_power_mc(
     se_var = _standard_error(var_std, n_per_time)
     if not seeds:
         raise DomainError("seeds must be non-empty")
-    simulated = replace(scenario, csl=replace(scenario.csl, collapse_rate=collapse_rate))
+    simulated = scenario.replace(csl=scenario.csl.replace(collapse_rate=collapse_rate))
     hits, rows = 0, [best] if q is None else list(range(times.size))
     grid, var_std, se_var = tuple(times.tolist()), var_std[rows], se_var[rows]
     for seed in seeds:

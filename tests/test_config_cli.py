@@ -528,6 +528,30 @@ class TestCli:
         line = f"waxsim: numerical failure: trap state {reason}\n"
         assert run_cli(capsys, command, f"--{key}", value) == (3, "", line)
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            # the variance model divides by mass^2
+            *[
+                ((command, "--particle.density_kg_m3", "1e-150"),
+                 "particle mass squared underflows to 0 at mass 7.238229473870881e-171 kg")
+                for command in ("expand", "campaign", "bound")
+            ],
+            # the gas de Broglie wavelength divides by the mean molecular momentum
+            *[
+                ((command, "--environment.gas_pressure_pa", "1",
+                  "--environment.gas_temperature_k", "5e-324"),
+                 "gas molecular momentum underflows to 0 at gas temperature 5e-324 K, "
+                 "molecule mass 4.8105816759402e-26 kg")
+                for command in ("rates", "expand")
+            ],
+        ],
+    )
+    def test_underflowing_divisor_names_the_quantity_and_input(self, capsys, argv, reason):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", f"waxsim: numerical failure: {reason}\n")
+        assert not re.search(r"\b[A-Z]\w*(Error|Exception)\b", err)
+
     @pytest.mark.parametrize("command", ["rates", "expand", "campaign", "bound", "feasibility"])
     @pytest.mark.parametrize("grid", ["", "5,5,10", "10,5", "-1,5"])
     def test_bad_time_grid_exits_2_on_every_command(self, capsys, command, grid):

@@ -65,6 +65,21 @@ class TestInitialState:
         with pytest.raises(DomainError):
             GaussianState(x_var=1e-24, xp_cov=0.0, p_var=1e-48)
 
+    @pytest.mark.parametrize(
+        "moments, message",
+        [
+            ((math.inf, 0.0, 1.0), "x_var = inf is not finite and > 0"),
+            ((math.nan, 0.0, 1.0), "x_var = nan is not finite and > 0"),
+            ((1.0, 0.0, math.inf), "p_var = inf is not finite and > 0"),
+            ((1.0, math.nan, 1.0), "xp_cov = nan is not finite"),
+            ((1.0, -math.inf, 1.0), "xp_cov = -inf is not finite"),
+        ],
+    )
+    def test_non_finite_moments_refused_at_construction(self, moments, message):
+        x_var, xp_cov, p_var = moments
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            GaussianState(x_var=x_var, xp_cov=xp_cov, p_var=p_var)
+
 
 class TestEvolveFree:
     def test_zero_time_is_identity(self, silica):

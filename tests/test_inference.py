@@ -1,5 +1,4 @@
 """Minimum detectable collapse rate: closed form and Monte-Carlo oracle."""
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -380,7 +379,7 @@ class TestOracleSweep:
         times, sens, var_std, _, best, _ = inference._detection_setup(
             sweep, model["time_grid"], model["detection"], scenario
         )
-        simulated = replace(scenario, csl=replace(scenario.csl, collapse_rate=0.0))
+        simulated = scenario.replace(csl=scenario.csl.replace(collapse_rate=0.0))
         per_seed = []
         for seed in seeds:
             plan = protocol.CampaignConfig(times, max(sweep), seed)
@@ -439,7 +438,7 @@ class TestOracleSweep:
         # the tile sums of squares overflow at the best time, the row drawn;
         # only a raised overflow names its time
         model = self.model()
-        model["scenario"] = replace(model["scenario"], measurement_noise=1e154)
+        model["scenario"] = model["scenario"].replace(measurement_noise=1e154)
         message = r"^sample variance overflows double precision at t = 100\.0 s$"
         with np.errstate(over="raise"):
             with pytest.raises(NumericalError, match=message):

@@ -4,7 +4,6 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -632,7 +631,7 @@ class TestRunPrefixes:
         data = run_campaign(config, Scenario(silica, ground), workers=workers, run_counts=counts)
         assert sorted(data.var_hats) == sorted(set(counts))
         for m in counts:
-            shorter = run_campaign(replace(config, runs_per_time=m), Scenario(silica, ground))
+            shorter = run_campaign(config.replace(runs_per_time=m), Scenario(silica, ground))
             assert np.array_equal(data.var_hats[m], shorter.var_hat)
         assert data.var_hat is data.var_hats[13]
 

@@ -1,9 +1,9 @@
 """Start-up cost: each command loads only the layers it runs.
 
 Importing waxsim loads none of its modules; the scalar commands (``rates``,
-``expand``, ``feasibility``, ``--print-config``) load no numpy and no
-sampling or inference layer, and at its defaults no command but
-``campaign`` loads scipy. Each check runs in a fresh interpreter, since the
+``expand``, ``feasibility``, ``--print-config``) load no numpy, no sampling
+or inference layer and neither ``dataclasses`` nor ``inspect``, and at its
+defaults no command but ``campaign`` loads scipy. Each check runs in a fresh interpreter, since the
 pytest process itself has numpy and scipy loaded. The checks are on ``sys.modules``, not on timings.
 The interpreters are independent, so the ``loaded`` fixture runs them
 concurrently and each test reads its own.
@@ -22,6 +22,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(waxsim.__file__)))
 SCIPY_MODULES = ("scipy.stats", "scipy.interpolate", "scipy.special")
 LAYERS = ("waxsim.protocol", "waxsim.inference")
 FORMATTER = "waxsim._dumpfmt"
+# dataclasses builds its methods from source and loads inspect, ast, dis
+# and tokenize; the package's records need none of them
+RECORD_MACHINERY = ("dataclasses", "inspect")
 
 
 def loaded_after(code: str, modules: tuple[str, ...] = SCIPY_MODULES) -> list[str]:
@@ -52,6 +55,10 @@ def run_main(*argv: str) -> str:
 DUMP = ("campaign", "--dump-samples", "--campaign.runs_per_time", "10")
 SCALAR_COMMANDS = ("rates", "expand", "feasibility")
 NUMPY_ONLY_COMMANDS = ("rates", "expand", "bound", "feasibility")
+PRINT_CONFIG = "".join(
+    run_main(command, "--print-config")
+    for command in ("rates", "expand", "campaign", "bound", "feasibility")
+)
 
 # probe name -> (code, modules) of one fresh interpreter
 PROBES = {
@@ -67,13 +74,14 @@ PROBES = {
         f"scalar {command}": (run_main(command), ("numpy", *LAYERS))
         for command in SCALAR_COMMANDS
     },
-    "print-config": (
-        "".join(
-            run_main(command, "--print-config")
-            for command in ("rates", "expand", "campaign", "bound", "feasibility")
-        ),
-        ("numpy", *LAYERS),
-    ),
+    "print-config": (PRINT_CONFIG, ("numpy", *LAYERS)),
+    **{
+        f"records {command}": (run_main(command), RECORD_MACHINERY)
+        for command in SCALAR_COMMANDS
+    },
+    "records print-config": (PRINT_CONFIG, RECORD_MACHINERY),
+    # numpy alone loads inspect
+    "records inference": ("import waxsim.inference", ("dataclasses",)),
     # at a nonzero collapse rate, which adds the a/3 check on the widths
     "expand with csl": (
         run_main("expand", "--csl.lambda_hz", "1e-8"),
@@ -139,6 +147,19 @@ def test_scalar_commands_load_no_numpy(loaded, command):
 
 def test_print_config_loads_no_numpy(loaded):
     assert loaded("print-config") == []
+
+
+@pytest.mark.parametrize("command", SCALAR_COMMANDS)
+def test_scalar_commands_load_no_dataclasses_or_inspect(loaded, command):
+    assert loaded(f"records {command}") == []
+
+
+def test_print_config_loads_no_dataclasses_or_inspect(loaded):
+    assert loaded("records print-config") == []
+
+
+def test_inference_loads_no_dataclasses(loaded):
+    assert loaded("records inference") == []
 
 
 def test_expand_loads_no_sampling_inference_or_oracle(loaded):
